@@ -151,13 +151,40 @@ def carrier_weight(S: int, beta: float) -> float:
     S = _validate_spin(S)
     if not math.isfinite(beta):
         raise DomainError(f"angle must be finite, got {beta!r}")
-    x = math.cos(beta)
-    p_prev, p_cur = 1.0, x
+    return legendre_p(S, math.cos(beta))
+
+
+def legendre_p(S: int, x):
+    """Legendre polynomial P_S(x) by the three-term recurrence; scalar or array x.
+
+    Scalars and array elements go through the same arithmetic, so the
+    vectorized callers agree bit for bit with :func:`carrier_weight`.
+    """
     if S == 0:
-        return 1.0
+        return 1.0 + 0.0 * x
+    p_prev, p_cur = 1.0, x
     for ell in range(1, S):
         p_prev, p_cur = p_cur, ((2 * ell + 1) * x * p_cur - ell * p_prev) / (ell + 1)
     return p_cur
+
+
+def first_sideband_weight(S: int, beta):
+    """|d^S_{01}(beta)| = sin(beta) |P_S'(cos beta)| / sqrt(S (S + 1)); scalar or array.
+
+    The derivative comes from P'_{l+1} = P'_{l-1} + (2l + 1) P_l alongside
+    the Legendre recurrence, so every angle, including 0 and pi, is finite.
+    """
+    x = np.cos(beta)
+    p_prev, p_cur = 1.0, x
+    d_prev, d_cur = 0.0, 1.0
+    for ell in range(1, S):
+        p_prev, p_cur, d_prev, d_cur = (
+            p_cur,
+            ((2 * ell + 1) * x * p_cur - ell * p_prev) / (ell + 1),
+            d_cur,
+            d_prev + (2 * ell + 1) * p_cur,
+        )
+    return np.abs(np.sin(beta) * d_cur) / math.sqrt(S * (S + 1))
 
 
 def beta_from_index(m: float, S: int) -> float:

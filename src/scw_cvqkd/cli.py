@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .angular import wigner_d_row
 from .config import RunConfig, load_config
-from .errors import InfeasibleError, ScwError
+from .errors import InfeasibleError, InternalError, MismatchError, NoRootError, ScwError
 from .finitekey import finite_key_rate
 from .noise import ChannelModel, decision_stats
 from .optics import calibrate_delta
@@ -142,6 +142,14 @@ def _report_row(report: KeyRateReport) -> list[str]:
     ]
 
 
+def _open_out(path: str):
+    """Open an output file for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str | None, reports: list[KeyRateReport]) -> None:
     if path is None:
         writer = csv.writer(_sys.stdout, lineterminator="\n")
@@ -149,7 +157,7 @@ def _write_csv(path: str | None, reports: list[KeyRateReport]) -> None:
         for r in reports:
             writer.writerow(_report_row(r))
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         fh.flush()
@@ -172,7 +180,7 @@ def _write_meta(out_path: str, command: str, args, cfg_text: str | None, seed) -
             if key not in ("command", "config") and val is not None
         },
     }
-    with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
+    with _open_out(out_path + ".meta.json") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -324,7 +332,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     text = json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = args.out or cfg.out
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
         print(f"wrote {out}")
     else:
@@ -385,6 +393,19 @@ def _check_calibration(rng) -> bool:
     return True
 
 
+def _check_calibration_closed_form(rng) -> bool:
+    from .optics import SystemParams, _calibrate_by_scan
+
+    sys_p = SystemParams()
+    # a fixed grid: a random angle could fall in the no-root window at pi/4
+    for beta_A in np.linspace(0.1, 1.45, 50):
+        beta_A = float(beta_A)
+        scan = _calibrate_by_scan(beta_A, sys_p.theta_carrier, sys_p.S)
+        if abs(calibrate_delta(beta_A, sys_p) - scan) > 1e-12 * scan:
+            return False
+    return True
+
+
 def cmd_selftest(args) -> int:
     rng = np.random.default_rng(args.seed)
     checks = [
@@ -392,6 +413,7 @@ def cmd_selftest(args) -> int:
         ("first-order d-row closed form", _check_first_order_row),
         ("closed-form vs quadrature decision statistics", _check_decision_integrals),
         ("modulation-depth calibration symmetry", _check_calibration),
+        ("S=1 calibration closed form vs scan root", _check_calibration_closed_form),
     ]
     all_ok = True
     for name, check in checks:
@@ -418,6 +440,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
+    except (InternalError, NoRootError, MismatchError) as exc:
+        # a numerical or statistical check failed, not the user's input
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_CHECK_FAILED
     except ScwError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

@@ -25,16 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, EmptyAcceptanceError
-from .noise import ChannelModel, DecisionStats, decision_stats, erasure_error_profiles
-from .optics import SystemParams, TunableParams, matched_means
-from .security import (
-    accepted_rate_integral,
-    binary_entropy,
-    integration_ceiling,
-    security_quantities,
-)
 import numpy as np
+
+from .errors import DomainError
+from .noise import ChannelModel, DecisionStats
+from .optics import SystemParams, TunableParams
+from .security import RateBlock, binary_entropy, point_block
 
 _EC_MODES = ("pointwise", "block")
 
@@ -115,16 +111,20 @@ def smoothing_correction(eps_s: float) -> float:
     )
 
 
-def ec_syndrome_length(n: int, Q_est: float, dQ: float, f_EC: float) -> int:
-    """Disclosed syndrome bits, ceil(n f_EC h(Q_est + dQ))."""
+def ec_syndrome_length(n: int, Q_est, dQ: float, f_EC: float):
+    """Disclosed syndrome bits, ceil(n f_EC h(Q_est + dQ)).
+
+    An int for a scalar ``Q_est``, a float array for an array.
+    """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"block size must be a positive int, got {n!r}")
     if not f_EC >= 1.0:
         raise DomainError(f"f_EC must be >= 1, got {f_EC}")
-    q = Q_est + dQ
-    if not 0.0 <= q < 0.5:
+    q = np.asarray(Q_est, dtype=float) + dQ
+    if not np.all((0.0 <= q) & (q < 0.5)):
         raise DomainError(f"Q_est + dQ must be in [0, 1/2), got {q}")
-    return math.ceil(n * f_EC * binary_entropy(q))
+    bits = np.ceil(n * f_EC * binary_entropy(q))
+    return int(bits) if bits.ndim == 0 else bits
 
 
 def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
@@ -149,6 +149,37 @@ def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
     return FiniteKeyLength(l=l, abort=False)
 
 
+def finite_rates(
+    block: RateBlock,
+    fk: FiniteKeyParams,
+    ec_mode: str = "pointwise",
+    k_sample=None,
+) -> np.ndarray:
+    """Finite-block rates of a kernel block in bits per second; 0 where aborted.
+
+    ``k_sample`` (scalar or per point) defaults to ``fk.k_sample``.
+    """
+    if k_sample is None:
+        k_sample = fk.k_sample
+    # n-dependent overheads shared by both charges
+    fixed = (
+        block.chi
+        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
+        + (k_sample + fk.check_EC + fk.loss_PA) / fk.n
+    )
+    abort = block.empty
+    if ec_mode == "block":
+        Q = np.divide(block.E, block.P, out=np.zeros_like(block.P), where=~abort)
+        abort = abort | (Q + fk.dQ >= 0.5)
+        code_ec = ec_syndrome_length(fk.n, np.where(abort, 0.0, Q), fk.dQ, fk.f_EC)
+        fraction = (1.0 - fixed - code_ec / fk.n)[:, None]
+    else:
+        charge = fk.f_EC * binary_entropy(np.minimum(block.e + fk.dQ, 0.5))
+        fraction = 1.0 - fixed[:, None] - charge
+    raw = block.integrate(fraction)
+    return np.where(abort | (raw <= 0.0), 0.0, raw)
+
+
 def finite_key_rate(
     tun: TunableParams,
     sys: SystemParams,
@@ -167,52 +198,15 @@ def finite_key_rate(
     """
     if ec_mode not in _EC_MODES:
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
-    if doubling is None:
-        doubling = sys.symmetric_doubling
     k_sample = tun.k_sample if tun.k_sample > 0 else fk.k_sample
     if k_sample >= fk.n:
         raise DomainError(f"k_sample {k_sample} must be below block size {fk.n}")
-
-    mean_plus, mean_minus = matched_means(tun, sys, ch.eta)
-    quantities = security_quantities(tun.mu_0, tun.beta_A, sys.S)
-    chi = quantities.chi_dr
-
-    try:
-        stats = decision_stats(tun.v_0, mean_plus, mean_minus, ch.xi)
-    except EmptyAcceptanceError:
-        return FiniteKeyResult(rate=0.0, abort=True, chi=chi, stats=None, n=fk.n)
-
-    # n-dependent overheads shared by both charges
-    fixed = (
-        chi
-        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
-        + (k_sample + fk.check_EC + fk.loss_PA) / fk.n
+    block = point_block(tun, sys, ch, doubling)
+    stats, quantities = block.point(0)
+    rate = float(finite_rates(block, fk, ec_mode, k_sample)[0])
+    return FiniteKeyResult(
+        rate=rate, abort=not rate > 0.0, chi=quantities.chi_dr, stats=stats, n=fk.n
     )
-
-    if ec_mode == "block":
-        if stats.Q + fk.dQ >= 0.5:
-            return FiniteKeyResult(rate=0.0, abort=True, chi=chi, stats=stats, n=fk.n)
-        code_ec = ec_syndrome_length(fk.n, stats.Q, fk.dQ, fk.f_EC)
-        bracket_const = 1.0 - fixed - code_ec / fk.n
-
-        def integrand(v):
-            og, _ = erasure_error_profiles(v, mean_plus, mean_minus, ch.xi)
-            return og * bracket_const
-
-    else:
-
-        def integrand(v):
-            og, e = erasure_error_profiles(v, mean_plus, mean_minus, ch.xi)
-            charge = fk.f_EC * binary_entropy(np.minimum(e + fk.dQ, 0.5))
-            return og * (1.0 - fixed - charge)
-
-    hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
-    scale = (2.0 if doubling else 1.0) / (sys.N * sys.T)
-    raw = scale * accepted_rate_integral(integrand, tun.v_0, hi)
-
-    if raw <= 0.0:
-        return FiniteKeyResult(rate=0.0, abort=True, chi=chi, stats=stats, n=fk.n)
-    return FiniteKeyResult(rate=raw, abort=False, chi=chi, stats=stats, n=fk.n)
 
 
 def with_observed_error_rate(fk: FiniteKeyParams, Q_est: float) -> FiniteKeyParams:

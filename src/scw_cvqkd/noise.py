@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 from scipy.special import expit as _expit
 
 from .errors import DomainError, EmptyAcceptanceError
@@ -24,9 +24,9 @@ from .errors import DomainError, EmptyAcceptanceError
 # vacuum quadrature variance in the chosen normalization
 V_VAC = 0.25
 # acceptance mass below this is numerically indistinguishable from an abort
-_P_FLOOR = 1e-300
+P_FLOOR = 1e-300
 # integration window: means +/- this many sigmas bound the lost tail below 1e-40
-_TAIL_SIGMAS = 14.0
+TAIL_SIGMAS = 14.0
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ def erasure_error_profiles(v, mean_plus: float, mean_minus: float, xi: float):
     lp_minus = _log_pdf(v, mean_minus, xi)
     one_minus_g = 0.5 * (np.exp(lp_plus) + np.exp(lp_minus))
     # the sign of v picks which symbol would have been decoded incorrectly
-    e = np.where(v >= 0.0, _expit(lp_minus - lp_plus), _expit(lp_plus - lp_minus))
+    log_ratio = lp_minus - lp_plus
+    e = _expit(np.where(v >= 0.0, log_ratio, -log_ratio))
     e = np.where(v == 0.0, 0.5, e)
     if one_minus_g.ndim == 0:
         return float(one_minus_g), float(e)
@@ -124,28 +125,33 @@ class DecisionStats:
         return erasure_error_profiles(v, self.mean_plus, self.mean_minus, self.xi)[1]
 
 
-def _sf(x: float) -> float:
-    # Gaussian upper-tail probability
-    return float(ndtr(-x))
+def integration_ceiling(mean_plus, mean_minus, xi: float):
+    """Upper readout bound past which the remaining mass is below 1e-40.
+
+    Scalar or array means.
+    """
+    widest = np.maximum(np.abs(mean_plus), np.abs(mean_minus))
+    return widest + TAIL_SIGMAS * noise_sigma(xi)
 
 
-def _stats_closed_form(v_0, mean_plus, mean_minus, xi):
-    sigma = noise_sigma(xi)
+def decision_masses(v_0, mean_plus, mean_minus, xi: float):
+    """Error and acceptance masses (E, P) through the Gaussian tail function.
+
+    Scalar or array thresholds and means; no validation (see
+    :func:`decision_stats`).
+    """
+    # tails beyond +v_0 and below -v_0 under each symbol, in one call
+    edges = [mean_plus - v_0, -v_0 - mean_plus, mean_minus - v_0, -v_0 - mean_minus]
+    plus_up, plus_down, minus_up, minus_down = ndtr(np.array(edges) / noise_sigma(xi))
     # acceptance: |v| >= v_0 under either symbol, equal priors
-    p = 0.5 * (
-        _sf((v_0 - mean_plus) / sigma)
-        + _sf((v_0 + mean_plus) / sigma)
-        + _sf((v_0 - mean_minus) / sigma)
-        + _sf((v_0 + mean_minus) / sigma)
-    )
+    p = 0.5 * (plus_up + plus_down + minus_up + minus_down)
     # error: the plus symbol landing in the negative tail and vice versa
-    e_mass = 0.5 * (_sf((v_0 + mean_plus) / sigma) + _sf((v_0 - mean_minus) / sigma))
+    e_mass = 0.5 * (plus_down + minus_up)
     return e_mass, p
 
 
 def _stats_quadrature(v_0, mean_plus, mean_minus, xi):
-    sigma = noise_sigma(xi)
-    hi = max(abs(mean_plus), abs(mean_minus)) + _TAIL_SIGMAS * sigma
+    hi = float(integration_ceiling(mean_plus, mean_minus, xi))
     if v_0 >= hi:
         return 0.0, 0.0
 
@@ -183,14 +189,14 @@ def decision_stats(
     if xi < 0.0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     if method == "closed_form":
-        e_mass, p = _stats_closed_form(v_0, mean_plus, mean_minus, xi)
+        e_mass, p = (float(m) for m in decision_masses(v_0, mean_plus, mean_minus, xi))
     elif method == "quadrature":
         e_mass, p = _stats_quadrature(v_0, mean_plus, mean_minus, xi)
     else:
         raise DomainError(f"unknown method {method!r}")
-    if p < _P_FLOOR:
+    if p < P_FLOOR:
         raise EmptyAcceptanceError(
-            f"acceptance mass {p} below {_P_FLOOR} at v_0={v_0}"
+            f"acceptance mass {p} below {P_FLOOR} at v_0={v_0}"
         )
     return DecisionStats(
         E=e_mass,
@@ -200,13 +206,4 @@ def decision_stats(
         mean_plus=mean_plus,
         mean_minus=mean_minus,
         xi=xi,
-    )
-
-
-def log_acceptance_tails(v_0: float, mean: float, xi: float) -> tuple[float, float]:
-    """Log of the two acceptance tail masses under one symbol; diagnostic."""
-    sigma = noise_sigma(xi)
-    return (
-        float(log_ndtr(-(v_0 - mean) / sigma)),
-        float(log_ndtr(-(v_0 + mean) / sigma)),
     )

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .angular import carrier_weight, wigner_d_row
+from .angular import carrier_weight, first_sideband_weight, legendre_p, wigner_d_row
 from .errors import DegenerateError, DomainError, InternalError, NoRootError
 
 _MEAN_CONVENTIONS = ("sideband", "detector")
@@ -182,11 +182,6 @@ def beta_prime(beta_A: float, beta_B: float, delta_phi: float) -> float:
     return math.acos(min(max(arg, -1.0), 1.0))
 
 
-def beta_prime_approx(beta_A: float, delta: float, delta_phi: float) -> float:
-    """Small-angle form beta_A sqrt(delta^2 + 2 delta cos(dphi) + 1); diagnostic only."""
-    return beta_A * math.sqrt(delta * delta + 2.0 * delta * math.cos(delta_phi) + 1.0)
-
-
 def interference_contrast(
     beta_A: float, delta: float, theta_carrier: float, S: int, delta_phi: float
 ) -> float:
@@ -301,45 +296,97 @@ def mean_table(tun: TunableParams, sys: SystemParams, eta: float) -> np.ndarray:
     )
 
 
-def _calibration_balance(
-    delta: float, beta_A: float, theta_carrier: float, S: int
-) -> float:
-    # zero when the two matched-basis contrasts are symmetric about 0
+def matched_contrasts(beta_A, beta_B, theta_carrier: float, S: int):
+    """Vectorized :func:`interference_contrast` at delta_phi = 0 and pi.
+
+    For arrays of Alice and Bob angles returns (u(0), u(pi)).  The composite
+    angle is beta_A + beta_B at delta_phi = 0 and |beta_A - beta_B| at pi, so
+    cos(beta') needs no arccos round trip.
+    """
+    lead = 2.0 * (1.0 - theta_carrier)
+    w0 = legendre_p(S, np.cos(beta_A + beta_B))
+    wpi = legendre_p(S, np.cos(beta_A - beta_B))
+    return 1.0 - lead * w0 * w0, 1.0 - lead * wpi * wpi
+
+
+def matched_means_array(mu_0, beta_A, delta, sys: SystemParams, eta: float):
+    """Vectorized :func:`matched_means` over arrays of (mu_0, beta_A, delta).
+
+    Returns (mean_plus, mean_minus, degenerate).  ``degenerate`` marks the
+    points where :func:`symbol_mean` raises :class:`DegenerateError`; their
+    means are set to 0.  Inputs are assumed already validated, as by
+    :class:`TunableParams`.
+    """
+    u0, upi = matched_contrasts(beta_A, delta * beta_A, sys.theta_carrier, sys.S)
+    if sys.mean_convention == "detector":
+        w = legendre_p(sys.S, np.cos(beta_A))
+        n_lo = mu_0 * eta * w * w
+        # as quadrature_mean: the vacuum reads 0, an empty oscillator is undefined
+        live = (mu_0 > 0.0) & (n_lo > 1e-24 * mu_0 * eta)
+        gain = np.divide(
+            mu_0 * eta * sys.eta_B * sys.s,
+            2.0 * np.sqrt(n_lo),
+            out=np.zeros_like(n_lo),
+            where=live,
+        )
+        return gain * u0, gain * upi, (mu_0 > 0.0) & ~live
+    amp = sys.s * np.sqrt(eta * mu_0) * first_sideband_weight(sys.S, beta_A)
+    # as symbol_mean: u(0) = 0 zeroes the pair, and is undefined unless u(pi) = 0
+    lit = u0 != 0.0
+    return amp * lit, amp * (upi / np.where(lit, u0, 1.0)), ~lit & (upi != 0.0)
+
+
+def _accept_root(delta: float, beta_A: float, theta_carrier: float, S: int) -> bool:
+    """Check a balance root's residual; keep it if the matched contrast is positive."""
     u0 = interference_contrast(beta_A, delta, theta_carrier, S, 0.0)
     upi = interference_contrast(beta_A, delta, theta_carrier, S, math.pi)
-    return u0 + upi
+    if abs(u0 + upi) > _CAL_RESIDUAL_TOL:
+        raise InternalError(
+            f"calibration residual {abs(u0 + upi):.3e} at delta={delta}"
+        )
+    # reject branches where the matched-phase contrast is inverted
+    return u0 > 0.0
 
 
-def _carrier_weight_sq_grid(beta_A: float, beta_B, S: int, cos_dphi: float):
-    # vectorized d00(beta')^2 over an array of Bob angles
-    arg = math.cos(beta_A) * np.cos(beta_B) - math.sin(beta_A) * np.sin(
-        beta_B
-    ) * cos_dphi
-    x = np.clip(arg, -1.0, 1.0)
-    coeffs = np.zeros(S + 1)
-    coeffs[S] = 1.0
-    w = np.polynomial.legendre.legval(x, coeffs)
-    return w * w
+def _calibrate_closed_form(beta_A: float, theta_carrier: float) -> float | None:
+    """First S=1 balance root with positive matched contrast, or None if none.
+
+    At S=1, d_00(beta') = cos(beta') and the balance reduces to
+    2 theta - 2 (1 - theta) cos(2 beta_A) cos(2 beta_A delta), so the roots
+    are 2 beta_A delta = +-arccos(c) + 2 pi m with
+    c = theta / ((1 - theta) cos 2 beta_A).  They are walked in increasing
+    delta up to the bracket end.
+    """
+    lead = (1.0 - theta_carrier) * math.cos(2.0 * beta_A)
+    if lead == 0.0 or abs(theta_carrier) > abs(lead):
+        return None
+    a = math.acos(theta_carrier / lead)
+    turn = 0.0
+    while True:
+        for x in (turn + a, turn + 2.0 * math.pi - a):
+            delta = x / (2.0 * beta_A)
+            if delta > _CAL_DELTA_MAX:
+                return None
+            if delta > 0.0 and _accept_root(delta, beta_A, theta_carrier, 1):
+                return delta
+        turn += 2.0 * math.pi
 
 
-@lru_cache(maxsize=4096)
-def _calibrate_delta_cached(beta_A: float, theta_carrier: float, S: int) -> float:
+def _calibrate_by_scan(beta_A: float, theta_carrier: float, S: int) -> float | None:
+    """First balance root with positive matched contrast, by scan plus brentq."""
+
     def balance(d):
-        return _calibration_balance(d, beta_A, theta_carrier, S)
-
-    def u0(d):
-        return interference_contrast(beta_A, d, theta_carrier, S, 0.0)
+        # zero when the two matched-basis contrasts are symmetric about 0
+        return interference_contrast(
+            beta_A, d, theta_carrier, S, 0.0
+        ) + interference_contrast(beta_A, d, theta_carrier, S, math.pi)
 
     # the contrast oscillates faster at larger spin and angle
     n_scan = max(600, int(200 * S * beta_A))
     grid = np.linspace(1e-6, _CAL_DELTA_MAX, n_scan)
     beta_B = grid * beta_A
-    lead = 1.0 - theta_carrier
-    vals = 2.0 - 2.0 * lead * (
-        _carrier_weight_sq_grid(beta_A, beta_B, S, 1.0)
-        + _carrier_weight_sq_grid(beta_A, beta_B, S, -1.0)
-    )
-
+    u0, upi = matched_contrasts(beta_A, beta_B, theta_carrier, S)
+    vals = u0 + upi
     for i in range(len(grid) - 1):
         lo, hi = vals[i], vals[i + 1]
         if lo == 0.0:
@@ -348,17 +395,23 @@ def _calibrate_delta_cached(beta_A: float, theta_carrier: float, S: int) -> floa
             root = float(brentq(balance, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
         else:
             continue
-        if abs(balance(root)) > _CAL_RESIDUAL_TOL:
-            raise InternalError(
-                f"calibration residual {abs(balance(root)):.3e} at delta={root}"
-            )
-        # reject branches where the matched-phase contrast is inverted
-        if u0(root) > 0.0:
+        if _accept_root(root, beta_A, theta_carrier, S):
             return root
-    raise NoRootError(
-        f"no calibration root with positive matched contrast for beta_A={beta_A}, "
-        f"S={S} in delta bracket (0, {_CAL_DELTA_MAX}]"
-    )
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _calibrate_delta_cached(beta_A: float, theta_carrier: float, S: int) -> float:
+    if S == 1:
+        root = _calibrate_closed_form(beta_A, theta_carrier)
+    else:
+        root = _calibrate_by_scan(beta_A, theta_carrier, S)
+    if root is None:
+        raise NoRootError(
+            f"no calibration root with positive matched contrast for beta_A={beta_A}, "
+            f"S={S} in delta bracket (0, {_CAL_DELTA_MAX}]"
+        )
+    return root
 
 
 def calibrate_delta(beta_A: float, sys: SystemParams) -> float:
@@ -366,7 +419,12 @@ def calibrate_delta(beta_A: float, sys: SystemParams) -> float:
 
     Solves u(0) + u(pi) = 0 for delta in (0, 10], taking the first root at
     which the matched-phase contrast u(0) is positive, so the symbol means
-    come out symmetric about zero with the conventional sign.
+    come out symmetric about zero with the conventional sign.  At S=1 the
+    roots have a closed form, cos(2 beta_A) cos(2 beta_A delta) =
+    theta/(1 - theta); larger S scans the bracket and polishes each sign
+    change with brentq.  Either way a root whose residual exceeds 1e-10
+    raises :class:`InternalError`, and no qualifying root raises
+    :class:`NoRootError`.
     """
     if not 0.0 < beta_A < 0.5 * math.pi:
         raise DomainError(f"calibration needs beta_A in (0, pi/2), got {beta_A}")

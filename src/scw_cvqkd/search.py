@@ -8,7 +8,9 @@ free: it is re-derived from the calibration condition at every angle.
 
 The search is a deterministic two-stage scheme: a fixed coarse grid
 ranks feasible regions, then derivative-free simplex refinement runs
-from the best few grid points.  Ties are broken toward the smaller
+from the best few grid points.  The grid is scored by the batched rate
+kernel, one block per modulation angle; the simplex evaluates one point
+at a time.  Ties are broken toward the smaller
 photon number, then the smaller threshold.
 """
 
@@ -24,10 +26,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import FiniteKeyParams, finite_key_rate
+from .finitekey import FiniteKeyParams, finite_key_rate, finite_rates
 from .noise import ChannelModel, noise_sigma
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .security import asymptotic_key_rate
+from .security import asymptotic_key_rate, asymptotic_rates, rate_block
 
 # coarse-grid resolution per axis: photon number, angle, threshold
 _GRID_SHAPE = (12, 8, 9)
@@ -160,6 +162,34 @@ def _evaluate(
     )
 
 
+def _score_grid(lg_mu, betas, v_sig, ch, sys, fk, ec_mode) -> np.ndarray:
+    """Rates on the coarse grid, shape (mu, beta, v); -inf where infeasible.
+
+    Each angle is calibrated once and its mu x v plane scored as one kernel
+    block, decoded exactly as :func:`_decode` decodes a single point.
+    """
+    mu_0 = np.array([10.0 ** float(m) for m in lg_mu])
+    v_0 = np.array([float(v) * noise_sigma(ch.xi) for v in v_sig])
+    mu_plane, v_plane = (a.ravel() for a in np.meshgrid(mu_0, v_0, indexing="ij"))
+    ones = np.ones(mu_plane.size)
+    rates = np.full((len(lg_mu), len(betas), len(v_sig)), -math.inf)
+    for j, beta_A in enumerate(betas):
+        try:
+            delta = calibrate_delta(float(beta_A), sys)
+        except ScwError:
+            continue
+        block = rate_block(
+            mu_plane, float(beta_A) * ones, delta * ones, v_plane, sys, ch
+        )
+        if fk is None:
+            plane = asymptotic_rates(block)
+        else:
+            plane = finite_rates(block, fk, ec_mode)
+        plane[block.degenerate] = -math.inf
+        rates[:, j, :] = plane.reshape(len(lg_mu), len(v_sig))
+    return rates
+
+
 def optimize_point(
     ch: ChannelModel,
     sys: SystemParams,
@@ -192,10 +222,12 @@ def optimize_point(
     betas = np.linspace(bounds.beta_A[0], bounds.beta_A[1], _GRID_SHAPE[1])
     v_sig = np.linspace(bounds.v_0_sigmas[0], bounds.v_0_sigmas[1], _GRID_SHAPE[2])
 
-    coarse = []
-    for xm, xb, xv in product(lg_mu, betas, v_sig):
-        x = (float(xm), float(xb), float(xv))
-        coarse.append((rate_at(x), x))
+    grid = _score_grid(lg_mu, betas, v_sig, ch, sys, fk, ec_mode)
+    n_eval += grid.size
+    coarse = [
+        (float(r), (float(xm), float(xb), float(xv)))
+        for r, (xm, xb, xv) in zip(grid.ravel(), product(lg_mu, betas, v_sig))
+    ]
     best_rate, best_x = max(coarse, key=lambda c: c[0])
     if not best_rate > 0.0:
         raise InfeasibleError(

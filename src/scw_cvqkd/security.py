@@ -7,6 +7,12 @@ operator and hence the accessible information (the chi bound below); the
 secret fraction at readout v is 1 - h(e(v)) - chi, and the key rate is
 its acceptance-weighted integral over the post-selected region, converted
 to bits per second by the basis count and window duration.
+
+Rates are evaluated by one vectorized kernel, :func:`rate_block`, which
+takes N working points at one channel and forms their symbol means, chi,
+P and E, and the readout profiles on an N x 240 Gauss-Legendre grid.
+:func:`asymptotic_key_rate` and :func:`finitekey.finite_key_rate` are its
+N=1 case; the optimizer scores its coarse grid in blocks.
 """
 
 from __future__ import annotations
@@ -18,22 +24,22 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import xlogy
 
-from .angular import carrier_weight, wigner_d_row
-from .errors import DomainError, EmptyAcceptanceError
+from .angular import carrier_weight, legendre_p, wigner_d_row
+from .errors import DegenerateError, DomainError
 from .noise import (
+    P_FLOOR,
     ChannelModel,
     DecisionStats,
-    decision_stats,
+    decision_masses,
     erasure_error_profiles,
-    noise_sigma,
+    integration_ceiling,
 )
-from .optics import SystemParams, TunableParams, matched_means
+from .optics import SystemParams, TunableParams, matched_means_array
 
 _BOUNDS_SLOP = 1e-12
 # Gauss-Legendre order for the rate integral; the integrand is entire, so
 # convergence is supergeometric and this is far past saturation.
 _GL_ORDER = 240
-_TAIL_SIGMAS = 14.0
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,17 @@ class KeyRateResult:
     quantities: SecurityQuantities
 
 
+def _entropy_bits(p):
+    # binary entropy of arguments already known to lie in [0, 1]
+    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / math.log(2.0)
+
+
 def binary_entropy(x):
     """Binary Shannon entropy in bits, with 0 log 0 = 0.  Scalar or array."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -_BOUNDS_SLOP) or np.any(arr > 1.0 + _BOUNDS_SLOP):
         raise DomainError(f"entropy argument outside [0, 1]: {x!r}")
-    arr = np.clip(arr, 0.0, 1.0)
-    out = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / math.log(2.0)
+    out = _entropy_bits(np.clip(arr, 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -104,19 +114,132 @@ def _gl_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def accepted_rate_integral(fn, lo: float, hi: float) -> float:
-    """Integral of a smooth vectorized integrand over [lo, hi]."""
-    if hi <= lo:
-        return 0.0
-    x, w = _gl_nodes(_GL_ORDER)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(w, fn(mid + half * x)))
+@dataclass(frozen=True)
+class RateBlock:
+    """Shared ingredients of N rate points at one channel.
+
+    Every field is an array over the N points.  ``one_minus_g`` and ``e``
+    are the readout profiles at the Gauss-Legendre nodes of each point's
+    accepted region [v_0, ceiling], shape (N, 240).  ``empty`` marks an
+    acceptance mass below the abort floor, ``degenerate`` symbol means the
+    model leaves undefined.
+    """
+
+    v_0: np.ndarray
+    xi: float
+    mean_plus: np.ndarray
+    mean_minus: np.ndarray
+    overlap: np.ndarray
+    chi: np.ndarray
+    E: np.ndarray
+    P: np.ndarray
+    empty: np.ndarray
+    degenerate: np.ndarray
+    one_minus_g: np.ndarray
+    e: np.ndarray
+    half: np.ndarray
+    scale: float
+
+    def integrate(self, fraction) -> np.ndarray:
+        """Bits per second from a per-bit secret fraction on the node grid."""
+        _, w = _gl_nodes(_GL_ORDER)
+        return self.scale * (self.half * ((self.one_minus_g * fraction) @ w))
+
+    def point(self, i: int) -> tuple[DecisionStats | None, SecurityQuantities]:
+        """Post-selection statistics (None when empty) and chi spectrum of point i."""
+        overlap = float(self.overlap[i])
+        quantities = SecurityQuantities(
+            overlap=overlap,
+            lambda_1=0.5 * (1.0 + overlap),
+            lambda_2=0.5 * (1.0 - overlap),
+            chi_dr=float(self.chi[i]),
+        )
+        if self.empty[i]:
+            return None, quantities
+        E, P = float(self.E[i]), float(self.P[i])
+        stats = DecisionStats(
+            E=E,
+            P=P,
+            Q=E / P,
+            v_0=float(self.v_0[i]),
+            mean_plus=float(self.mean_plus[i]),
+            mean_minus=float(self.mean_minus[i]),
+            xi=self.xi,
+        )
+        return stats, quantities
 
 
-def integration_ceiling(mean_plus: float, mean_minus: float, xi: float) -> float:
-    """Upper readout bound past which the remaining mass is below 1e-40."""
-    return max(abs(mean_plus), abs(mean_minus)) + _TAIL_SIGMAS * noise_sigma(xi)
+def rate_block(
+    mu_0,
+    beta_A,
+    delta,
+    v_0,
+    sys: SystemParams,
+    ch: ChannelModel,
+    doubling: bool | None = None,
+) -> RateBlock:
+    """Evaluate N working points at one channel at once.
+
+    ``mu_0``, ``beta_A``, ``delta`` and ``v_0`` are equal-length arrays of
+    values already validated as :class:`TunableParams` validates them.
+    ``doubling`` (default: the system's symmetric_doubling flag) folds in
+    the mirrored negative readout branch.
+    """
+    if doubling is None:
+        doubling = sys.symmetric_doubling
+    mu_0 = np.asarray(mu_0, dtype=float)
+    beta_A = np.asarray(beta_A, dtype=float)
+    v_0 = np.asarray(v_0, dtype=float)
+    mean_plus, mean_minus, degenerate = matched_means_array(
+        mu_0, beta_A, np.asarray(delta, dtype=float), sys, ch.eta
+    )
+    # the doubled angle can exceed pi; P_S(cos) continues analytically there
+    overlap = np.exp(-mu_0 * (1.0 - legendre_p(sys.S, np.cos(2.0 * beta_A))))
+    E, P = decision_masses(v_0, mean_plus, mean_minus, ch.xi)
+
+    hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
+    half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
+    x, _ = _gl_nodes(_GL_ORDER)
+    nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
+    one_minus_g, e = erasure_error_profiles(
+        nodes, mean_plus[:, None], mean_minus[:, None], ch.xi
+    )
+    return RateBlock(
+        v_0=v_0,
+        xi=ch.xi,
+        mean_plus=mean_plus,
+        mean_minus=mean_minus,
+        overlap=overlap,
+        chi=_entropy_bits(0.5 * (1.0 - overlap)),
+        E=E,
+        P=P,
+        empty=P < P_FLOOR,
+        degenerate=degenerate,
+        one_minus_g=one_minus_g,
+        e=e,
+        half=half,
+        scale=(2.0 if doubling else 1.0) / (sys.N * sys.T),
+    )
+
+
+def point_block(
+    tun: TunableParams, sys: SystemParams, ch: ChannelModel, doubling: bool | None
+) -> RateBlock:
+    """The N=1 kernel block of one working point; undefined means raise."""
+    block = rate_block(
+        [tun.mu_0], [tun.beta_A], [tun.delta], [tun.v_0], sys, ch, doubling
+    )
+    if block.degenerate[0]:
+        raise DegenerateError(
+            f"symbol means undefined at beta_A={tun.beta_A}, delta={tun.delta}"
+        )
+    return block
+
+
+def asymptotic_rates(block: RateBlock) -> np.ndarray:
+    """Asymptotic rates of a block in bits per second; 0 where insecure."""
+    raw = block.integrate(1.0 - _entropy_bits(block.e) - block.chi[:, None])
+    return np.where(block.empty | (raw <= 0.0), 0.0, raw)
 
 
 def asymptotic_key_rate(
@@ -130,35 +253,18 @@ def asymptotic_key_rate(
     Integrates the acceptance-weighted secret fraction over v >= v_0 and,
     when ``doubling`` is set (default: the system's symmetric_doubling
     flag), doubles it for the mirrored negative branch.  A non-positive
-    total is clamped to 0 and flagged insecure.
+    total, or an empty acceptance region, is clamped to 0 and flagged
+    insecure.
     """
-    if doubling is None:
-        doubling = sys.symmetric_doubling
-    mean_plus, mean_minus = matched_means(tun, sys, ch.eta)
-    quantities = security_quantities(tun.mu_0, tun.beta_A, sys.S)
-    chi = quantities.chi_dr
-
-    try:
-        stats = decision_stats(tun.v_0, mean_plus, mean_minus, ch.xi)
-    except EmptyAcceptanceError:
-        return KeyRateResult(
-            rate=0.0, insecure=True, chi=chi, stats=None, quantities=quantities
-        )
-
-    def integrand(v):
-        one_minus_g, e = erasure_error_profiles(v, mean_plus, mean_minus, ch.xi)
-        return one_minus_g * (1.0 - binary_entropy(e) - chi)
-
-    hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
-    scale = (2.0 if doubling else 1.0) / (sys.N * sys.T)
-    raw = scale * accepted_rate_integral(integrand, tun.v_0, hi)
-
-    if raw <= 0.0:
-        return KeyRateResult(
-            rate=0.0, insecure=True, chi=chi, stats=stats, quantities=quantities
-        )
+    block = point_block(tun, sys, ch, doubling)
+    stats, quantities = block.point(0)
+    rate = float(asymptotic_rates(block)[0])
     return KeyRateResult(
-        rate=raw, insecure=False, chi=chi, stats=stats, quantities=quantities
+        rate=rate,
+        insecure=not rate > 0.0,
+        chi=quantities.chi_dr,
+        stats=stats,
+        quantities=quantities,
     )
 
 

@@ -14,6 +14,8 @@ from scw_cvqkd.angular import (
     _row_by_sum,
     beta_from_index,
     carrier_weight,
+    first_sideband_weight,
+    legendre_p,
     wigner_d_row,
 )
 from scw_cvqkd.errors import DomainError
@@ -130,6 +132,21 @@ def test_carrier_weight_matches_row_inside_domain():
         for beta in rng.uniform(0.0, math.pi, 10):
             assert carrier_weight(S, beta) == pytest.approx(
                 wigner_d_row(S, beta)[0], abs=1e-12
+            )
+
+
+def test_vector_weights_match_scalar_routes():
+    # the array forms used by the rate kernel, element by element
+    rng = np.random.default_rng(23)
+    for S in (1, 2, 4, 7, 12, 20):
+        betas = np.concatenate([rng.uniform(0.0, math.pi, 10), [0.0, math.pi]])
+        carrier = legendre_p(S, np.cos(betas))
+        sideband = first_sideband_weight(S, betas)
+        for i, beta in enumerate(betas):
+            scalar = carrier_weight(S, float(beta))
+            assert carrier[i] == pytest.approx(scalar, abs=1e-15)
+            assert sideband[i] == pytest.approx(
+                abs(oracle_row(S, float(beta))[S + 1]), abs=1e-13
             )
 
 

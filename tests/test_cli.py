@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from scw_cvqkd.cli import main
+from scw_cvqkd.cli import UsageError, main
+from scw_cvqkd.errors import (
+    ConfigError,
+    DomainError,
+    InternalError,
+    MismatchError,
+    NoRootError,
+)
 from scw_cvqkd.noise import ChannelModel
 from scw_cvqkd.optics import SystemParams, TunableParams
 from scw_cvqkd.security import asymptotic_key_rate
@@ -224,10 +231,49 @@ def test_simulate_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (InternalError("self-check failed"), 3),
+        (NoRootError("no calibration root"), 3),
+        (MismatchError("statistics disagree"), 3),
+        (DomainError("bad value"), 1),
+        (ConfigError("bad config"), 1),
+        (UsageError("bad flags"), 1),
+    ],
+)
+def test_error_exit_codes(exc, code, capsys, monkeypatch):
+    import scw_cvqkd.cli as cli_mod
+
+    def failing_optimizer(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "optimize_point", failing_optimizer)
+    assert main(["keyrate", "--loss-db", "3", "--xi", "0.1"]) == code
+    assert f"error: {exc}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["keyrate"], POINT_CFG),
+        (["sweep"], "[sweep]\nloss_grid = 15.0\nnoise_levels = 0.1\n"),
+        (["simulate", "--rounds", "1000"], POINT_CFG),
+    ],
+)
+def test_unwritable_out_exit_1(argv, cfg_text, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCW_THREADS", "1")
+    out = tmp_path / "missing" / "x.out"
+    code = main(argv + ["--config", write(tmp_path, cfg_text), "--out", str(out)])
+    assert code == 1
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok") == 4
+    assert out.count("ok") == 5
     assert "FAIL" not in out
 
 

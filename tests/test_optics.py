@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scw_cvqkd.errors import DegenerateError, DomainError, NoRootError
 from scw_cvqkd.optics import (
+    _calibrate_by_scan,
     ALICE_PHASES,
     BOB_PHASES,
     MultimodeState,
@@ -16,7 +17,6 @@ from scw_cvqkd.optics import (
     TunableParams,
     alice_state,
     beta_prime,
-    beta_prime_approx,
     calibrate_delta,
     detector_photon_numbers,
     interference_contrast,
@@ -77,14 +77,6 @@ def test_beta_prime_identities():
     # collinear composition adds angles
     assert beta_prime(0.4, 0.5, 0.0) == pytest.approx(0.9, abs=1e-12)
     assert beta_prime(0.4, 0.5, math.pi) == pytest.approx(0.1, abs=1e-10)
-
-
-def test_beta_prime_small_angle_approx():
-    beta_A, delta = 0.02, 1.0
-    for dphi in (0.0, 0.8, 2.0, math.pi):
-        exact = beta_prime(beta_A, delta * beta_A, dphi)
-        approx = beta_prime_approx(beta_A, delta, dphi)
-        assert abs(exact - approx) < 5.0 * beta_A**3
 
 
 def test_beta_prime_accepts_large_bob_angle():
@@ -182,6 +174,34 @@ def test_calibration_no_root_at_quarter_pi():
     # S=1, beta_A=pi/4: the balance stays at 2*theta_carrier, never zero
     with pytest.raises(NoRootError):
         calibrate_delta(0.25 * math.pi, SYS)
+
+
+def test_calibration_closed_form_matches_scan_oracle():
+    # S=1 closed form against the scan-plus-brentq root it replaced, on both
+    # sides of pi/4 and close to the no-root window there
+    near = [0.25 * math.pi + d for d in (-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2)]
+    angles = np.concatenate([np.linspace(0.1, 1.45, 1001), near])
+    below = angles < 0.25 * math.pi
+    assert below.sum() > 400 and (~below).sum() > 400
+    for beta_A in angles:
+        beta_A = float(beta_A)
+        oracle = _calibrate_by_scan(beta_A, SYS.theta_carrier, SYS.S)
+        assert calibrate_delta(beta_A, SYS) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("S", [2, 3])
+def test_calibration_scan_path_higher_spin(S):
+    sys_s = SystemParams(S=S)
+    for beta_A in (0.2, 0.5, 0.8, 1.1, 1.4):
+        d = calibrate_delta(beta_A, sys_s)
+        u0 = interference_contrast(beta_A, d, sys_s.theta_carrier, S, 0.0)
+        upi = interference_contrast(beta_A, d, sys_s.theta_carrier, S, math.pi)
+        assert abs(u0 + upi) < 1e-10
+        assert u0 > 0.0
+        # the balanced contrasts give antisymmetric matched means
+        m_plus, m_minus = matched_means(tun(beta_A=beta_A, delta=d), sys_s, 0.5)
+        assert m_plus > 0.0
+        assert m_minus == pytest.approx(-m_plus, rel=1e-9)
 
 
 def test_calibration_domain():

@@ -8,7 +8,13 @@ from scipy.integrate import quad
 
 from scw_cvqkd.angular import carrier_weight, wigner_d_row
 from scw_cvqkd.errors import DomainError
-from scw_cvqkd.noise import ChannelModel, erasure_error_profiles
+from scw_cvqkd.finitekey import (
+    FiniteKeyParams,
+    finite_key_rate,
+    finite_rates,
+    smoothing_correction,
+)
+from scw_cvqkd.noise import ChannelModel, decision_stats, erasure_error_profiles
 from scw_cvqkd.optics import (
     SystemParams,
     TunableParams,
@@ -18,11 +24,12 @@ from scw_cvqkd.optics import (
 )
 from scw_cvqkd.security import (
     KeyRateResult,
-    accepted_rate_integral,
     asymptotic_key_rate,
+    asymptotic_rates,
     binary_entropy,
     holevo_dr,
     integration_ceiling,
+    rate_block,
     security_quantities,
     sideband_photon_number,
     state_overlap,
@@ -112,20 +119,89 @@ def test_rate_positive_at_moderate_loss():
     assert out.stats.Q < 0.5
 
 
-def test_rate_integral_matches_adaptive_quadrature():
-    ch = ChannelModel(loss_db=3.0, xi=0.1)
-    t = tun()
+# (loss_db, xi, mu_0, beta_A, v_0): finite-key optima at n = 1e12, where
+# the asymptotic and both finite rates are positive
+ORACLE_POINTS = [
+    (0.5, 0.0, 0.204, 1.448, 1.278),
+    (2.0, 0.1, 0.206, 1.443, 1.67),
+    (3.0, 0.2, 0.207, 1.428, 2.044),
+]
+ORACLE_FK = FiniteKeyParams(n=10**12)
+
+
+def _quadrature_rate(t, ch, mode):
+    """Rate by an independent route: scalar means, chi from holevo_dr, P and
+    E by adaptive quadrature, and the rate integral by adaptive quadrature."""
     mean_plus, mean_minus = matched_means(t, SYS, ch.eta)
+    stats = decision_stats(t.v_0, mean_plus, mean_minus, ch.xi, method="quadrature")
     chi = holevo_dr(t.mu_0, t.beta_A, SYS.S)
+    fk = ORACLE_FK
+    fixed = (
+        chi
+        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
+        + (fk.k_sample + fk.check_EC + fk.loss_PA) / fk.n
+    )
+
+    def fraction(e):
+        if mode == "asymptotic":
+            return 1.0 - binary_entropy(e) - chi
+        if mode == "pointwise":
+            return 1.0 - fixed - fk.f_EC * binary_entropy(min(e + fk.dQ, 0.5))
+        code_ec = math.ceil(fk.n * fk.f_EC * binary_entropy(stats.Q + fk.dQ))
+        return 1.0 - fixed - code_ec / fk.n
 
     def integrand(v):
         og, e = erasure_error_profiles(v, mean_plus, mean_minus, ch.xi)
-        return og * (1.0 - binary_entropy(e) - chi)
+        return og * fraction(e)
 
     hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
-    gl = accepted_rate_integral(integrand, t.v_0, hi)
-    ref = quad(integrand, t.v_0, hi, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
-    assert gl == pytest.approx(ref, abs=1e-10)
+    raw = quad(integrand, t.v_0, hi, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    return 2.0 / (SYS.N * SYS.T) * raw, stats
+
+
+@pytest.mark.parametrize("mode", ["asymptotic", "pointwise", "block"])
+@pytest.mark.parametrize("point", ORACLE_POINTS)
+def test_rate_kernel_matches_quadrature_oracle(point, mode):
+    loss_db, xi, mu_0, beta_A, v_0 = point
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    t = tun(mu_0=mu_0, beta_A=beta_A, v_0=v_0)
+    if mode == "asymptotic":
+        out = asymptotic_key_rate(t, SYS, ch)
+    else:
+        out = finite_key_rate(t, SYS, ch, ORACLE_FK, ec_mode=mode)
+    ref, stats = _quadrature_rate(t, ch, mode)
+    assert ref > 0.0
+    assert out.rate == pytest.approx(ref, rel=1e-9)
+    assert out.stats.P == pytest.approx(stats.P, rel=1e-9)
+    assert out.stats.E == pytest.approx(stats.E, rel=1e-9)
+
+
+def test_rate_block_equals_single_points():
+    # one N-point block against N separate N=1 calls, feasible and not
+    rng = np.random.default_rng(11)
+    ch = ChannelModel(loss_db=2.0, xi=0.1)
+    beta_A = 1.1
+    delta = calibrate_delta(beta_A, SYS)
+    mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, 40)
+    v_0 = rng.uniform(0.0, 6.0, 40) * ch.sigma
+    block = rate_block(mu_0, np.full(40, beta_A), np.full(40, delta), v_0, SYS, ch)
+    rates = {
+        "asymptotic": asymptotic_rates(block),
+        "pointwise": finite_rates(block, ORACLE_FK, "pointwise"),
+        "block": finite_rates(block, ORACLE_FK, "block"),
+    }
+    assert 0 < np.count_nonzero(rates["asymptotic"]) < 40
+    for i in range(40):
+        t = TunableParams(mu_0=mu_0[i], beta_A=beta_A, delta=delta, v_0=v_0[i])
+        single = {
+            "asymptotic": asymptotic_key_rate(t, SYS, ch),
+            "pointwise": finite_key_rate(t, SYS, ch, ORACLE_FK),
+            "block": finite_key_rate(t, SYS, ch, ORACLE_FK, ec_mode="block"),
+        }
+        for mode, out in single.items():
+            assert rates[mode][i] == pytest.approx(out.rate, rel=1e-12, abs=1e-300)
+        assert block.P[i] == pytest.approx(single["asymptotic"].stats.P, rel=1e-12)
+        assert block.chi[i] == pytest.approx(single["asymptotic"].chi, rel=1e-12)
 
 
 def test_rate_doubling_toggle():
