@@ -14,6 +14,7 @@ requested point, 3 failed statistical or numerical check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -142,29 +143,28 @@ def _report_row(report: KeyRateReport) -> list[str]:
     ]
 
 
-def _open_out(path: str):
-    """Open an output file for writing; an unwritable path is a usage error."""
+def _open_out(path: str | None):
+    """Open an output file for writing; an unwritable path is a usage error.
+
+    Commands open ``--out`` before computing, so a bad path costs nothing;
+    no path (no file) yields a context that produces ``None``.
+    """
+    if not path:
+        return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_csv(path: str | None, reports: list[KeyRateReport]) -> None:
-    if path is None:
-        writer = csv.writer(_sys.stdout, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(_report_row(r))
-        return
-    with _open_out(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+def _write_csv(fh, reports: list[KeyRateReport]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    fh.flush()
+    for r in reports:
+        # flush per row so an interrupted sweep keeps finished points
+        writer.writerow(_report_row(r))
         fh.flush()
-        for r in reports:
-            # flush per row so an interrupted sweep keeps finished points
-            writer.writerow(_report_row(r))
-            fh.flush()
 
 
 def _write_meta(out_path: str, command: str, args, cfg_text: str | None, seed) -> None:
@@ -226,8 +226,7 @@ def _evaluate_point(cfg: RunConfig, loss_db, xi, mode, n) -> KeyRateReport:
         )
     try:
         opt = optimize_point(
-            ch, cfg.system, fk=fk, ec_mode=cfg.ec_mode,
-            bounds=cfg.bounds, restarts=cfg.restarts,
+            ch, cfg.system, fk=fk, ec_mode=cfg.ec_mode, bounds=cfg.bounds
         )
     except InfeasibleError:
         return KeyRateReport(
@@ -244,7 +243,13 @@ def cmd_keyrate(cfg: RunConfig, args) -> int:
     mode, n = _resolve_mode(cfg, args)
     loss_db = args.loss_db if args.loss_db is not None else cfg.loss_db
     xi = args.xi if args.xi is not None else cfg.xi
-    report = _evaluate_point(cfg, loss_db, xi, mode, n)
+    out = args.out or cfg.out
+    with _open_out(out) as fh:
+        report = _evaluate_point(cfg, loss_db, xi, mode, n)
+        if fh is not None:
+            seed = args.seed if args.seed is not None else cfg.seed
+            _write_csv(fh, [report])
+            _write_meta(out, "keyrate", args, _config_text(args), seed)
 
     label = "R" if mode == "finite" else "K"
     print(f"loss_db = {loss_db}")
@@ -259,11 +264,6 @@ def cmd_keyrate(cfg: RunConfig, args) -> int:
         print(f"delta = {p.delta!r}")
         print(f"v0 = {p.v_0!r}")
         print(f"k_sample = {p.k_sample}")
-    out = args.out or cfg.out
-    if out:
-        seed = args.seed if args.seed is not None else cfg.seed
-        _write_csv(out, [report])
-        _write_meta(out, "keyrate", args, _config_text(args), seed)
     return EXIT_OK if report.status == "ok" else EXIT_NO_KEY
 
 
@@ -275,13 +275,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = cfg.sweep_spec(finite=(mode == "finite"))
     if args.n is not None and args.n != "inf":
         spec = replace(spec, n_values=(n,))
-    reports = sweep(spec, cfg.system)
     out = args.out or cfg.out
-    _write_csv(out, reports)
-    if out:
-        seed = args.seed if args.seed is not None else cfg.seed
-        _write_meta(out, "sweep", args, _config_text(args), seed)
-        print(f"wrote {len(reports)} rows to {out}")
+    with _open_out(out) as fh:
+        reports = sweep(spec, cfg.system)
+        _write_csv(fh or _sys.stdout, reports)
+        if fh is not None:
+            seed = args.seed if args.seed is not None else cfg.seed
+            _write_meta(out, "sweep", args, _config_text(args), seed)
+            print(f"wrote {len(reports)} rows to {out}")
     return EXIT_OK if any(r.status == "ok" for r in reports) else EXIT_NO_KEY
 
 
@@ -294,49 +295,49 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     ch = ChannelModel(loss_db=loss_db, xi=xi)
 
-    if cfg.tunables is not None:
-        tun = cfg.tunables.resolve(cfg.system)
-    else:
-        try:
-            tun = optimize_point(
-                ch, cfg.system, bounds=cfg.bounds, restarts=cfg.restarts
-            ).params
-        except InfeasibleError as exc:
-            print(f"no key at loss={loss_db} dB, xi={xi}: {exc}", file=_sys.stderr)
-            return EXIT_NO_KEY
-
-    stats = simulate_rounds(tun, cfg.system, ch, rounds=rounds, seed=seed)
-    report = compare_analytic(stats, tun, cfg.system, ch)
-    payload = {
-        "version": __version__,
-        "seed": seed,
-        "rounds": rounds,
-        "loss_db": loss_db,
-        "xi": xi,
-        "params": {
-            "mu0": tun.mu_0,
-            "beta_A": tun.beta_A,
-            "delta": tun.delta,
-            "v0": tun.v_0,
-            "k_sample": tun.k_sample,
-        },
-        "counters": {
-            "n_matched": stats.n_matched,
-            "n_accepted": stats.n_accepted,
-            "n_errors": stats.n_errors,
-        },
-        "report": report,
-        "config_path": args.config,
-        "config_text": _config_text(args),
-    }
-    text = json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = args.out or cfg.out
-    if out:
-        with _open_out(out) as fh:
+    with _open_out(out) as fh:
+        if cfg.tunables is not None:
+            tun = cfg.tunables.resolve(cfg.system)
+        else:
+            try:
+                tun = optimize_point(ch, cfg.system, bounds=cfg.bounds).params
+            except InfeasibleError as exc:
+                print(f"no key at loss={loss_db} dB, xi={xi}: {exc}", file=_sys.stderr)
+                return EXIT_NO_KEY
+
+        stats = simulate_rounds(tun, cfg.system, ch, rounds=rounds, seed=seed)
+        report = compare_analytic(stats, tun, cfg.system, ch)
+        payload = {
+            "version": __version__,
+            "seed": seed,
+            "rounds": rounds,
+            "loss_db": loss_db,
+            "xi": xi,
+            "params": {
+                "mu0": tun.mu_0,
+                "beta_A": tun.beta_A,
+                "delta": tun.delta,
+                "v0": tun.v_0,
+                "k_sample": tun.k_sample,
+            },
+            "counters": {
+                "n_matched": stats.n_matched,
+                "n_accepted": stats.n_accepted,
+                "n_errors": stats.n_errors,
+            },
+            "report": report,
+            "config_path": args.config,
+            "config_text": _config_text(args),
+        }
+        text = json.dumps(
+            _json_safe(payload), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
+        if fh is not None:
             fh.write(text)
-        print(f"wrote {out}")
-    else:
-        print(text, end="")
+            print(f"wrote {out}")
+        else:
+            print(text, end="")
     print(f"verdict = {'pass' if report['pass'] else 'FAIL'}", file=_sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 

@@ -116,7 +116,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "mu_0": _parse_pair,
         "beta_A_deg": _parse_degree_pair,
         "v_0_sigmas": _parse_pair,
-        "k_frac": _parse_pair,
     },
     "finitekey": {
         "n": _parse_int,
@@ -131,7 +130,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "loss_grid": _parse_float_list,
         "noise_levels": _parse_float_list,
         "n_values": _parse_int_list,
-        "restarts": _parse_int,
         "ec_mode": _parse_choice("pointwise", "block"),
     },
     "run": {
@@ -184,7 +182,6 @@ class RunConfig:
     loss_grid: tuple[float, ...] | None = None
     noise_levels: tuple[float, ...] | None = None
     n_values: tuple[int, ...] | None = None
-    restarts: int = 8
     ec_mode: str = "pointwise"
     mode: str = "asymptotic"
     seed: int = 0
@@ -200,7 +197,6 @@ class RunConfig:
             noise_levels=noise,
             n_values=n_values,
             bounds=self.bounds,
-            restarts=self.restarts,
             fk_template=self.fk if finite else None,
             ec_mode=self.ec_mode,
         )
@@ -278,7 +274,6 @@ def load_config(path: str | None) -> RunConfig:
         loss_grid=sweep_kw.get("loss_grid"),
         noise_levels=sweep_kw.get("noise_levels"),
         n_values=sweep_kw.get("n_values"),
-        restarts=sweep_kw.get("restarts", 8),
         ec_mode=sweep_kw.get("ec_mode", "pointwise"),
         mode=run_kw.get("mode", "asymptotic"),
         seed=run_kw.get("seed", 0),

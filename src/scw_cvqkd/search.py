@@ -2,16 +2,18 @@
 
 The decision variables are the carrier photon number (searched in log
 space), Alice's modulation angle, and the post-selection threshold in
-readout-sigma units; finite-block searches add the fraction of the block
-spent on parameter estimation.  The modulation-depth ratio delta is never
-free: it is re-derived from the calibration condition at every angle.
+readout-sigma units.  The modulation-depth ratio delta is never free: it
+is re-derived from the calibration condition at every angle, and
+finite-block searches charge the configured parameter-estimation count.
 
-The search is a deterministic two-stage scheme: a fixed coarse grid
-ranks feasible regions, then derivative-free simplex refinement runs
-from the best few grid points.  The grid is scored by the batched rate
-kernel, one block per modulation angle; the simplex evaluates one point
-at a time.  Ties are broken toward the smaller
-photon number, then the smaller threshold.
+The search is a deterministic two-stage scheme: a fixed coarse grid,
+scored by the batched rate kernel one block per modulation angle, picks
+a start; grid ties go to the first point in (photon number, angle,
+threshold) order, so the smaller photon number wins.  One Nelder-Mead
+simplex then refines it on the box mirrored into itself, and is rebuilt
+once from where it stopped.  At S=1 the rate depends on photon number
+and angle only through mu_0 sin^2(beta_A), so the reported pair is one
+point on a ridge of equal rate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,8 +34,6 @@ from .security import asymptotic_key_rate, asymptotic_rates, rate_block
 
 # coarse-grid resolution per axis: photon number, angle, threshold
 _GRID_SHAPE = (12, 8, 9)
-# rates within this relative band are treated as tied
-_TIE_REL = 1e-9
 _NM_OPTIONS = dict(fatol=1e-11, xatol=1e-7, maxfev=900, maxiter=900)
 
 
@@ -49,10 +48,9 @@ class Bounds:
     mu_0: tuple[float, float] = (1e-3, 10.0)
     beta_A: tuple[float, float] = (0.1, 1.45)
     v_0_sigmas: tuple[float, float] = (0.0, 6.0)
-    k_frac: tuple[float, float] = (0.0, 0.5)
 
     def __post_init__(self):
-        for name in ("mu_0", "beta_A", "v_0_sigmas", "k_frac"):
+        for name in ("mu_0", "beta_A", "v_0_sigmas"):
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise DomainError(f"bounds for {name} must be ordered, got ({lo}, {hi})")
@@ -66,8 +64,6 @@ class Bounds:
             raise DomainError(
                 f"threshold lower bound must be >= 0, got {self.v_0_sigmas[0]}"
             )
-        if not 0.0 <= self.k_frac[0] < self.k_frac[1] <= 0.9:
-            raise DomainError(f"k_frac bounds must sit inside [0, 0.9], got {self.k_frac}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class SweepSpec:
     noise_levels: tuple[float, ...]
     n_values: tuple[int, ...] | None = None
     bounds: Bounds = Bounds()
-    restarts: int = 8
     fk_template: FiniteKeyParams | None = None
     ec_mode: str = "pointwise"
 
@@ -108,8 +103,6 @@ class SweepSpec:
                 raise DomainError(
                     f"n_values must be strictly increasing, got {self.n_values}"
                 )
-        if self.restarts < 1:
-            raise DomainError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +121,21 @@ class KeyRateReport:
 
 
 def _decode(x, ch: ChannelModel, fk: FiniteKeyParams | None) -> TunableParams:
-    mu_0 = 10.0 ** x[0]
-    beta_A = float(x[1])
-    v_0 = float(x[2]) * noise_sigma(ch.xi)
-    k_sample = 0
-    if fk is not None and len(x) > 3:
-        k_sample = min(int(round(float(x[3]) * fk.n)), fk.n - 1)
-    return TunableParams(mu_0=mu_0, beta_A=beta_A, delta=1.0, v_0=v_0, k_sample=k_sample)
+    # plain floats: an np.float64 would print as np.float64(...) in reports
+    return TunableParams(
+        mu_0=10.0 ** float(x[0]),
+        beta_A=float(x[1]),
+        delta=1.0,
+        v_0=float(x[2]) * noise_sigma(ch.xi),
+        k_sample=fk.k_sample if fk is not None else 0,
+    )
+
+
+def _fold(x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mirror image of ``x`` in the box [lo, hi], reflecting off every face."""
+    w = hi - lo
+    t = np.mod(x - lo, 2.0 * w)
+    return hi - np.abs(t - w)
 
 
 def _evaluate(
@@ -196,99 +197,66 @@ def optimize_point(
     fk: FiniteKeyParams | None = None,
     ec_mode: str = "pointwise",
     bounds: Bounds = Bounds(),
-    restarts: int = 8,
 ) -> OptimumPoint:
     """Maximize the key rate at one channel point.
 
-    A fixed coarse grid over (log10 mu_0, beta_A, v_0/sigma) seeds
-    ``restarts`` simplex refinements; finite-block searches append the
-    parameter-estimation fraction, started at zero.  Deterministic: no
-    randomness enters at any stage.
+    The best point of a fixed coarse grid over (log10 mu_0, beta_A,
+    v_0/sigma) starts one Nelder-Mead simplex, which is run a second time
+    from where the first stopped.  The simplex moves freely and the rate
+    is read at the mirror image of each vertex in the box, so a start on a
+    face keeps every dimension.  Deterministic: no randomness enters at
+    any stage.
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    n_eval = 0
+    lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]])
+    hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]])
+    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, _GRID_SHAPE)]
 
-    def rate_at(x):
-        nonlocal n_eval
-        n_eval += 1
-        try:
-            return _evaluate(x, ch, sys, fk, ec_mode)[1]
-        except ScwError:
-            return -math.inf
-
-    lg_mu = np.linspace(math.log10(bounds.mu_0[0]), math.log10(bounds.mu_0[1]), _GRID_SHAPE[0])
-    betas = np.linspace(bounds.beta_A[0], bounds.beta_A[1], _GRID_SHAPE[1])
-    v_sig = np.linspace(bounds.v_0_sigmas[0], bounds.v_0_sigmas[1], _GRID_SHAPE[2])
-
-    grid = _score_grid(lg_mu, betas, v_sig, ch, sys, fk, ec_mode)
-    n_eval += grid.size
-    coarse = [
-        (float(r), (float(xm), float(xb), float(xv)))
-        for r, (xm, xb, xv) in zip(grid.ravel(), product(lg_mu, betas, v_sig))
-    ]
-    best_rate, best_x = max(coarse, key=lambda c: c[0])
+    grid = _score_grid(*axes, ch, sys, fk, ec_mode)
+    n_eval = grid.size
+    # argmax takes the first maximum in (mu, beta, v) order: ties go to
+    # the smaller photon number
+    best = np.unravel_index(np.argmax(grid), grid.shape)
+    best_rate = float(grid[best])
+    x = np.array([axis[i] for axis, i in zip(axes, best)])
     if not best_rate > 0.0:
         raise InfeasibleError(
-            f"no positive rate on the {len(coarse)}-point coarse grid at "
+            f"no positive rate on the {grid.size}-point coarse grid at "
             f"loss={ch.loss_db} dB, xi={ch.xi}",
             diagnostics={
                 "best_rate": best_rate,
-                "best_point": best_x,
-                "grid_points": len(coarse),
+                "best_point": tuple(float(v) for v in x),
+                "grid_points": grid.size,
             },
         )
 
-    coarse.sort(key=lambda c: -c[0])
-    starts = [x for r, x in coarse[: max(1, restarts)] if r > 0.0]
-    scale = best_rate
-
-    box = [
-        (math.log10(bounds.mu_0[0]), math.log10(bounds.mu_0[1])),
-        bounds.beta_A,
-        bounds.v_0_sigmas,
-    ]
-    if fk is not None:
-        box.append(bounds.k_frac)
-
     def objective(x):
-        return -rate_at(x) / scale
+        nonlocal n_eval
+        n_eval += 1
+        try:
+            return -_evaluate(_fold(x, lo, hi), ch, sys, fk, ec_mode)[1] / best_rate
+        except ScwError:
+            return math.inf
 
-    candidates = []
-    for x0 in starts:
-        if fk is not None:
-            x0 = (*x0, bounds.k_frac[0])
-        res = minimize(
-            objective, np.asarray(x0), method="Nelder-Mead", bounds=box, options=_NM_OPTIONS
-        )
-        r = -res.fun * scale
-        if math.isfinite(r) and r > 0.0:
-            candidates.append((r, tuple(float(v) for v in res.x)))
-    if not candidates:
-        # refinement lost every start; fall back to the grid optimum
-        candidates = [(best_rate, best_x)]
+    # the second run rebuilds a simplex the first may have let collapse
+    for _ in range(2):
+        x = minimize(objective, x, method="Nelder-Mead", options=_NM_OPTIONS).x
 
-    top = max(c[0] for c in candidates)
-    tied = [c for c in candidates if c[0] >= top * (1.0 - _TIE_REL)]
-    tied.sort(key=lambda c: (c[1][0], c[1][2]))
-    _, x_win = tied[0]
-
-    tun, rate, q, p, chi = _evaluate(x_win, ch, sys, fk, ec_mode)
+    tun, rate, q, p, chi = _evaluate(_fold(x, lo, hi), ch, sys, fk, ec_mode)
     return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
 
 
 def _sweep_worker(args) -> KeyRateReport:
-    loss_db, xi, n, sys, bounds, restarts, fk_template, ec_mode = args
+    loss_db, xi, n, sys, bounds, fk_template, ec_mode = args
     ch = ChannelModel(loss_db=loss_db, xi=xi)
     fk = None
     if n is not None:
         base = fk_template if fk_template is not None else FiniteKeyParams(n=n)
         fk = replace(base, n=n)
     try:
-        opt = optimize_point(
-            ch, sys, fk=fk, ec_mode=ec_mode, bounds=bounds, restarts=restarts
-        )
+        opt = optimize_point(ch, sys, fk=fk, ec_mode=ec_mode, bounds=bounds)
     except InfeasibleError:
         return KeyRateReport(
             loss_db=loss_db, xi=xi, n=n, rate=0.0,
@@ -326,7 +294,7 @@ def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
     """
     n_list = list(spec.n_values) if spec.n_values is not None else [None]
     tasks = [
-        (loss, xi, n, sys, spec.bounds, spec.restarts, spec.fk_template, spec.ec_mode)
+        (loss, xi, n, sys, spec.bounds, spec.fk_template, spec.ec_mode)
         for xi in spec.noise_levels
         for n in n_list
         for loss in spec.loss_grid

@@ -34,7 +34,6 @@ xi = 0.1
 
 [sweep]
 loss_grid = 2.0, 3.0
-restarts = 4
 """
 
 
@@ -262,11 +261,21 @@ def test_error_exit_codes(exc, code, capsys, monkeypatch):
     ],
 )
 def test_unwritable_out_exit_1(argv, cfg_text, tmp_path, capsys, monkeypatch):
+    import scw_cvqkd.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the --out path was checked")
+
+    # the path is opened first, so no computation may start
+    for name in ("optimize_point", "asymptotic_key_rate", "sweep", "simulate_rounds"):
+        monkeypatch.setattr(cli_mod, name, never)
     monkeypatch.setenv("SCW_THREADS", "1")
     out = tmp_path / "missing" / "x.out"
     code = main(argv + ["--config", write(tmp_path, cfg_text), "--out", str(out)])
     assert code == 1
-    assert f"error: cannot write {out}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {out}" in captured.err
     assert not out.parent.exists()
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from scw_cvqkd.cli import main
 from scw_cvqkd.config import RunConfig, TunableSpec, load_config
 from scw_cvqkd.errors import ConfigError
 from scw_cvqkd.optics import SystemParams, calibrate_delta
@@ -30,7 +31,6 @@ xi = 0.05
 mu_0 = 0.01, 5
 beta_A_deg = 10, 80
 v_0_sigmas = 0, 5
-k_frac = 0, 0.4
 
 [finitekey]
 n = 1e9
@@ -45,7 +45,6 @@ k_sample = 0
 loss_grid = 1, 2, 3
 noise_levels = 0.0, 0.1
 n_values = 1e8, 1e10
-restarts = 4
 ec_mode = block
 
 [run]
@@ -82,7 +81,7 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.loss_grid == (1.0, 2.0, 3.0)
     assert cfg.noise_levels == (0.0, 0.1)
     assert cfg.n_values == (10**8, 10**10)
-    assert cfg.restarts == 4 and cfg.ec_mode == "block"
+    assert cfg.ec_mode == "block"
     assert cfg.mode == "finite" and cfg.seed == 42 and cfg.out == "results.csv"
 
 
@@ -133,6 +132,19 @@ def test_unknown_section_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="loss_dbb"):
         load_config(write(tmp_path, "[channel]\nloss_dbb = 3\n"))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("sweep", "restarts", "4"), ("bounds", "k_frac", "0, 0.4")],
+)
+def test_removed_search_knobs_rejected(section, key, value, tmp_path, capsys):
+    # the optimizer has no restart count and no parameter-estimation axis
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(path)
+    assert main(["keyrate", "--config", path]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_bad_values_are_located(tmp_path):

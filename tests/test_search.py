@@ -3,12 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scw_cvqkd.errors import DomainError, InfeasibleError
 from scw_cvqkd.finitekey import FiniteKeyParams, finite_key_rate
-from scw_cvqkd.noise import ChannelModel
-from scw_cvqkd.optics import SystemParams, calibrate_delta
+from scw_cvqkd.noise import ChannelModel, noise_sigma
+from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
 from scw_cvqkd.search import (
     Bounds,
     KeyRateReport,
@@ -18,7 +19,7 @@ from scw_cvqkd.search import (
     sweep,
     thread_count,
 )
-from scw_cvqkd.security import asymptotic_key_rate
+from scw_cvqkd.security import asymptotic_key_rate, asymptotic_rates, rate_block
 
 SYS = SystemParams()
 CH3 = ChannelModel(loss_db=3.0, xi=0.1)
@@ -90,6 +91,72 @@ def test_finite_mode_optimum():
     assert opt.params.k_sample <= 0.05 * fk.n
     again = finite_key_rate(opt.params, SYS, CH3, fk)
     assert abs(again.rate - opt.rate) <= 1e-10 * opt.rate
+
+
+def test_finite_optimum_charges_configured_k_sample():
+    # the reported k_sample is the one the rate paid for
+    fk = FiniteKeyParams(n=10**10, k_sample=10**6)
+    opt = optimize_point(CH3, SYS, fk=fk)
+    assert opt.params.k_sample == 10**6
+    again = finite_key_rate(opt.params, SYS, CH3, fk)
+    assert abs(again.rate - opt.rate) <= 1e-12 * opt.rate
+
+
+def _dense_reference_rate(ch: ChannelModel) -> float:
+    """Best S=1 rate on a dense (mu_0, v_0) scan at a fixed angle.
+
+    At S=1 the rate depends on mu_0 and beta_A only through
+    mu_0 sin^2(beta_A) (see test_s1_rate_constant_along_ridge), so a
+    fixed beta_A loses nothing inside the default box.
+    """
+    beta_A = 1.2
+    delta = calibrate_delta(beta_A, SYS)
+    mu_0, v_sig = np.meshgrid(
+        np.logspace(-3.0, 1.0, 161), np.linspace(0.0, 6.0, 121), indexing="ij"
+    )
+    mu_0, v_0 = mu_0.ravel(), v_sig.ravel() * noise_sigma(ch.xi)
+    best = 0.0
+    for rows in np.array_split(np.arange(mu_0.size), 10):
+        ones = np.ones(rows.size)
+        block = rate_block(
+            mu_0[rows], beta_A * ones, delta * ones, v_0[rows], SYS, ch
+        )
+        best = max(best, float(asymptotic_rates(block).max()))
+    return best
+
+
+@pytest.mark.parametrize(
+    "loss_db, xi",
+    [(3.0, 0.1), (8.25, 0.2), (8.5, 0.1), (8.75, 0.1), (9.0, 0.0), (9.0, 0.1)],
+)
+def test_optimum_reaches_dense_reference(loss_db, xi):
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    reference = _dense_reference_rate(ch)
+    assert reference > 0.0
+    assert optimize_point(ch, SYS).rate >= (1.0 - 1e-9) * reference
+
+
+def _calibrated(mu_0: float, beta_A: float, v_0: float) -> TunableParams:
+    return TunableParams(
+        mu_0=mu_0, beta_A=beta_A, delta=calibrate_delta(beta_A, SYS), v_0=v_0
+    )
+
+
+def test_s1_rate_constant_along_ridge():
+    # means scale with sqrt(mu_0) sin(beta_A) and the overlap with
+    # mu_0 sin^2(beta_A), so only that product moves the S=1 rate
+    mu_0, beta_A, v_0 = 0.278, 1.2566, 1.62
+    base = asymptotic_key_rate(_calibrated(mu_0, beta_A, v_0), SYS, CH3).rate
+    assert base > 0.0
+    ridge = mu_0 * math.sin(beta_A) ** 2
+    betas = np.linspace(0.3, 1.45, 12)
+    # calibration has no root right at pi/4
+    assert np.min(np.abs(betas - math.pi / 4)) > 0.03
+    for beta in betas:
+        beta = float(beta)
+        tun = _calibrated(ridge / math.sin(beta) ** 2, beta, v_0)
+        rate = asymptotic_key_rate(tun, SYS, CH3).rate
+        assert abs(rate - base) <= 1e-12 * base, beta
 
 
 def test_sweep_serial_ordering(monkeypatch):
@@ -164,5 +231,3 @@ def test_bounds_and_spec_validation():
         SweepSpec(loss_grid=(3.0, 1.0), noise_levels=(0.1,))
     with pytest.raises(DomainError):
         SweepSpec(loss_grid=(1.0,), noise_levels=(0.1,), n_values=())
-    with pytest.raises(DomainError):
-        SweepSpec(loss_grid=(1.0,), noise_levels=(0.1,), restarts=0)
