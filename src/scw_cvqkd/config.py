@@ -92,12 +92,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "T": _parse_float,
         "eta_B": _parse_float,
         "theta_carrier": _parse_float,
-        "phi_0_deg": _parse_degrees,
         "S": _parse_int,
         "s": _parse_float,
         "N": _parse_int,
         "theta_1_deg": _parse_degrees,
-        "theta_2_deg": _parse_degrees,
         "mean_convention": _parse_choice("sideband", "detector"),
         "symmetric_doubling": _parse_bool,
     },
@@ -141,9 +139,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
 
 # config key -> dataclass field, where the names differ
 _FIELD_NAME = {
-    "phi_0_deg": "phi_0",
     "theta_1_deg": "theta_1",
-    "theta_2_deg": "theta_2",
     "beta_A_deg": "beta_A",
 }
 

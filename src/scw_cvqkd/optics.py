@@ -50,27 +50,21 @@ class SystemParams:
 
     ``T`` is the duration of one transmission window in seconds, ``eta_B``
     the transmittance of Bob's module, ``theta_carrier`` the residual
-    carrier attenuation of the spectral filter, ``phi_0`` the structural
-    modulator phase offset (pre-compensated by Bob, so it cancels from the
-    relative phase), ``S`` the number of sideband pairs, ``s`` the detector
-    sensitivity scale and ``N`` the number of bases.  ``theta_1`` and
-    ``theta_2`` are constant modulator phases.  ``omega`` and ``Omega``
-    are carried as metadata only.
+    carrier attenuation of the spectral filter, ``S`` the number of
+    sideband pairs, ``s`` the detector sensitivity scale and ``N`` the
+    number of bases.  ``theta_1`` is Alice's constant modulator phase,
+    which only :func:`alice_state` reads.
     """
 
     T: float = 100e-9
     eta_B: float = 10.0 ** -0.64
     theta_carrier: float = 1e-6
-    phi_0: float = math.radians(5.0)
     S: int = 1
     s: float = 1.0
     N: int = 2
     theta_1: float = 0.0
-    theta_2: float = 0.0
     mean_convention: str = "sideband"
     symmetric_doubling: bool = True
-    omega: float | None = None
-    Omega: float | None = None
 
     def __post_init__(self):
         if not self.T > 0:
@@ -156,7 +150,7 @@ def alice_state(
 def relative_phase(phi_A: float, phi_B: float) -> float:
     """Effective modulation phase difference seen by the recombination.
 
-    Bob biases his modulator by the structural offset phi_0, so the offset
+    Bob biases his modulator by the structural phase offset, so the offset
     cancels and only the basis difference survives.
     """
     return phi_A - phi_B

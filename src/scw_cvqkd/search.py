@@ -9,11 +9,15 @@ finite-block searches charge the configured parameter-estimation count.
 The search is a deterministic two-stage scheme: a fixed coarse grid,
 scored by the batched rate kernel one block per modulation angle, picks
 a start; grid ties go to the first point in (photon number, angle,
-threshold) order, so the smaller photon number wins.  One Nelder-Mead
-simplex then refines it on the box mirrored into itself, and is rebuilt
-once from where it stopped.  At S=1 the rate depends on photon number
-and angle only through mu_0 sin^2(beta_A), so the reported pair is one
-point on a ridge of equal rate.
+threshold) order, so the smaller photon number wins.  One bounded
+L-BFGS-B run then refines it.  Each of its value-and-gradient requests is
+one kernel block of 7 points: the point and a central-difference pair on
+each axis.  At S=1 under the sideband convention the rate depends on
+photon number and angle only through mu_0 sin^2(beta_A), so the reported
+pair is the canonical point of that ridge: the largest angle in the box
+whose photon number stays in bounds, unless that angle has no calibration
+root, in which case the refined point is reported.  ``OptimumPoint.evaluations``
+counts the kernel points scored: 864 for the grid plus 7 per request.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from .security import asymptotic_key_rate, asymptotic_rates, rate_block
 
 # coarse-grid resolution per axis: photon number, angle, threshold
 _GRID_SHAPE = (12, 8, 9)
-_NM_OPTIONS = dict(fatol=1e-11, xatol=1e-7, maxfev=900, maxiter=900)
+# central-difference step of the refinement, as a fraction of each box width
+_STEP = 1e-5
+# stop on the projected gradient, never on a stalled decrease: where a
+# valley meets a face (S=3, small beta_A) the decrease per step can stall
+# 4e-6 short of the optimum
+_LBFGSB_OPTIONS = dict(ftol=0.0, gtol=1e-7, maxiter=500)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,11 @@ class Bounds:
 
 @dataclass(frozen=True)
 class OptimumPoint:
-    """Best parameters found for one channel point and the rate there."""
+    """Best parameters found for one channel point and the rate there.
+
+    ``evaluations`` counts kernel points scored: the 864-point coarse grid
+    plus 7 per value-and-gradient request of the refinement.
+    """
 
     params: TunableParams
     rate: float
@@ -131,13 +144,6 @@ def _decode(x, ch: ChannelModel, fk: FiniteKeyParams | None) -> TunableParams:
     )
 
 
-def _fold(x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mirror image of ``x`` in the box [lo, hi], reflecting off every face."""
-    w = hi - lo
-    t = np.mod(x - lo, 2.0 * w)
-    return hi - np.abs(t - w)
-
-
 def _evaluate(
     x,
     ch: ChannelModel,
@@ -163,32 +169,65 @@ def _evaluate(
     )
 
 
-def _score_grid(lg_mu, betas, v_sig, ch, sys, fk, ec_mode) -> np.ndarray:
-    """Rates on the coarse grid, shape (mu, beta, v); -inf where infeasible.
+def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
+    """Rates at decision vectors, rows of (log10 mu_0, beta_A, v_0/sigma).
 
-    Each angle is calibrated once and its mu x v plane scored as one kernel
-    block, decoded exactly as :func:`_decode` decodes a single point.
+    Each distinct angle is calibrated once and every point is scored in one
+    kernel block, decoded exactly as :func:`_decode` decodes a single point.
+    A point whose angle has no calibration root, or whose symbol means are
+    degenerate, scores -inf.
     """
-    mu_0 = np.array([10.0 ** float(m) for m in lg_mu])
-    v_0 = np.array([float(v) * noise_sigma(ch.xi) for v in v_sig])
-    mu_plane, v_plane = (a.ravel() for a in np.meshgrid(mu_0, v_0, indexing="ij"))
-    ones = np.ones(mu_plane.size)
-    rates = np.full((len(lg_mu), len(betas), len(v_sig)), -math.inf)
-    for j, beta_A in enumerate(betas):
+    lg_mu, beta_A, v_sig = points.T
+    delta = np.full(beta_A.size, math.nan)
+    for beta in np.unique(beta_A):
         try:
-            delta = calibrate_delta(float(beta_A), sys)
+            delta[beta_A == beta] = calibrate_delta(float(beta), sys)
         except ScwError:
-            continue
+            pass
+    rates = np.full(beta_A.size, -math.inf)
+    ok = ~np.isnan(delta)
+    if ok.any():
+        mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
         block = rate_block(
-            mu_plane, float(beta_A) * ones, delta * ones, v_plane, sys, ch
+            mu_0, beta_A[ok], delta[ok], v_sig[ok] * noise_sigma(ch.xi), sys, ch
         )
         if fk is None:
-            plane = asymptotic_rates(block)
+            scored = asymptotic_rates(block)
         else:
-            plane = finite_rates(block, fk, ec_mode)
-        plane[block.degenerate] = -math.inf
-        rates[:, j, :] = plane.reshape(len(lg_mu), len(v_sig))
+            scored = finite_rates(block, fk, ec_mode)
+        rates[ok] = np.where(block.degenerate, -math.inf, scored)
     return rates
+
+
+def _score_grid(axes, ch, sys, fk, ec_mode) -> np.ndarray:
+    """Rates on the coarse grid, shape (mu, beta, v), one kernel block per angle."""
+    lg_mu, betas, v_sig = axes
+    beta, mu, v = np.meshgrid(betas, lg_mu, v_sig, indexing="ij")
+    planes = np.stack([mu, beta, v], axis=-1).reshape(len(betas), -1, 3)
+    rates = np.array([_score(plane, ch, sys, fk, ec_mode) for plane in planes])
+    return rates.reshape(beta.shape).transpose(1, 0, 2)
+
+
+def _ridge_point(x, bounds: Bounds, sys: SystemParams) -> np.ndarray:
+    """The reported point of the equal-rate curve through ``x``.
+
+    At S=1 under the sideband convention the rate depends on (mu_0, beta_A)
+    only through m = mu_0 sin^2(beta_A).  The canonical point of that curve
+    is the largest angle in the box whose photon number m / sin^2(beta_A)
+    stays in bounds.  Elsewhere, and where that angle has no calibration
+    root (cos 2 beta_A too small near pi/4), ``x`` itself is reported.
+    """
+    if sys.S != 1 or sys.mean_convention != "sideband":
+        return x
+    mu_lo = bounds.mu_0[0]
+    m = 10.0 ** float(x[0]) * math.sin(x[1]) ** 2
+    beta = min(bounds.beta_A[1], math.asin(math.sqrt(min(1.0, m / mu_lo))))
+    try:
+        calibrate_delta(beta, sys)
+    except ScwError:
+        return x
+    mu_0 = max(mu_lo, m / math.sin(beta) ** 2)
+    return np.array([math.log10(mu_0), beta, x[2]])
 
 
 def optimize_point(
@@ -201,11 +240,13 @@ def optimize_point(
     """Maximize the key rate at one channel point.
 
     The best point of a fixed coarse grid over (log10 mu_0, beta_A,
-    v_0/sigma) starts one Nelder-Mead simplex, which is run a second time
-    from where the first stopped.  The simplex moves freely and the rate
-    is read at the mirror image of each vertex in the box, so a start on a
-    face keeps every dimension.  Deterministic: no randomness enters at
-    any stage.
+    v_0/sigma) starts one bounded L-BFGS-B run.  Each of its value and
+    gradient requests scores one kernel block of 7 points: the point and a
+    central-difference pair on each axis, one-sided where the pair meets a
+    face or a point without a calibration root.  At S=1 the reported
+    (mu_0, beta_A) is the canonical point of the equal-rate curve (see
+    :func:`_ridge_point`).  Deterministic: no randomness enters at any
+    stage.
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
@@ -214,7 +255,7 @@ def optimize_point(
     hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]])
     axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, _GRID_SHAPE)]
 
-    grid = _score_grid(*axes, ch, sys, fk, ec_mode)
+    grid = _score_grid(axes, ch, sys, fk, ec_mode)
     n_eval = grid.size
     # argmax takes the first maximum in (mu, beta, v) order: ties go to
     # the smaller photon number
@@ -232,19 +273,35 @@ def optimize_point(
             },
         )
 
-    def objective(x):
+    steps = np.diag(_STEP * (hi - lo))
+
+    def value_and_gradient(x):
         nonlocal n_eval
-        n_eval += 1
-        try:
-            return -_evaluate(_fold(x, lo, hi), ch, sys, fk, ec_mode)[1] / best_rate
-        except ScwError:
-            return math.inf
+        up, down = np.minimum(x + steps, hi), np.maximum(x - steps, lo)
+        f = -_score(np.vstack([x, up, down]), ch, sys, fk, ec_mode) / best_rate
+        n_eval += f.size
+        if math.isinf(f[0]):
+            # scored as no key: scipy's line search stops at an infinite
+            # value but backtracks from a finite one
+            return 0.0, np.zeros(3)
+        # a side without a rate falls back to the centre point
+        up_ok, down_ok = np.isfinite(f[1:4]), np.isfinite(f[4:])
+        f_up = np.where(up_ok, f[1:4], f[0])
+        f_down = np.where(down_ok, f[4:], f[0])
+        span = np.where(up_ok, up.diagonal(), x) - np.where(down_ok, down.diagonal(), x)
+        grad = np.divide(f_up - f_down, span, out=np.zeros(3), where=span > 0.0)
+        return f[0], grad
 
-    # the second run rebuilds a simplex the first may have let collapse
-    for _ in range(2):
-        x = minimize(objective, x, method="Nelder-Mead", options=_NM_OPTIONS).x
+    x = minimize(
+        value_and_gradient,
+        x,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(lo, hi)),
+        options=_LBFGSB_OPTIONS,
+    ).x
 
-    tun, rate, q, p, chi = _evaluate(_fold(x, lo, hi), ch, sys, fk, ec_mode)
+    tun, rate, q, p, chi = _evaluate(_ridge_point(x, bounds, sys), ch, sys, fk, ec_mode)
     return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
 
 

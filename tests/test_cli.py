@@ -15,6 +15,7 @@ from scw_cvqkd.errors import (
 )
 from scw_cvqkd.noise import ChannelModel
 from scw_cvqkd.optics import SystemParams, TunableParams
+from scw_cvqkd.search import Bounds
 from scw_cvqkd.security import asymptotic_key_rate
 
 POINT_CFG = """
@@ -50,6 +51,13 @@ def test_keyrate_point_ok(tmp_path, capsys):
     assert "status = ok" in out
     assert "K_bits_per_s" in out
     assert "n = inf" in out
+
+
+def test_keyrate_reports_canonical_ridge_point(capsys):
+    # the S=1 optimum is reported at the largest in-box angle
+    assert main(["keyrate", "--loss-db", "3", "--xi", "0.1"]) == 0
+    out = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(out["beta_A"]) == Bounds().beta_A[1]
 
 
 def test_keyrate_flag_overrides(tmp_path, capsys):

@@ -14,12 +14,10 @@ FULL = """
 T = 100e-9
 eta_B = 0.2290867652767773
 theta_carrier = 1e-6
-phi_0_deg = 5
 S = 2
 s = 1.0
 N = 2
 theta_1_deg = 0
-theta_2_deg = 0
 mean_convention = sideband
 symmetric_doubling = true
 
@@ -72,7 +70,6 @@ def test_defaults_without_file():
 def test_full_file_round_trip(tmp_path):
     cfg = load_config(write(tmp_path, FULL))
     assert cfg.system.S == 2
-    assert cfg.system.phi_0 == pytest.approx(math.radians(5.0))
     assert cfg.loss_db == 4.5 and cfg.xi == 0.05
     assert cfg.bounds.beta_A == pytest.approx(
         (math.radians(10.0), math.radians(80.0))
@@ -136,10 +133,16 @@ def test_unknown_key_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("sweep", "restarts", "4"), ("bounds", "k_frac", "0, 0.4")],
+    [
+        ("sweep", "restarts", "4"),
+        ("bounds", "k_frac", "0, 0.4"),
+        ("system", "phi_0_deg", "5"),
+        ("system", "theta_2_deg", "0"),
+    ],
 )
 def test_removed_search_knobs_rejected(section, key, value, tmp_path, capsys):
-    # the optimizer has no restart count and no parameter-estimation axis
+    # the optimizer has no restart count and no parameter-estimation axis,
+    # and no result depends on the phi_0 or theta_2 modulator phases
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(path)

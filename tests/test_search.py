@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scw_cvqkd.errors import DomainError, InfeasibleError
+from scw_cvqkd import search
+from scw_cvqkd.errors import DomainError, InfeasibleError, NoRootError
 from scw_cvqkd.finitekey import FiniteKeyParams, finite_key_rate
 from scw_cvqkd.noise import ChannelModel, noise_sigma
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
@@ -134,6 +135,138 @@ def test_optimum_reaches_dense_reference(loss_db, xi):
     reference = _dense_reference_rate(ch)
     assert reference > 0.0
     assert optimize_point(ch, SYS).rate >= (1.0 - 1e-9) * reference
+
+
+def _box_slopes(opt, ch, sys=SYS, fk=None, bounds=Bounds()):
+    """Slopes of rate/rate_opt per unit box width, through the public rates.
+
+    The search coordinates are (log10 mu_0, beta_A, v_0/sigma).  Each slope
+    is a fourth-order central difference with steps of 1e-4 and 2e-4 of the
+    box width: the plain 1e-4 difference carries an h^2 error of about
+    2e-5 along v_0/sigma at 3 dB, twice the tolerance it is judged by.
+    Returns the point, the box and the three slopes.
+    """
+    sigma = noise_sigma(ch.xi)
+    lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]])
+    hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]])
+    x = np.array(
+        [math.log10(opt.params.mu_0), opt.params.beta_A, opt.params.v_0 / sigma]
+    )
+
+    def relative_rate(i, step):
+        y = x.copy()
+        y[i] += step
+        tun = TunableParams(
+            mu_0=10.0 ** y[0],
+            beta_A=y[1],
+            delta=calibrate_delta(y[1], sys),
+            v_0=y[2] * sigma,
+            k_sample=opt.params.k_sample,
+        )
+        if fk is None:
+            return asymptotic_key_rate(tun, sys, ch).rate / opt.rate
+        return finite_key_rate(tun, sys, ch, fk).rate / opt.rate
+
+    slopes = []
+    for i, width in enumerate(hi - lo):
+        h = 1e-4 * width
+        near = relative_rate(i, h) - relative_rate(i, -h)
+        far = relative_rate(i, 2 * h) - relative_rate(i, -2 * h)
+        slopes.append((8.0 * near - far) / 12.0 / 1e-4)
+    return x, lo, hi, slopes
+
+
+@pytest.mark.parametrize(
+    "loss_db, xi, S, n",
+    [
+        (3.0, 0.1, 1, None),
+        (8.25, 0.2, 1, None),
+        (8.5, 0.1, 1, None),
+        (8.75, 0.1, 1, None),
+        (9.0, 0.0, 1, None),
+        (9.0, 0.1, 1, None),
+        (3.0, 0.1, 1, 10**10),
+        (3.0, 0.1, 2, None),
+        # optimum on the beta_A lower face at the end of a curved valley
+        (1.0, 0.1, 3, None),
+    ],
+)
+def test_optimum_is_first_order_stationary(loss_db, xi, S, n):
+    # an interior coordinate has a flat slope; one on a face is flat or
+    # points out of the box
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    sys = SystemParams(S=S)
+    fk = FiniteKeyParams(n=n) if n is not None else None
+    x, lo, hi, slopes = _box_slopes(optimize_point(ch, sys, fk=fk), ch, sys, fk)
+    for i, slope in enumerate(slopes):
+        tol = 1e-9 * (hi[i] - lo[i])
+        if x[i] >= hi[i] - tol:
+            assert slope > -1e-5, (i, slope)
+        elif x[i] <= lo[i] + tol:
+            assert slope < 1e-5, (i, slope)
+        else:
+            assert abs(slope) < 1e-5, (i, slope)
+
+
+def test_s1_reports_canonical_ridge_point(monkeypatch, opt3):
+    # the largest in-box angle: beta_A on its upper bound, mu_0 inside
+    assert opt3.params.beta_A == Bounds().beta_A[1]
+    assert Bounds().mu_0[0] < opt3.params.mu_0 < Bounds().mu_0[1]
+    again = asymptotic_key_rate(opt3.params, SYS, CH3).rate
+    assert abs(again - opt3.rate) <= 1e-12 * opt3.rate
+    # the refined point the canonical one was projected from
+    monkeypatch.setattr(search, "_ridge_point", lambda x, bounds, sys: x)
+    refined = optimize_point(CH3, SYS)
+    assert refined.params.beta_A < Bounds().beta_A[1]
+    assert abs(refined.rate - opt3.rate) <= 1e-12 * opt3.rate
+    ridge = opt3.params.mu_0 * math.sin(opt3.params.beta_A) ** 2
+    refined_ridge = refined.params.mu_0 * math.sin(refined.params.beta_A) ** 2
+    assert abs(ridge - refined_ridge) <= 1e-12 * ridge
+
+
+@pytest.mark.parametrize("beta_hi", [math.pi / 4, math.pi / 4 + 1e-7])
+def test_ridge_point_without_root_reports_refined_point(beta_hi, opt3):
+    # cos(2 beta_A) is below theta_carrier at the top angle, so it has no
+    # calibration root; the refined point is reported instead
+    bounds = Bounds(beta_A=(0.1, beta_hi))
+    with pytest.raises(NoRootError):
+        calibrate_delta(beta_hi, SYS)
+    opt = optimize_point(CH3, SYS, bounds=bounds)
+    assert opt.params.beta_A < beta_hi
+    assert abs(opt.rate - opt3.rate) <= 1e-12 * opt3.rate
+    again = asymptotic_key_rate(opt.params, SYS, CH3).rate
+    assert abs(again - opt.rate) <= 1e-12 * opt.rate
+
+
+_GRID_START_BETA = float(np.linspace(*Bounds().beta_A, 8)[5])  # grid winner at 3 dB
+
+
+@pytest.mark.parametrize(
+    "no_root",
+    [
+        # the stencil's upper side at the start
+        lambda b: _GRID_START_BETA < b < _GRID_START_BETA + 0.05,
+        # a comb that line-search trial points fall into
+        lambda b: 0.4 < (b * 1e3) % 1.0 < 0.7,
+    ],
+    ids=["band", "comb"],
+)
+def test_refinement_survives_angles_without_root(no_root, monkeypatch, opt3):
+    # points at angles without a calibration root score no rate; the
+    # search still reaches the optimum along the S=1 ridge
+    missed = []
+
+    def patchy(beta_A, sys):
+        if no_root(beta_A):
+            missed.append(beta_A)
+            raise NoRootError(f"no root at {beta_A}")
+        return calibrate_delta(beta_A, sys)
+
+    monkeypatch.setattr(search, "calibrate_delta", patchy)
+    opt = optimize_point(CH3, SYS)
+    assert missed
+    assert math.isfinite(opt.rate)
+    assert opt.rate >= (1.0 - 1e-12) * opt3.rate
 
 
 def _calibrated(mu_0: float, beta_A: float, v_0: float) -> TunableParams:
