@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
-from scipy.special import expit as _expit
 
 from .errors import DomainError, EmptyAcceptanceError
 
@@ -27,6 +24,10 @@ V_VAC = 0.25
 P_FLOOR = 1e-300
 # integration window: means +/- this many sigmas bound the lost tail below 1e-40
 TAIL_SIGMAS = 14.0
+# the erfc argument is z * sqrt(1/2), a product as usual normal-CDF routines
+# form it: z / sqrt(2) rounds differently, and at z = -38 one unit of
+# rounding in the argument moves the tail mass by about 1.6e-13 relative
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,9 @@ def erasure_error_profiles(v, mean_plus: float, mean_minus: float, xi: float):
     one_minus_g = 0.5 * (np.exp(lp_plus) + np.exp(lp_minus))
     # the sign of v picks which symbol would have been decoded incorrectly
     log_ratio = lp_minus - lp_plus
-    e = _expit(np.where(v >= 0.0, log_ratio, -log_ratio))
+    # logistic function; exp overflows to inf for a far tail, giving e = 0
+    with np.errstate(over="ignore"):
+        e = 1.0 / (1.0 + np.exp(-np.where(v >= 0.0, log_ratio, -log_ratio)))
     e = np.where(v == 0.0, 0.5, e)
     if one_minus_g.ndim == 0:
         return float(one_minus_g), float(e)
@@ -134,6 +137,12 @@ def integration_ceiling(mean_plus, mean_minus, xi: float):
     return widest + TAIL_SIGMAS * noise_sigma(xi)
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-z/sqrt(2)), elementwise through math.erfc."""
+    flat = (-_SQRT_HALF * z).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, flat), float, len(flat)).reshape(z.shape)
+
+
 def decision_masses(v_0, mean_plus, mean_minus, xi: float):
     """Error and acceptance masses (E, P) through the Gaussian tail function.
 
@@ -142,7 +151,9 @@ def decision_masses(v_0, mean_plus, mean_minus, xi: float):
     """
     # tails beyond +v_0 and below -v_0 under each symbol, in one call
     edges = [mean_plus - v_0, -v_0 - mean_plus, mean_minus - v_0, -v_0 - mean_minus]
-    plus_up, plus_down, minus_up, minus_down = ndtr(np.array(edges) / noise_sigma(xi))
+    plus_up, plus_down, minus_up, minus_down = _normal_cdf(
+        np.array(edges) / noise_sigma(xi)
+    )
     # acceptance: |v| >= v_0 under either symbol, equal priors
     p = 0.5 * (plus_up + plus_down + minus_up + minus_down)
     # error: the plus symbol landing in the negative tail and vice versa
@@ -151,6 +162,9 @@ def decision_masses(v_0, mean_plus, mean_minus, xi: float):
 
 
 def _stats_quadrature(v_0, mean_plus, mean_minus, xi):
+    # scipy is imported only by this cross-check, not by the rate path
+    from scipy.integrate import quad
+
     hi = float(integration_ceiling(mean_plus, mean_minus, xi))
     if v_0 >= hi:
         return 0.0, 0.0

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .angular import carrier_weight, first_sideband_weight, legendre_p, wigner_d_row
 from .errors import DegenerateError, DomainError, InternalError, NoRootError
@@ -368,6 +367,8 @@ def _calibrate_closed_form(beta_A: float, theta_carrier: float) -> float | None:
 
 def _calibrate_by_scan(beta_A: float, theta_carrier: float, S: int) -> float | None:
     """First balance root with positive matched contrast, by scan plus brentq."""
+    # scipy is imported only by this S > 1 route, not by the S = 1 rate path
+    from scipy.optimize import brentq
 
     def balance(d):
         # zero when the two matched-basis contrasts are symmetric about 0

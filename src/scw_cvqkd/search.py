@@ -9,15 +9,19 @@ finite-block searches charge the configured parameter-estimation count.
 The search is a deterministic two-stage scheme: a fixed coarse grid,
 scored by the batched rate kernel one block per modulation angle, picks
 a start; grid ties go to the first point in (photon number, angle,
-threshold) order, so the smaller photon number wins.  One bounded
-L-BFGS-B run then refines it.  Each of its value-and-gradient requests is
-one kernel block of 7 points: the point and a central-difference pair on
-each axis.  At S=1 under the sideband convention the rate depends on
-photon number and angle only through mu_0 sin^2(beta_A), so the reported
-pair is the canonical point of that ridge: the largest angle in the box
-whose photon number stays in bounds, unless that angle has no calibration
-root, in which case the refined point is reported.  ``OptimumPoint.evaluations``
-counts the kernel points scored: 864 for the grid plus 7 per request.
+threshold) order, so the smaller photon number wins.  A bounded Newton
+descent then refines it.  Each iteration scores one kernel block of 19
+points: the point, a central-difference pair on each axis for the
+gradient, and a curvature stencil of axis and diagonal pairs.  A second
+block of 8 points scores halvings of the step, and a third the same for
+a steepest-descent step when none of those decreases.  It stops when the
+largest entry of the projected gradient is at most 1e-7.  At S=1 under
+the sideband convention the rate depends on photon number and angle only
+through mu_0 sin^2(beta_A), so the reported pair is the canonical point
+of that ridge: the largest angle in the box whose photon number stays in
+bounds, unless that angle has no calibration root, in which case the
+refined point is reported.  ``OptimumPoint.evaluations`` counts the
+kernel points scored.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, InfeasibleError, ScwError
 from .finitekey import FiniteKeyParams, finite_key_rate, finite_rates
@@ -38,12 +41,33 @@ from .security import asymptotic_key_rate, asymptotic_rates, rate_block
 
 # coarse-grid resolution per axis: photon number, angle, threshold
 _GRID_SHAPE = (12, 8, 9)
-# central-difference step of the refinement, as a fraction of each box width
+# central-difference step of the refinement gradient, as a fraction of
+# each box width
 _STEP = 1e-5
-# stop on the projected gradient, never on a stalled decrease: where a
-# valley meets a face (S=3, small beta_A) the decrease per step can stall
-# 4e-6 short of the optimum
-_LBFGSB_OPTIONS = dict(ftol=0.0, gtol=1e-7, maxiter=500)
+# step of the curvature stencil, as a fraction of each box width
+_CURVE_STEP = 1e-4
+# curvature stencil in units of that step: an axis pair per coordinate and
+# a pair along each diagonal of two coordinates
+_DIAGONALS = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+_STENCIL = np.vstack([np.eye(3), -np.eye(3), _DIAGONALS, -_DIAGONALS])
+# curvature magnitudes are floored at this fraction of the largest: at S=1
+# the rate is flat along mu_0 sin^2(beta_A) = const, so the curvature
+# is singular there
+_EIG_FLOOR = 1e-6
+# a Newton step moves no coordinate by more than this fraction of its width
+_MAX_STEP = 0.2
+# each line search scores the step times 1, 1/2, ..., 1/2^(_TRIALS - 1)
+_TRIALS = 8
+# sufficient-decrease constant of the line search
+_ARMIJO = 1e-4
+# stop when no entry of the projected gradient exceeds this, in rate
+# relative to the grid best per unit of each coordinate; there is no stop
+# on a small decrease per step: where a valley meets a face (S=3, small
+# beta_A) progress can slow 4e-6 short of the optimum
+_GTOL = 1e-7
+# iteration cap, far above the 3 to 19 iterations a point takes over
+# 0.25-10 dB at xi 0-0.2, asymptotic or finite, S=1 to 3
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -79,8 +103,8 @@ class Bounds:
 class OptimumPoint:
     """Best parameters found for one channel point and the rate there.
 
-    ``evaluations`` counts kernel points scored: the 864-point coarse grid
-    plus 7 per value-and-gradient request of the refinement.
+    ``evaluations`` counts kernel points scored: the 864-point coarse grid,
+    19 per Newton iteration of the refinement and 8 per line search.
     """
 
     params: TunableParams
@@ -230,6 +254,96 @@ def _ridge_point(x, bounds: Bounds, sys: SystemParams) -> np.ndarray:
     return np.array([math.log10(mu_0), beta, x[2]])
 
 
+def _gradient(f, x, up, down):
+    """Central differences from the values at x, x + h e_i and x - h e_i.
+
+    A side that was clipped onto x or scored no rate falls back to x, so
+    the difference turns one-sided; with both sides gone the slope is 0.
+    """
+    up_ok, down_ok = np.isfinite(f[1:4]), np.isfinite(f[4:7])
+    f_up = np.where(up_ok, f[1:4], f[0])
+    f_down = np.where(down_ok, f[4:7], f[0])
+    span = np.where(up_ok, up.diagonal(), x) - np.where(down_ok, down.diagonal(), x)
+    return np.divide(f_up - f_down, span, out=np.zeros(3), where=span > 0.0)
+
+
+def _curvature(d, df) -> np.ndarray:
+    """Least-squares Hessian from displacements ``d`` and value changes ``df``.
+
+    Each row says df = d.H.d / 2 once the gradient term is removed.
+    Displacements clipped onto the point, or points with no rate, drop out;
+    entries the rest leave undetermined come out 0.
+    """
+    i, j = np.triu_indices(3)
+    weight = np.where(i == j, 0.5, 1.0)
+    ok = np.isfinite(df) & (np.abs(d).sum(axis=1) > 0.0)
+    design = d[ok][:, i] * d[ok][:, j] * weight
+    coef = np.linalg.lstsq(design, df[ok], rcond=None)[0]
+    hess = np.zeros((3, 3))
+    hess[i, j] = coef
+    hess[j, i] = coef
+    return hess
+
+
+def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
+    """Bounded Newton descent of ``objective`` from x; returns (x, points scored).
+
+    ``objective`` maps rows of decision vectors to values, +inf where a
+    point has no rate.  Steps are formed in box-width units.  A coordinate
+    on a face whose gradient points out of the box is held.  On the others
+    the step is Newton's, with each curvature eigenvalue replaced by its
+    magnitude floored at _EIG_FLOOR of the largest, and no coordinate moves
+    by more than _MAX_STEP.  A second block scores halvings of the step,
+    clipped to the box, and the longest with a sufficient decrease wins.
+    When none decreases, a steepest-descent step to the minimum of the same
+    quadratic model is tried the same way; when that fails too, x is
+    returned.  Stops when the projected gradient's largest entry is at most
+    _GTOL.
+    """
+    width = hi - lo
+    small = np.diag(_STEP * width)
+    n_eval = 0
+    for _ in range(_MAX_ITER):
+        up, down = np.minimum(x + small, hi), np.maximum(x - small, lo)
+        curve = np.clip(x + _CURVE_STEP * _STENCIL * width, lo, hi)
+        f = objective(np.vstack([x, up, down, curve]))
+        n_eval += f.size
+        grad = _gradient(f, x, up, down)
+        if np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= _GTOL:
+            break
+        # in box-width units from here on
+        g, d = grad * width, (curve - x) / width
+        hess = _curvature(d, f[7:] - f[0] - d @ g)
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+        lam = np.abs(lam)
+        if not lam.max() > 0.0:
+            break
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max())
+        g_free = g[free]
+        proj = vec.T @ g_free
+        newton = -vec @ (proj / lam)
+        # the minimum of the same quadratic model along the gradient
+        cauchy = -g_free * (g_free @ g_free) / (proj**2 @ lam)
+        x_next = None
+        for direction in (newton, cauchy):
+            step = np.zeros(3)
+            step[free] = direction * min(1.0, _MAX_STEP / np.abs(direction).max())
+            trials = np.clip(
+                x + np.outer(0.5 ** np.arange(_TRIALS), step * width), lo, hi
+            )
+            f_trial = objective(trials)
+            n_eval += f_trial.size
+            ok = (f_trial < f[0]) & (f_trial <= f[0] + _ARMIJO * ((trials - x) @ grad))
+            if ok.any():
+                x_next = trials[np.argmax(ok)]
+                break
+        if x_next is None:
+            break
+        x = x_next
+    return x, n_eval
+
+
 def optimize_point(
     ch: ChannelModel,
     sys: SystemParams,
@@ -240,10 +354,10 @@ def optimize_point(
     """Maximize the key rate at one channel point.
 
     The best point of a fixed coarse grid over (log10 mu_0, beta_A,
-    v_0/sigma) starts one bounded L-BFGS-B run.  Each of its value and
-    gradient requests scores one kernel block of 7 points: the point and a
-    central-difference pair on each axis, one-sided where the pair meets a
-    face or a point without a calibration root.  At S=1 the reported
+    v_0/sigma) starts one bounded Newton descent (see :func:`_refine`).
+    Each iteration scores one kernel block for the gradient and curvature,
+    with central differences that turn one-sided where a pair meets a face
+    or a point without a calibration root.  At S=1 the reported
     (mu_0, beta_A) is the canonical point of the equal-rate curve (see
     :func:`_ridge_point`).  Deterministic: no randomness enters at any
     stage.
@@ -273,33 +387,10 @@ def optimize_point(
             },
         )
 
-    steps = np.diag(_STEP * (hi - lo))
-
-    def value_and_gradient(x):
-        nonlocal n_eval
-        up, down = np.minimum(x + steps, hi), np.maximum(x - steps, lo)
-        f = -_score(np.vstack([x, up, down]), ch, sys, fk, ec_mode) / best_rate
-        n_eval += f.size
-        if math.isinf(f[0]):
-            # scored as no key: scipy's line search stops at an infinite
-            # value but backtracks from a finite one
-            return 0.0, np.zeros(3)
-        # a side without a rate falls back to the centre point
-        up_ok, down_ok = np.isfinite(f[1:4]), np.isfinite(f[4:])
-        f_up = np.where(up_ok, f[1:4], f[0])
-        f_down = np.where(down_ok, f[4:], f[0])
-        span = np.where(up_ok, up.diagonal(), x) - np.where(down_ok, down.diagonal(), x)
-        grad = np.divide(f_up - f_down, span, out=np.zeros(3), where=span > 0.0)
-        return f[0], grad
-
-    x = minimize(
-        value_and_gradient,
-        x,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(lo, hi)),
-        options=_LBFGSB_OPTIONS,
-    ).x
+    x, refined = _refine(
+        x, lambda pts: -_score(pts, ch, sys, fk, ec_mode) / best_rate, lo, hi
+    )
+    n_eval += refined
 
     tun, rate, q, p, chi = _evaluate(_ridge_point(x, bounds, sys), ch, sys, fk, ec_mode)
     return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)

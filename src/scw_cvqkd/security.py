@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .angular import carrier_weight, legendre_p, wigner_d_row
 from .errors import DegenerateError, DomainError
@@ -64,9 +63,14 @@ class KeyRateResult:
     quantities: SecurityQuantities
 
 
+def _plogp(p):
+    # p log p with 0 log 0 = 0
+    return p * np.log(np.where(p > 0.0, p, 1.0))
+
+
 def _entropy_bits(p):
     # binary entropy of arguments already known to lie in [0, 1]
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / math.log(2.0)
+    return -(_plogp(p) + _plogp(1.0 - p)) / math.log(2.0)
 
 
 def binary_entropy(x):

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, EmptyAcceptanceError, MismatchError
 from .noise import ChannelModel, decision_stats, noise_sigma
@@ -25,7 +25,7 @@ from .optics import SystemParams, TunableParams, matched_means, mean_table
 
 _CHUNK = 1_000_000
 _RECORD_CAP = 1_000_000
-_Z95 = float(ndtri(0.975))
+_Z95 = NormalDist().inv_cdf(0.975)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import scw_cvqkd
 from scw_cvqkd.cli import UsageError, main
 from scw_cvqkd.errors import (
     ConfigError,
@@ -292,6 +296,47 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok") == 5
     assert "FAIL" not in out
+
+
+_NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+from scw_cvqkd import cli
+from scw_cvqkd.optics import SystemParams, calibrate_delta
+
+point, grid = sys.argv[1], sys.argv[2]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["keyrate", "--loss-db", "3", "--xi", "0.1"],
+        ["keyrate", "--loss-db", "3", "--xi", "0.1", "--n", "1e10"],
+        ["sweep", "--config", grid],
+        ["simulate", "--config", point, "--rounds", "1000"],
+    ):
+        codes.append(cli.main(argv))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+delta = calibrate_delta(0.9, SystemParams(S=2))
+print(json.dumps({"codes": codes, "loaded": loaded, "delta": delta,
+                  "on_demand": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_rate_paths_never_import_scipy(tmp_path):
+    # a fresh interpreter: the S=1 rate path, finite keys, a serial sweep and
+    # the emulator run on numpy alone; only the S>1 calibration loads scipy
+    env = dict(os.environ, SCW_THREADS="1")
+    src = os.path.dirname(os.path.dirname(scw_cvqkd.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN,
+         write(tmp_path, POINT_CFG), write(tmp_path, SWEEP_CFG, "grid.ini")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []
+    assert 0.0 < result["delta"] <= 10.0
+    assert result["on_demand"]
 
 
 def test_version_flag(capsys):

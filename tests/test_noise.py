@@ -1,18 +1,21 @@
 """Density, error-profile and post-selection statistics tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit, ndtr
 
 from scw_cvqkd.errors import DomainError, EmptyAcceptanceError
 from scw_cvqkd.noise import (
     V_VAC,
     ChannelModel,
     DecisionStats,
+    decision_masses,
     decision_stats,
     erasure_error_profiles,
     noise_sigma,
@@ -76,6 +79,27 @@ def test_error_profile_limits_without_nan():
     assert np.all(np.isfinite(og)) and np.all(np.isfinite(ee))
 
 
+def test_error_profile_matches_expit_oracle():
+    # the log-likelihood ratio -8 m |v| / (1 + xi) reaches -800 (m = 2) and
+    # +800 (m = -2) at |v| = 50; no overflow warning may escape
+    xi = 0.0
+
+    def log_pdf(v, mean):
+        return 0.5 * math.log(2.0 / (math.pi * (1.0 + xi))) - 2.0 * (v - mean) ** 2 / (
+            1.0 + xi
+        )
+
+    v = np.linspace(-50.0, 50.0, 2001)
+    for m in (2.0, -2.0, 0.37):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, e = erasure_error_profiles(v, m, -m, xi)
+        ratio = log_pdf(v, -m) - log_pdf(v, m)
+        expect = np.where(v == 0.0, 0.5, expit(np.where(v >= 0.0, ratio, -ratio)))
+        # below 1e-300 the logistic may flush to 0 where expit is subnormal
+        np.testing.assert_allclose(e, expect, rtol=1e-15, atol=1e-300)
+
+
 def test_error_profile_equal_means_is_coin_flip():
     v = np.linspace(-3, 3, 13)
     _, e = erasure_error_profiles(v, 0.0, 0.0, 0.3)
@@ -105,6 +129,31 @@ def test_decision_stats_gaussian_tail_oracle():
     assert stats.P == pytest.approx(1.0, abs=1e-14)
     expect_q = 0.5 * math.erfc(m / (noise_sigma(xi) * math.sqrt(2.0)))
     assert stats.Q == pytest.approx(expect_q, rel=1e-12)
+
+
+def _masses_by_ndtr(v_0, mean_plus, mean_minus, xi):
+    sigma = noise_sigma(xi)
+    plus_up, plus_down, minus_up, minus_down = (
+        ndtr(edge / sigma)
+        for edge in (mean_plus - v_0, -v_0 - mean_plus, mean_minus - v_0, -v_0 - mean_minus)
+    )
+    return 0.5 * (plus_down + minus_up), 0.5 * (plus_up + plus_down + minus_up + minus_down)
+
+
+def test_decision_masses_match_ndtr_oracle():
+    # at v_0 = 14.5 sigma the edges of mean_plus = (z + 14.5) sigma are z and
+    # -29 - z in sigma units, so all four sweep -38 to +9 sigma
+    xi = 0.1
+    sigma = noise_sigma(xi)
+    z = np.linspace(-38.0, 9.0, 4701)
+    v_0 = np.full(z.size, 14.5 * sigma)
+    mean_plus, mean_minus = (z + 14.5) * sigma, (z[::-1] + 14.5) * sigma
+    got = decision_masses(v_0, mean_plus, mean_minus, xi)
+    expect = _masses_by_ndtr(v_0, mean_plus, mean_minus, xi)
+    for mass, ref in zip(got, expect):
+        kept = ref > 1e-300
+        assert kept.sum() > 0.9 * z.size
+        np.testing.assert_allclose(mass[kept], ref[kept], rtol=1e-13, atol=0.0)
 
 
 def test_decision_stats_sampling_oracle():

@@ -176,28 +176,43 @@ def _box_slopes(opt, ch, sys=SYS, fk=None, bounds=Bounds()):
     return x, lo, hi, slopes
 
 
+# mu_0 and v_0 capped below their 3 dB optima
+_CAPPED = Bounds(mu_0=(1e-3, 0.2), v_0_sigmas=(0.0, 2.8))
+_STATIONARY_CASES = [
+    (3.0, 0.1, 1, None, Bounds()),
+    (8.25, 0.2, 1, None, Bounds()),
+    (8.5, 0.1, 1, None, Bounds()),
+    (8.75, 0.1, 1, None, Bounds()),
+    (9.0, 0.0, 1, None, Bounds()),
+    (9.0, 0.1, 1, None, Bounds()),
+    (3.0, 0.1, 1, 10**10, Bounds()),
+    (3.0, 0.1, 2, None, Bounds()),
+    # optimum on the beta_A lower face at the end of a curved valley
+    (1.0, 0.1, 3, None, Bounds()),
+    # mu_0 and v_0 on their upper faces, beta_A interior
+    (3.0, 0.1, 2, None, _CAPPED),
+    # all three coordinates on faces
+    (3.0, 0.1, 1, None, _CAPPED),
+]
+
+
 @pytest.mark.parametrize(
-    "loss_db, xi, S, n",
-    [
-        (3.0, 0.1, 1, None),
-        (8.25, 0.2, 1, None),
-        (8.5, 0.1, 1, None),
-        (8.75, 0.1, 1, None),
-        (9.0, 0.0, 1, None),
-        (9.0, 0.1, 1, None),
-        (3.0, 0.1, 1, 10**10),
-        (3.0, 0.1, 2, None),
-        # optimum on the beta_A lower face at the end of a curved valley
-        (1.0, 0.1, 3, None),
+    "loss_db, xi, S, n, bounds",
+    _STATIONARY_CASES,
+    # the default box adds nothing to a case's name
+    ids=[
+        "-".join(map(str, case[:4])) + ("" if case[4] == Bounds() else "-capped")
+        for case in _STATIONARY_CASES
     ],
 )
-def test_optimum_is_first_order_stationary(loss_db, xi, S, n):
+def test_optimum_is_first_order_stationary(loss_db, xi, S, n, bounds):
     # an interior coordinate has a flat slope; one on a face is flat or
     # points out of the box
     ch = ChannelModel(loss_db=loss_db, xi=xi)
     sys = SystemParams(S=S)
     fk = FiniteKeyParams(n=n) if n is not None else None
-    x, lo, hi, slopes = _box_slopes(optimize_point(ch, sys, fk=fk), ch, sys, fk)
+    opt = optimize_point(ch, sys, fk=fk, bounds=bounds)
+    x, lo, hi, slopes = _box_slopes(opt, ch, sys, fk, bounds)
     for i, slope in enumerate(slopes):
         tol = 1e-9 * (hi[i] - lo[i])
         if x[i] >= hi[i] - tol:

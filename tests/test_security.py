@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from scw_cvqkd.angular import carrier_weight, wigner_d_row
 from scw_cvqkd.errors import DomainError
@@ -52,6 +53,14 @@ def test_binary_entropy_reference_points():
     assert binary_entropy(0.11) == pytest.approx(
         -0.11 * math.log2(0.11) - 0.89 * math.log2(0.89), rel=1e-15
     )
+
+
+def test_binary_entropy_matches_xlogy_oracle():
+    p = np.array([0.0, 1.0, 1e-300, 0.5, 1.0 - 1e-16])
+    expect = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / math.log(2.0)
+    np.testing.assert_allclose(binary_entropy(p), expect, rtol=1e-15, atol=0.0)
+    for x, h in zip(p, expect):
+        assert binary_entropy(float(x)) == pytest.approx(h, rel=1e-15, abs=0.0)
 
 
 def test_binary_entropy_symmetry_and_vector():

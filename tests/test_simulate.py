@@ -4,7 +4,9 @@ import math
 from dataclasses import replace
 
 import pytest
+from scipy.special import ndtri
 
+from scw_cvqkd import simulate
 from scw_cvqkd.errors import DomainError, MismatchError
 from scw_cvqkd.noise import ChannelModel, decision_stats
 from scw_cvqkd.optics import (
@@ -148,6 +150,10 @@ def test_round_records_cap_and_domains():
         round_records(tun(), SYS, CH, rounds=0)
     with pytest.raises(DomainError):
         simulate_rounds(tun(), SYS, CH, rounds=0)
+
+
+def test_z95_matches_ndtri_oracle():
+    assert simulate._Z95 == pytest.approx(ndtri(0.975), rel=1e-15, abs=0.0)
 
 
 def test_wilson_interval_values():
