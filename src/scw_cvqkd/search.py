@@ -429,6 +429,8 @@ def thread_count(n_tasks: int) -> int:
         threads = int(raw) if raw else (os.cpu_count() or 1)
     except ValueError:
         raise DomainError(f"SCW_THREADS must be an integer, got {raw!r}")
+    if threads < 1:
+        raise DomainError(f"SCW_THREADS must be at least 1, got {raw!r}")
     return max(1, min(threads, n_tasks))
 
 

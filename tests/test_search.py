@@ -359,9 +359,10 @@ def test_thread_count(monkeypatch):
     monkeypatch.setenv("SCW_THREADS", "3")
     assert thread_count(10) == 3
     assert thread_count(2) == 2
-    monkeypatch.setenv("SCW_THREADS", "zebra")
-    with pytest.raises(DomainError):
-        thread_count(4)
+    for bad in ("zebra", "0", "-3"):
+        monkeypatch.setenv("SCW_THREADS", bad)
+        with pytest.raises(DomainError):
+            thread_count(4)
     monkeypatch.delenv("SCW_THREADS")
     assert thread_count(1) == 1
 

@@ -1,12 +1,14 @@
 """Information-bound and asymptotic key-rate tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import xlogy
 
+from scw_cvqkd import search, security
 from scw_cvqkd.angular import carrier_weight, wigner_d_row
 from scw_cvqkd.errors import DomainError
 from scw_cvqkd.finitekey import (
@@ -128,12 +130,16 @@ def test_rate_positive_at_moderate_loss():
     assert out.stats.Q < 0.5
 
 
-# (loss_db, xi, mu_0, beta_A, v_0): finite-key optima at n = 1e12, where
-# the asymptotic and both finite rates are positive
+ORACLE_MODES = ("asymptotic", "pointwise", "block")
+# (loss_db, xi, mu_0, beta_A, v_0, modes): finite-key optima at n = 1e12,
+# where the asymptotic and both finite rates are positive, and the
+# asymptotic optimum at the cutoff, where v_0 sits on its 6-sigma face, the
+# rate is about 4e-6 b/s and no finite rate at n = 1e12 is positive
 ORACLE_POINTS = [
-    (0.5, 0.0, 0.204, 1.448, 1.278),
-    (2.0, 0.1, 0.206, 1.443, 1.67),
-    (3.0, 0.2, 0.207, 1.428, 2.044),
+    (0.5, 0.0, 0.204, 1.448, 1.278, ORACLE_MODES),
+    (2.0, 0.1, 0.206, 1.443, 1.67, ORACLE_MODES),
+    (3.0, 0.2, 0.207, 1.428, 2.044, ORACLE_MODES),
+    (9.0, 0.1, 0.19827431923, 1.45, 3.1464265445, ("asymptotic",)),
 ]
 ORACLE_FK = FiniteKeyParams(n=10**12)
 
@@ -164,12 +170,28 @@ def _quadrature_rate(t, ch, mode):
         return og * fraction(e)
 
     hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
-    raw = quad(integrand, t.v_0, hi, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+    # near the cutoff the secret fraction is a small difference of order-one
+    # terms and quad reports roundoff short of epsrel; accept only that
+    # warning, and only while quad's own error estimate stays far inside
+    # the 1e-9 bound
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        raw, err = quad(integrand, t.v_0, hi, epsabs=0.0, epsrel=1e-13, limit=300)
+    for w in caught:
+        assert issubclass(w.category, IntegrationWarning), w
+        assert "roundoff" in str(w.message), w
+        assert err <= 1e-11 * abs(raw)
     return 2.0 / (SYS.N * SYS.T) * raw, stats
 
 
-@pytest.mark.parametrize("mode", ["asymptotic", "pointwise", "block"])
-@pytest.mark.parametrize("point", ORACLE_POINTS)
+@pytest.mark.parametrize(
+    ("point", "mode"),
+    [
+        pytest.param(point[:5], mode, id=f"point{i}-{mode}")
+        for i, point in enumerate(ORACLE_POINTS)
+        for mode in point[5]
+    ],
+)
 def test_rate_kernel_matches_quadrature_oracle(point, mode):
     loss_db, xi, mu_0, beta_A, v_0 = point
     ch = ChannelModel(loss_db=loss_db, xi=xi)
@@ -183,6 +205,41 @@ def test_rate_kernel_matches_quadrature_oracle(point, mode):
     assert out.rate == pytest.approx(ref, rel=1e-9)
     assert out.stats.P == pytest.approx(stats.P, rel=1e-9)
     assert out.stats.E == pytest.approx(stats.E, rel=1e-9)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_rate_kernel_converged_in_order(S, monkeypatch):
+    # the fixed Gauss-Legendre rule against one of twice its order, on the
+    # optimizer's full coarse grid from low loss to past the cutoff; both
+    # sit on the ~3e-11 rounding floor once the rule has converged
+    order = security._GL_ORDER
+    sys_s = SystemParams(S=S)
+    bounds = search.Bounds()
+    box = zip(
+        (math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]),
+        (math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]),
+        search._GRID_SHAPE,
+    )
+    axes = [np.linspace(lo, hi, size) for lo, hi, size in box]
+    compared = 0
+    for loss_db in (0.5, 3.0, 6.0, 8.5, 9.5):
+        for xi in (0.0, 0.1, 0.2):
+            ch = ChannelModel(loss_db=loss_db, xi=xi)
+            for fk in (None, FiniteKeyParams(n=10**8)):
+                rates = []
+                for n_nodes in (order, 2 * order):
+                    monkeypatch.setattr(security, "_GL_ORDER", n_nodes)
+                    rates.append(
+                        search._score_grid(axes, ch, sys_s, fk, "pointwise")
+                    )
+                low, ref = rates
+                judged = ref > 1e-3 * ref.max()
+                np.testing.assert_allclose(
+                    low[judged], ref[judged], rtol=1e-10, atol=0.0
+                )
+                compared += np.count_nonzero(judged)
+    # about 2,000 grid points are judged at S=1 and 1,100 at S=3
+    assert compared > 1000
 
 
 def test_rate_block_equals_single_points():
