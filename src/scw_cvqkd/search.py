@@ -6,22 +6,26 @@ readout-sigma units.  The modulation-depth ratio delta is never free: it
 is re-derived from the calibration condition at every angle, and
 finite-block searches charge the configured parameter-estimation count.
 
-The search is a deterministic two-stage scheme: a fixed coarse grid,
-scored by the batched rate kernel one block per modulation angle, picks
-a start; grid ties go to the first point in (photon number, angle,
-threshold) order, so the smaller photon number wins.  A bounded Newton
-descent then refines it.  Each iteration scores one kernel block of 19
-points: the point, a central-difference pair on each axis for the
-gradient, and a curvature stencil of axis and diagonal pairs.  A second
+At S=1 under the sideband convention the rate depends on photon number
+and angle only through m = mu_0 sin^2(beta_A), so the search runs over
+(log10 m, v_0/sigma) and decodes every point to the canonical point of
+its ridge: the largest in-box angle that has a calibration root, lowered
+where the photon number m / sin^2(beta_A) would fall below its bound.
+For S>1 and the detector convention it runs over (log10 mu_0, beta_A,
+v_0/sigma) itself.
+
+The search is a deterministic two-stage scheme: a fixed coarse grid, 64 x
+9 points in two coordinates or 12 x 8 x 9 in three, scored as one kernel
+block, picks a start; grid ties go to the first point in axis order, so
+the smaller m or photon number wins.  A bounded Newton descent then
+refines it.  Each iteration scores one kernel block of 11 points in two
+coordinates or 19 in three: the point, a central-difference pair on each
+axis for the gradient, and a curvature stencil of axis and diagonal
+pairs, whose axis pairs also cancel the gradient's h^2 error.  A second
 block of 8 points scores halvings of the step, and a third the same for
 a steepest-descent step when none of those decreases.  It stops when the
-largest entry of the projected gradient is at most 1e-7.  At S=1 under
-the sideband convention the rate depends on photon number and angle only
-through mu_0 sin^2(beta_A), so the reported pair is the canonical point
-of that ridge: the largest angle in the box whose photon number stays in
-bounds, unless that angle has no calibration root, in which case the
-refined point is reported.  ``OptimumPoint.evaluations`` counts the
-kernel points scored.
+largest entry of the projected gradient is at most 1e-7.
+``OptimumPoint.evaluations`` counts the kernel points scored.
 """
 
 from __future__ import annotations
@@ -39,20 +43,20 @@ from .noise import ChannelModel, noise_sigma
 from .optics import SystemParams, TunableParams, calibrate_delta
 from .security import asymptotic_key_rate, asymptotic_rates, rate_block
 
-# coarse-grid resolution per axis: photon number, angle, threshold
+# coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma)
 _GRID_SHAPE = (12, 8, 9)
+# coarse-grid resolution per axis over (log10 m, v_0/sigma) at S=1: 0.095
+# decades in m on the default box; 24 or 48 rows miss feasible pockets
+# near the cutoff (0.085 decades wide at 9 dB, xi=0.1) that the 3-D grid
+# finds
+_RIDGE_GRID_SHAPE = (64, 9)
 # central-difference step of the refinement gradient, as a fraction of
 # each box width
 _STEP = 1e-5
 # step of the curvature stencil, as a fraction of each box width
 _CURVE_STEP = 1e-4
-# curvature stencil in units of that step: an axis pair per coordinate and
-# a pair along each diagonal of two coordinates
-_DIAGONALS = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-_STENCIL = np.vstack([np.eye(3), -np.eye(3), _DIAGONALS, -_DIAGONALS])
-# curvature magnitudes are floored at this fraction of the largest: at S=1
-# the rate is flat along mu_0 sin^2(beta_A) = const, so the curvature
-# is singular there
+# curvature magnitudes are floored at this fraction of the largest, so a
+# nearly flat direction still gets a bounded Newton step
 _EIG_FLOOR = 1e-6
 # a Newton step moves no coordinate by more than this fraction of its width
 _MAX_STEP = 0.2
@@ -68,6 +72,8 @@ _GTOL = 1e-7
 # iteration cap, far above the 3 to 19 iterations a point takes over
 # 0.25-10 dB at xi 0-0.2, asymptotic or finite, S=1 to 3
 _MAX_ITER = 100
+# the decoder's top angle is bisected to this width, in radians
+_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,10 @@ class Bounds:
 class OptimumPoint:
     """Best parameters found for one channel point and the rate there.
 
-    ``evaluations`` counts kernel points scored: the 864-point coarse grid,
-    19 per Newton iteration of the refinement and 8 per line search.
+    ``evaluations`` counts kernel points scored: the coarse grid (576
+    points over (log10 m, v_0/sigma) at S=1 under the sideband convention,
+    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), 11 or 19 per
+    Newton iteration of the refinement and 8 per line search.
     """
 
     params: TunableParams
@@ -203,9 +211,11 @@ def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
     """
     lg_mu, beta_A, v_sig = points.T
     delta = np.full(beta_A.size, math.nan)
-    for beta in np.unique(beta_A):
+    # dict.fromkeys, not np.unique: the first np.unique in a process
+    # imports numpy.ma
+    for beta in dict.fromkeys(beta_A.tolist()):
         try:
-            delta[beta_A == beta] = calibrate_delta(float(beta), sys)
+            delta[beta_A == beta] = calibrate_delta(beta, sys)
         except ScwError:
             pass
     rates = np.full(beta_A.size, -math.inf)
@@ -223,48 +233,104 @@ def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
     return rates
 
 
-def _score_grid(axes, ch, sys, fk, ec_mode) -> np.ndarray:
-    """Rates on the coarse grid, shape (mu, beta, v), one kernel block per angle."""
-    lg_mu, betas, v_sig = axes
-    beta, mu, v = np.meshgrid(betas, lg_mu, v_sig, indexing="ij")
-    planes = np.stack([mu, beta, v], axis=-1).reshape(len(betas), -1, 3)
-    rates = np.array([_score(plane, ch, sys, fk, ec_mode) for plane in planes])
-    return rates.reshape(beta.shape).transpose(1, 0, 2)
+def _grid_points(axes) -> np.ndarray:
+    """Rows of every point of the grid on ``axes``, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _ridge_point(x, bounds: Bounds, sys: SystemParams) -> np.ndarray:
-    """The reported point of the equal-rate curve through ``x``.
-
-    At S=1 under the sideband convention the rate depends on (mu_0, beta_A)
-    only through m = mu_0 sin^2(beta_A).  The canonical point of that curve
-    is the largest angle in the box whose photon number m / sin^2(beta_A)
-    stays in bounds.  Elsewhere, and where that angle has no calibration
-    root (cos 2 beta_A too small near pi/4), ``x`` itself is reported.
-    """
-    if sys.S != 1 or sys.mean_convention != "sideband":
-        return x
-    mu_lo = bounds.mu_0[0]
-    m = 10.0 ** float(x[0]) * math.sin(x[1]) ** 2
-    beta = min(bounds.beta_A[1], math.asin(math.sqrt(min(1.0, m / mu_lo))))
+def _has_root(beta_A: float, sys: SystemParams) -> bool:
     try:
-        calibrate_delta(beta, sys)
+        calibrate_delta(beta_A, sys)
     except ScwError:
-        return x
-    mu_0 = max(mu_lo, m / math.sin(beta) ** 2)
-    return np.array([math.log10(mu_0), beta, x[2]])
+        return False
+    return True
 
 
-def _gradient(f, x, up, down):
-    """Central differences from the values at x, x + h e_i and x - h e_i.
+def _top_angle(bounds: Bounds, sys: SystemParams) -> float:
+    """The largest in-box angle that has a calibration root.
 
-    A side that was clipped onto x or scored no rate falls back to x, so
-    the difference turns one-sided; with both sides gone the slope is 0.
+    That is the upper bound unless cos(2 beta_A) is too small there for a
+    root (near pi/4); then the lower edge of that root-less band is
+    bisected to _ANGLE_TOL.
     """
-    up_ok, down_ok = np.isfinite(f[1:4]), np.isfinite(f[4:7])
-    f_up = np.where(up_ok, f[1:4], f[0])
-    f_down = np.where(down_ok, f[4:7], f[0])
+    lo, hi = bounds.beta_A
+    if _has_root(hi, sys):
+        return hi
+    while hi - lo > _ANGLE_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _has_root(mid, sys) else (lo, mid)
+    return lo
+
+
+def _search_space(bounds: Bounds, sys: SystemParams):
+    """Search box (lo, hi), grid shape and decoder to decision vectors.
+
+    At S=1 under the sideband convention the search runs over (log10 m,
+    v_0/sigma) with m = mu_0 sin^2(beta_A), the only combination of the
+    two that the rate depends on.  Each row decodes to the canonical point
+    of its ridge: beta_A = min(beta_top, arcsin sqrt(m / mu_lo)) and
+    mu_0 = m / sin^2(beta_A), both clipped to the box, with beta_top from
+    :func:`_top_angle`.
+    Otherwise the search runs over (log10 mu_0, beta_A, v_0/sigma) and
+    the decoder is the identity.
+    """
+    v_lo, v_hi = bounds.v_0_sigmas
+    if sys.S != 1 or sys.mean_convention != "sideband":
+        lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], v_lo])
+        hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], v_hi])
+        return lo, hi, _GRID_SHAPE, lambda points: points
+
+    mu_lo, mu_hi = bounds.mu_0
+    beta_lo, beta_top = bounds.beta_A[0], _top_angle(bounds, sys)
+    lo = np.array([math.log10(mu_lo * math.sin(beta_lo) ** 2), v_lo])
+    hi = np.array([math.log10(mu_hi * math.sin(beta_top) ** 2), v_hi])
+
+    def decode(points):
+        m = 10.0 ** points[:, 0]
+        beta = np.arcsin(np.sqrt(np.minimum(1.0, m / mu_lo)))
+        beta = np.clip(beta, beta_lo, beta_top)
+        mu_0 = np.clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
+        return np.column_stack([np.log10(mu_0), beta, points[:, 1]])
+
+    return lo, hi, _RIDGE_GRID_SHAPE, decode
+
+
+def _stencil(dim: int) -> np.ndarray:
+    """Curvature stencil in units of _CURVE_STEP.
+
+    An axis pair per coordinate (all + rows, then all - rows), then a pair
+    along each diagonal of two coordinates: 6 rows in 2-D, 12 in 3-D.
+    """
+    i, j = np.triu_indices(dim, 1)
+    diagonals = np.eye(dim)[i] + np.eye(dim)[j]
+    return np.vstack([np.eye(dim), -np.eye(dim), diagonals, -diagonals])
+
+
+def _gradient(f, x, up, down, curve, inside):
+    """Gradient from the values of one refinement block.
+
+    ``f`` holds the values at x, x + h e_i, x - h e_i and the curvature
+    stencil ``curve``, whose first rows are x + H e_i and x - H e_i with
+    H = r h.  Where all four axis points scored a rate and the far pair is
+    unclipped (``inside``), the central differences D(h) and D(H) cancel
+    their h^2 error: (r^2 D(h) - D(H)) / (r^2 - 1).  Elsewhere a near side
+    that was clipped onto x or scored no rate falls back to x, so the
+    difference turns one-sided; with both sides gone the slope is 0.
+    """
+    dim = x.size
+    near_up, near_down, far_up, far_down = f[1 : 1 + 4 * dim].reshape(4, dim)
+    up_ok, down_ok = np.isfinite(near_up), np.isfinite(near_down)
+    f_up = np.where(up_ok, near_up, f[0])
+    f_down = np.where(down_ok, near_down, f[0])
     span = np.where(up_ok, up.diagonal(), x) - np.where(down_ok, down.diagonal(), x)
-    return np.divide(f_up - f_down, span, out=np.zeros(3), where=span > 0.0)
+    grad = np.divide(f_up - f_down, span, out=np.zeros(dim), where=span > 0.0)
+
+    fourth = inside & up_ok & down_ok & np.isfinite(far_up) & np.isfinite(far_down)
+    far_span = curve[:dim].diagonal() - curve[dim : 2 * dim].diagonal()
+    far_diff = np.subtract(far_up, far_down, out=np.zeros(dim), where=fourth)
+    far_grad = np.divide(far_diff, far_span, out=np.zeros(dim), where=fourth)
+    r2 = (_CURVE_STEP / _STEP) ** 2
+    return np.where(fourth, (r2 * grad - far_grad) / (r2 - 1.0), grad)
 
 
 def _curvature(d, df) -> np.ndarray:
@@ -274,12 +340,13 @@ def _curvature(d, df) -> np.ndarray:
     Displacements clipped onto the point, or points with no rate, drop out;
     entries the rest leave undetermined come out 0.
     """
-    i, j = np.triu_indices(3)
+    dim = d.shape[1]
+    i, j = np.triu_indices(dim)
     weight = np.where(i == j, 0.5, 1.0)
     ok = np.isfinite(df) & (np.abs(d).sum(axis=1) > 0.0)
     design = d[ok][:, i] * d[ok][:, j] * weight
     coef = np.linalg.lstsq(design, df[ok], rcond=None)[0]
-    hess = np.zeros((3, 3))
+    hess = np.zeros((dim, dim))
     hess[i, j] = coef
     hess[j, i] = coef
     return hess
@@ -300,20 +367,24 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
     returned.  Stops when the projected gradient's largest entry is at most
     _GTOL.
     """
+    dim = x.size
     width = hi - lo
     small = np.diag(_STEP * width)
+    far = _CURVE_STEP * width
+    stencil = _stencil(dim) * far
     n_eval = 0
     for _ in range(_MAX_ITER):
         up, down = np.minimum(x + small, hi), np.maximum(x - small, lo)
-        curve = np.clip(x + _CURVE_STEP * _STENCIL * width, lo, hi)
+        curve = np.clip(x + stencil, lo, hi)
         f = objective(np.vstack([x, up, down, curve]))
         n_eval += f.size
-        grad = _gradient(f, x, up, down)
+        inside = (x - far >= lo) & (x + far <= hi)
+        grad = _gradient(f, x, up, down, curve, inside)
         if np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= _GTOL:
             break
         # in box-width units from here on
         g, d = grad * width, (curve - x) / width
-        hess = _curvature(d, f[7:] - f[0] - d @ g)
+        hess = _curvature(d, f[1 + 2 * dim :] - f[0] - d @ g)
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
         lam = np.abs(lam)
@@ -327,7 +398,7 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
         cauchy = -g_free * (g_free @ g_free) / (proj**2 @ lam)
         x_next = None
         for direction in (newton, cauchy):
-            step = np.zeros(3)
+            step = np.zeros(dim)
             step[free] = direction * min(1.0, _MAX_STEP / np.abs(direction).max())
             trials = np.clip(
                 x + np.outer(0.5 ** np.arange(_TRIALS), step * width), lo, hi
@@ -353,46 +424,48 @@ def optimize_point(
 ) -> OptimumPoint:
     """Maximize the key rate at one channel point.
 
-    The best point of a fixed coarse grid over (log10 mu_0, beta_A,
-    v_0/sigma) starts one bounded Newton descent (see :func:`_refine`).
+    The best point of a fixed coarse grid starts one bounded Newton
+    descent (see :func:`_refine`).  At S=1 under the sideband convention
+    both run over (log10 m, v_0/sigma) and every point decodes to the
+    canonical (mu_0, beta_A) of its equal-rate curve; otherwise they run
+    over (log10 mu_0, beta_A, v_0/sigma) (see :func:`_search_space`).
     Each iteration scores one kernel block for the gradient and curvature,
     with central differences that turn one-sided where a pair meets a face
-    or a point without a calibration root.  At S=1 the reported
-    (mu_0, beta_A) is the canonical point of the equal-rate curve (see
-    :func:`_ridge_point`).  Deterministic: no randomness enters at any
-    stage.
+    or a point without a calibration root.  Deterministic: no randomness
+    enters at any stage.
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]])
-    hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]])
-    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, _GRID_SHAPE)]
+    lo, hi, shape, decode = _search_space(bounds, sys)
+    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
+    points = _grid_points(axes)
 
-    grid = _score_grid(axes, ch, sys, fk, ec_mode)
+    def objective(rows):
+        return _score(decode(rows), ch, sys, fk, ec_mode)
+
+    grid = objective(points)
     n_eval = grid.size
-    # argmax takes the first maximum in (mu, beta, v) order: ties go to
-    # the smaller photon number
-    best = np.unravel_index(np.argmax(grid), grid.shape)
+    # argmax takes the first maximum in axis order: ties go to the smaller
+    # m or photon number
+    best = np.argmax(grid)
     best_rate = float(grid[best])
-    x = np.array([axis[i] for axis, i in zip(axes, best)])
+    x = points[best]
     if not best_rate > 0.0:
         raise InfeasibleError(
             f"no positive rate on the {grid.size}-point coarse grid at "
             f"loss={ch.loss_db} dB, xi={ch.xi}",
             diagnostics={
                 "best_rate": best_rate,
-                "best_point": tuple(float(v) for v in x),
+                "best_point": tuple(float(v) for v in decode(x[None])[0]),
                 "grid_points": grid.size,
             },
         )
 
-    x, refined = _refine(
-        x, lambda pts: -_score(pts, ch, sys, fk, ec_mode) / best_rate, lo, hi
-    )
+    x, refined = _refine(x, lambda rows: -objective(rows) / best_rate, lo, hi)
     n_eval += refined
 
-    tun, rate, q, p, chi = _evaluate(_ridge_point(x, bounds, sys), ch, sys, fk, ec_mode)
+    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode)
     return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
 
 

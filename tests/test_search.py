@@ -77,11 +77,33 @@ def test_optimum_zero_loss_noiseless():
 
 
 def test_infeasible_beyond_cutoff():
-    with pytest.raises(InfeasibleError) as exc:
-        optimize_point(ChannelModel(loss_db=15.0, xi=0.1), SYS)
-    diag = exc.value.diagnostics
-    assert diag["best_rate"] <= 0.0
-    assert diag["grid_points"] == 12 * 8 * 9
+    # (log10 m, v_0/sigma) at S=1; (log10 mu_0, beta_A, v_0/sigma) above
+    for S, grid_points in ((1, 64 * 9), (3, 12 * 8 * 9)):
+        with pytest.raises(InfeasibleError) as exc:
+            optimize_point(ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S))
+        diag = exc.value.diagnostics
+        assert diag["best_rate"] <= 0.0
+        assert diag["grid_points"] == grid_points
+        # reported as a decision vector in either case
+        assert len(diag["best_point"]) == 3
+
+
+@pytest.mark.parametrize(
+    "loss_db, xi, n",
+    # feasible pockets narrower than a 24-row grid's m spacing
+    [(9.0, 0.1, None), (7.25, 0.2, 10**8)],
+)
+def test_s1_grid_resolves_narrow_pockets(loss_db, xi, n):
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    fk = FiniteKeyParams(n=n) if n is not None else None
+    assert search._RIDGE_GRID_SHAPE == (64, 9)
+    opt = optimize_point(ch, SYS, fk=fk)
+    assert opt.rate > 0.0
+    # a 24 x 9 grid over the same box finds no positive rate
+    lo, hi, _, decode = search._search_space(Bounds(), SYS)
+    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, (24, 9))]
+    coarse = search._score(decode(search._grid_points(axes)), ch, SYS, fk, "pointwise")
+    assert not coarse.max() > 0.0
 
 
 def test_finite_mode_optimum():
@@ -223,46 +245,38 @@ def test_optimum_is_first_order_stationary(loss_db, xi, S, n, bounds):
             assert abs(slope) < 1e-5, (i, slope)
 
 
-def test_s1_reports_canonical_ridge_point(monkeypatch, opt3):
+def test_s1_reports_canonical_ridge_point(opt3):
     # the largest in-box angle: beta_A on its upper bound, mu_0 inside
     assert opt3.params.beta_A == Bounds().beta_A[1]
     assert Bounds().mu_0[0] < opt3.params.mu_0 < Bounds().mu_0[1]
     again = asymptotic_key_rate(opt3.params, SYS, CH3).rate
     assert abs(again - opt3.rate) <= 1e-12 * opt3.rate
-    # the refined point the canonical one was projected from
-    monkeypatch.setattr(search, "_ridge_point", lambda x, bounds, sys: x)
-    refined = optimize_point(CH3, SYS)
-    assert refined.params.beta_A < Bounds().beta_A[1]
-    assert abs(refined.rate - opt3.rate) <= 1e-12 * opt3.rate
-    ridge = opt3.params.mu_0 * math.sin(opt3.params.beta_A) ** 2
-    refined_ridge = refined.params.mu_0 * math.sin(refined.params.beta_A) ** 2
-    assert abs(ridge - refined_ridge) <= 1e-12 * ridge
 
 
 @pytest.mark.parametrize("beta_hi", [math.pi / 4, math.pi / 4 + 1e-7])
 def test_ridge_point_without_root_reports_refined_point(beta_hi, opt3):
     # cos(2 beta_A) is below theta_carrier at the top angle, so it has no
-    # calibration root; the refined point is reported instead
+    # calibration root; the reported angle is the lower edge of that
+    # root-less band, about 5e-7 below pi/4
     bounds = Bounds(beta_A=(0.1, beta_hi))
     with pytest.raises(NoRootError):
         calibrate_delta(beta_hi, SYS)
     opt = optimize_point(CH3, SYS, bounds=bounds)
     assert opt.params.beta_A < beta_hi
+    assert math.pi / 4 - opt.params.beta_A < 1e-6
     assert abs(opt.rate - opt3.rate) <= 1e-12 * opt3.rate
     again = asymptotic_key_rate(opt.params, SYS, CH3).rate
     assert abs(again - opt.rate) <= 1e-12 * opt.rate
 
 
-_GRID_START_BETA = float(np.linspace(*Bounds().beta_A, 8)[5])  # grid winner at 3 dB
-
-
 @pytest.mark.parametrize(
     "no_root",
     [
-        # the stencil's upper side at the start
-        lambda b: _GRID_START_BETA < b < _GRID_START_BETA + 0.05,
-        # a comb that line-search trial points fall into
-        lambda b: 0.4 < (b * 1e3) % 1.0 < 0.7,
+        # a band over the top of the box: the decoder's top angle is
+        # bisected down to its lower edge
+        lambda b: b > 1.3,
+        # the same band over a comb: bisection settles on a comb edge
+        lambda b: b > 1.3 or 0.4 < (b * 1e3) % 1.0 < 0.7,
     ],
     ids=["band", "comb"],
 )
@@ -280,6 +294,7 @@ def test_refinement_survives_angles_without_root(no_root, monkeypatch, opt3):
     monkeypatch.setattr(search, "calibrate_delta", patchy)
     opt = optimize_point(CH3, SYS)
     assert missed
+    assert opt.params.beta_A < 1.3 and not no_root(opt.params.beta_A)
     assert math.isfinite(opt.rate)
     assert opt.rate >= (1.0 - 1e-12) * opt3.rate
 

@@ -210,8 +210,9 @@ def test_rate_kernel_matches_quadrature_oracle(point, mode):
 @pytest.mark.parametrize("S", [1, 3])
 def test_rate_kernel_converged_in_order(S, monkeypatch):
     # the fixed Gauss-Legendre rule against one of twice its order, on the
-    # optimizer's full coarse grid from low loss to past the cutoff; both
-    # sit on the ~3e-11 rounding floor once the rule has converged
+    # 3-D search's full coarse grid (at S=1 it spans the same m range as the
+    # 2-D one) from low loss to past the cutoff; both sit on the ~3e-11
+    # rounding floor once the rule has converged
     order = security._GL_ORDER
     sys_s = SystemParams(S=S)
     bounds = search.Bounds()
@@ -220,7 +221,7 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
         (math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]),
         search._GRID_SHAPE,
     )
-    axes = [np.linspace(lo, hi, size) for lo, hi, size in box]
+    points = search._grid_points([np.linspace(lo, hi, size) for lo, hi, size in box])
     compared = 0
     for loss_db in (0.5, 3.0, 6.0, 8.5, 9.5):
         for xi in (0.0, 0.1, 0.2):
@@ -229,9 +230,7 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
                 rates = []
                 for n_nodes in (order, 2 * order):
                     monkeypatch.setattr(security, "_GL_ORDER", n_nodes)
-                    rates.append(
-                        search._score_grid(axes, ch, sys_s, fk, "pointwise")
-                    )
+                    rates.append(search._score(points, ch, sys_s, fk, "pointwise"))
                 low, ref = rates
                 judged = ref > 1e-3 * ref.max()
                 np.testing.assert_allclose(
