@@ -18,13 +18,16 @@ The search is a deterministic two-stage scheme: a fixed coarse grid, 64 x
 9 points in two coordinates or 12 x 8 x 9 in three, scored as one kernel
 block, picks a start; grid ties go to the first point in axis order, so
 the smaller m or photon number wins.  A bounded Newton descent then
-refines it.  Each iteration scores one kernel block of 11 points in two
-coordinates or 19 in three: the point, a central-difference pair on each
-axis for the gradient, and a curvature stencil of axis and diagonal
-pairs, whose axis pairs also cancel the gradient's h^2 error.  A second
-block of 8 points scores halvings of the step, and a third the same for
-a steepest-descent step when none of those decreases.  It stops when the
-largest entry of the projected gradient is at most 1e-7.
+refines it.  The stencil of a point is 11 points in two coordinates or 19
+in three: the point, a central-difference pair on each axis for the
+gradient, and a curvature stencil of axis and diagonal pairs, whose axis
+pairs also cancel the gradient's h^2 error.  The start's stencil is one
+kernel block.  Each line search is one block of 18 or 26 points: 8
+halvings of the step and the stencil at the full step, so a full step
+that wins needs no further call; a shorter winner has its stencil scored
+in a block of its own.  When no Newton trial decreases, a steepest-descent
+step is searched the same way.  It stops when the largest entry of the
+projected gradient is at most 1e-7.
 ``OptimumPoint.evaluations`` counts the kernel points scored.
 """
 
@@ -34,6 +37,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,8 +115,10 @@ class OptimumPoint:
 
     ``evaluations`` counts kernel points scored: the coarse grid (576
     points over (log10 m, v_0/sigma) at S=1 under the sideband convention,
-    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), 11 or 19 per
-    Newton iteration of the refinement and 8 per line search.
+    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), then 11 or 19
+    for the refinement's first stencil, 18 or 26 per line search (8
+    halvings and the stencil at the full step) and another 11 or 19 for
+    each step that wins shorter than full.
     """
 
     params: TunableParams
@@ -295,6 +301,7 @@ def _search_space(bounds: Bounds, sys: SystemParams):
     return lo, hi, _RIDGE_GRID_SHAPE, decode
 
 
+@lru_cache(maxsize=None)
 def _stencil(dim: int) -> np.ndarray:
     """Curvature stencil in units of _CURVE_STEP.
 
@@ -306,27 +313,42 @@ def _stencil(dim: int) -> np.ndarray:
     return np.vstack([np.eye(dim), -np.eye(dim), diagonals, -diagonals])
 
 
-def _gradient(f, x, up, down, curve, inside):
-    """Gradient from the values of one refinement block.
+@lru_cache(maxsize=None)
+def _hessian_terms(dim: int):
+    """Indices (i, j), i <= j, of the Hessian entries and their weights.
 
-    ``f`` holds the values at x, x + h e_i, x - h e_i and the curvature
-    stencil ``curve``, whose first rows are x + H e_i and x - H e_i with
-    H = r h.  Where all four axis points scored a rate and the far pair is
+    d.H.d / 2 is the sum of weight * H_ij * d_i * d_j over those entries.
+    """
+    i, j = np.triu_indices(dim)
+    return i, j, np.where(i == j, 0.5, 1.0)
+
+
+def _gradient(f, rows, inside):
+    """Gradient from the values ``f`` at the stencil ``rows`` of one point.
+
+    ``rows`` holds x, x + h e_i, x - h e_i and the curvature stencil, whose
+    first rows are x + H e_i and x - H e_i with H = r h, all clipped to the
+    box.  Where all four axis points scored a rate and the far pair is
     unclipped (``inside``), the central differences D(h) and D(H) cancel
     their h^2 error: (r^2 D(h) - D(H)) / (r^2 - 1).  Elsewhere a near side
     that was clipped onto x or scored no rate falls back to x, so the
     difference turns one-sided; with both sides gone the slope is 0.
     """
+    x = rows[0]
     dim = x.size
+    # the moved coordinate of each axis point
+    at_up, at_down, at_far_up, at_far_down = (
+        rows[1 : 1 + 4 * dim].reshape(4, dim, dim).diagonal(axis1=1, axis2=2)
+    )
     near_up, near_down, far_up, far_down = f[1 : 1 + 4 * dim].reshape(4, dim)
     up_ok, down_ok = np.isfinite(near_up), np.isfinite(near_down)
     f_up = np.where(up_ok, near_up, f[0])
     f_down = np.where(down_ok, near_down, f[0])
-    span = np.where(up_ok, up.diagonal(), x) - np.where(down_ok, down.diagonal(), x)
+    span = np.where(up_ok, at_up, x) - np.where(down_ok, at_down, x)
     grad = np.divide(f_up - f_down, span, out=np.zeros(dim), where=span > 0.0)
 
     fourth = inside & up_ok & down_ok & np.isfinite(far_up) & np.isfinite(far_down)
-    far_span = curve[:dim].diagonal() - curve[dim : 2 * dim].diagonal()
+    far_span = at_far_up - at_far_down
     far_diff = np.subtract(far_up, far_down, out=np.zeros(dim), where=fourth)
     far_grad = np.divide(far_diff, far_span, out=np.zeros(dim), where=fourth)
     r2 = (_CURVE_STEP / _STEP) ** 2
@@ -341,8 +363,7 @@ def _curvature(d, df) -> np.ndarray:
     entries the rest leave undetermined come out 0.
     """
     dim = d.shape[1]
-    i, j = np.triu_indices(dim)
-    weight = np.where(i == j, 0.5, 1.0)
+    i, j, weight = _hessian_terms(dim)
     ok = np.isfinite(df) & (np.abs(d).sum(axis=1) > 0.0)
     design = d[ok][:, i] * d[ok][:, j] * weight
     coef = np.linalg.lstsq(design, df[ok], rcond=None)[0]
@@ -360,33 +381,40 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
     on a face whose gradient points out of the box is held.  On the others
     the step is Newton's, with each curvature eigenvalue replaced by its
     magnitude floored at _EIG_FLOOR of the largest, and no coordinate moves
-    by more than _MAX_STEP.  A second block scores halvings of the step,
-    clipped to the box, and the longest with a sufficient decrease wins.
+    by more than _MAX_STEP.  One block scores halvings of the step, clipped
+    to the box, together with the gradient and curvature stencil around
+    the full step, and the longest halving with a sufficient decrease wins.
     When none decreases, a steepest-descent step to the minimum of the same
     quadratic model is tried the same way; when that fails too, x is
     returned.  Stops when the projected gradient's largest entry is at most
-    _GTOL.
+    _GTOL.  A full step that wins brings its stencil to the next
+    iteration; a shorter winner has its stencil scored in a block of its
+    own.
     """
     dim = x.size
     width = hi - lo
     small = np.diag(_STEP * width)
     far = _CURVE_STEP * width
-    stencil = _stencil(dim) * far
+    # the stencil of a point, as offsets from it: the point itself, the
+    # near pair on each axis, then the curvature stencil
+    offsets = np.vstack([np.zeros(dim), small, -small, _stencil(dim) * far])
+    halvings = 0.5 ** np.arange(_TRIALS)
+    f = None
     n_eval = 0
     for _ in range(_MAX_ITER):
-        up, down = np.minimum(x + small, hi), np.maximum(x - small, lo)
-        curve = np.clip(x + stencil, lo, hi)
-        f = objective(np.vstack([x, up, down, curve]))
-        n_eval += f.size
+        if f is None:
+            rows = np.clip(x + offsets, lo, hi)
+            f = objective(rows)
+            n_eval += f.size
         inside = (x - far >= lo) & (x + far <= hi)
-        grad = _gradient(f, x, up, down, curve, inside)
+        grad = _gradient(f, rows, inside)
         if np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= _GTOL:
             break
         # in box-width units from here on
-        g, d = grad * width, (curve - x) / width
+        g, d = grad * width, (rows[1 + 2 * dim :] - x) / width
         hess = _curvature(d, f[1 + 2 * dim :] - f[0] - d @ g)
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+        lam, vec = np.linalg.eigh(hess[free][:, free])
         lam = np.abs(lam)
         if not lam.max() > 0.0:
             break
@@ -396,22 +424,27 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
         newton = -vec @ (proj / lam)
         # the minimum of the same quadratic model along the gradient
         cauchy = -g_free * (g_free @ g_free) / (proj**2 @ lam)
-        x_next = None
+        won = None
         for direction in (newton, cauchy):
             step = np.zeros(dim)
             step[free] = direction * min(1.0, _MAX_STEP / np.abs(direction).max())
-            trials = np.clip(
-                x + np.outer(0.5 ** np.arange(_TRIALS), step * width), lo, hi
-            )
-            f_trial = objective(trials)
-            n_eval += f_trial.size
+            trials = np.clip(x + np.outer(halvings, step * width), lo, hi)
+            ahead = np.clip(trials[0] + offsets, lo, hi)
+            f_ahead = objective(np.vstack([trials, ahead[1:]]))
+            n_eval += f_ahead.size
+            f_trial = f_ahead[:_TRIALS]
             ok = (f_trial < f[0]) & (f_trial <= f[0] + _ARMIJO * ((trials - x) @ grad))
             if ok.any():
-                x_next = trials[np.argmax(ok)]
+                won = np.argmax(ok)
                 break
-        if x_next is None:
+        if won is None:
             break
-        x = x_next
+        x = trials[won]
+        # a full step brings its stencil; a shorter winner is scored anew
+        if won == 0:
+            rows, f = ahead, np.concatenate([f_ahead[:1], f_ahead[_TRIALS:]])
+        else:
+            f = None
     return x, n_eval
 
 
@@ -429,9 +462,10 @@ def optimize_point(
     both run over (log10 m, v_0/sigma) and every point decodes to the
     canonical (mu_0, beta_A) of its equal-rate curve; otherwise they run
     over (log10 mu_0, beta_A, v_0/sigma) (see :func:`_search_space`).
-    Each iteration scores one kernel block for the gradient and curvature,
-    with central differences that turn one-sided where a pair meets a face
-    or a point without a calibration root.  Deterministic: no randomness
+    Each line search scores one kernel block: the halvings of the step
+    and the gradient and curvature stencil at the full step, with central
+    differences that turn one-sided where a pair meets a face or a point
+    without a calibration root.  Deterministic: no randomness
     enters at any stage.
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a

@@ -86,7 +86,8 @@ def test_keyrate_writes_csv_and_meta(tmp_path, capsys):
     cfg = write(tmp_path, POINT_CFG)
     code = main(["keyrate", "--config", cfg, "--out", str(out_csv)])
     assert code == 0
-    rows = list(csv.DictReader(out_csv.open(encoding="utf-8")))
+    with out_csv.open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
     meta = json.loads((tmp_path / "point.csv.meta.json").read_text())
@@ -144,7 +145,8 @@ def test_sweep_csv_contract(tmp_path, capsys, monkeypatch):
     assert lines[0] == (
         "loss_db,xi,n,K_or_R_bits_per_s,Q,P,chi,mu0,beta_A,delta,v0,k_sample,status"
     )
-    rows = list(csv.DictReader(out_csv.open(encoding="utf-8")))
+    with out_csv.open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert [float(r["loss_db"]) for r in rows] == [2.0, 3.0]
     assert all(r["n"] == "inf" and r["status"] == "ok" for r in rows)
     assert float(rows[0]["K_or_R_bits_per_s"]) > float(rows[1]["K_or_R_bits_per_s"])

@@ -299,6 +299,85 @@ def test_refinement_survives_angles_without_root(no_root, monkeypatch, opt3):
     assert opt.rate >= (1.0 - 1e-12) * opt3.rate
 
 
+def _counted(fn):
+    """``fn`` as a refinement objective, and the list of its block sizes."""
+    sizes = []
+
+    def objective(rows):
+        sizes.append(len(rows))
+        return fn(rows)
+
+    return objective, sizes
+
+
+_UNIT_LO, _UNIT_HI = np.zeros(2), np.ones(2)
+_HESS = np.array([[2.0, 0.6], [0.6, 1.0]])
+
+
+def _quadratic(centre):
+    def objective(rows):
+        d = rows - centre
+        return 0.5 * np.einsum("ni,ij,nj->n", d, _HESS, d)
+
+    return objective
+
+
+def test_refine_full_step_brings_its_stencil():
+    # a strictly convex quadratic with its minimiser inside the box: the
+    # first block scores the stencil (11 points in 2-D), the second the 8
+    # halvings of the Newton step and the stencil at the full step (18);
+    # the full step lands on the minimiser, whose stencil then stops the
+    # descent without another call
+    centre = np.array([0.55, 0.4])
+    objective, sizes = _counted(_quadratic(centre))
+    x, n_eval = search._refine(np.array([0.45, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    assert sizes == [11, 18]
+    assert n_eval == 29
+    assert np.max(np.abs(x - centre)) < 1e-9
+
+
+def test_refine_scores_stencil_after_a_halving():
+    # log cosh is flatter away from its minimum than at the start, so the
+    # first full Newton step overshoots and only a halving decreases: that
+    # point needs one stencil call of its own; every later full step wins
+    centre = np.array([0.5, 0.5])
+
+    def log_cosh(rows):
+        u, v = (rows - centre).T
+        return np.log(np.cosh(20.0 * u)) + v**2
+
+    objective, sizes = _counted(log_cosh)
+    x, n_eval = search._refine(np.array([0.58, 0.45]), objective, _UNIT_LO, _UNIT_HI)
+    assert sizes[:3] == [11, 18, 11]
+    assert sizes.count(11) == 2
+    assert n_eval == sum(sizes)
+    assert np.max(np.abs(x - centre)) < 1e-9
+
+
+def test_refine_stops_on_face_and_at_missing_rates():
+    # minimiser beyond the x0 = 1 face: x0 ends on the face, x1 at its
+    # optimum, and the stencil a full step brought stops the descent
+    objective, sizes = _counted(
+        lambda rows: ((rows - [1.3, 0.4]) ** 2 * [1.0, 2.0]).sum(axis=1)
+    )
+    x, _ = search._refine(np.array([0.9, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    assert sizes == [11, 18, 18]
+    assert x[0] == 1.0 and abs(x[1] - 0.4) < 1e-9
+
+    # no rate past x0 = 0.7 (as at angles without a calibration root) and
+    # the minimiser beyond it: the descent reaches the edge, then neither
+    # the Newton nor the steepest-descent block decreases, and x is kept
+    centre = np.array([0.8, 0.4])
+
+    def edge(rows):
+        return np.where(rows[:, 0] > 0.7, np.inf, _quadratic(centre)(rows))
+
+    objective, sizes = _counted(edge)
+    x, _ = search._refine(np.array([0.6, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    assert sizes == [11, 18, 11, 18, 18]
+    assert abs(x[0] - 0.7) < 1e-12 and abs(x[1] - 0.45) < 1e-9
+
+
 def _calibrated(mu_0: float, beta_A: float, v_0: float) -> TunableParams:
     return TunableParams(
         mu_0=mu_0, beta_A=beta_A, delta=calibrate_delta(beta_A, SYS), v_0=v_0
