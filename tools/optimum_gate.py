@@ -20,7 +20,7 @@ of kernel calls (``search._score`` calls).
 relative rate change over points that are ``ok`` in both, and the totals
 of kernel points and kernel calls (the coarse grid's one call included),
 per optimum for each S.  It exits 1 when a status changed or a rate moved
-by more than ``--rtol`` (default 1e-12), else 0.
+by more than ``RTOL`` relative, else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import sys
 LOSSES_S1 = [round(0.25 * i, 2) for i in range(1, 41)]
 LOSSES_S3 = [float(i) for i in range(1, 11)]
 NOISE = (0.0, 0.1, 0.2)
+RTOL = 1e-12
 
 
 def points():
@@ -95,7 +96,7 @@ def _name(key) -> str:
     return f"S={S} {loss_db} dB xi={xi} n={'inf' if n is None else f'{n:.0e}'}"
 
 
-def compare(a_path: str, b_path: str, rtol: float) -> int:
+def compare(a_path: str, b_path: str) -> int:
     with open(a_path, encoding="utf-8") as fh:
         a = {_key(r): r for r in json.load(fh)}
     with open(b_path, encoding="utf-8") as fh:
@@ -118,7 +119,7 @@ def compare(a_path: str, b_path: str, rtol: float) -> int:
         worst = max(both, key=lambda k: abs(b[k]["rate"] - a[k]["rate"]) / a[k]["rate"])
         print(f"relative rate change over {len(both)} ok points: "
               f"{min(rel):+.2e} ... {max(rel):+.2e} (largest at {_name(worst)})")
-        bad += sum(abs(r) > rtol for r in rel)
+        bad += sum(abs(r) > RTOL for r in rel)
 
     for S in sorted({k[0] for k in both}):
         group = [k for k in both if k[0] == S]
@@ -140,12 +141,11 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("compare")
     cmp.add_argument("a")
     cmp.add_argument("b")
-    cmp.add_argument("--rtol", type=float, default=1e-12)
     args = parser.parse_args(argv)
     if args.mode == "dump":
         dump(args.out)
         return 0
-    return compare(args.a, args.b, args.rtol)
+    return compare(args.a, args.b)
 
 
 if __name__ == "__main__":
