@@ -17,8 +17,10 @@ v_0/sigma) itself.
 The search is a deterministic two-stage scheme: a fixed coarse grid, 64 x
 9 points in two coordinates or 12 x 8 x 9 in three, scored as one kernel
 block, picks a start; grid ties go to the first point in axis order, so
-the smaller m or photon number wins.  A bounded Newton descent then
-refines it.  The stencil of a point is 11 points in two coordinates or 19
+the smaller m or photon number wins.  That block depends on the channel,
+not on the block size, so a sweep scores it once per channel and applies
+each block size's rate to it.  A bounded Newton descent then refines the
+start.  The stencil of a point is 11 points in two coordinates or 19
 in three: the point, a central-difference pair on each axis for the
 gradient, and a curvature stencil of axis and diagonal pairs, whose axis
 pairs also cancel the gradient's h^2 error.  The start's stencil is one
@@ -115,7 +117,9 @@ class OptimumPoint:
 
     ``evaluations`` counts kernel points scored: the coarse grid (576
     points over (log10 m, v_0/sigma) at S=1 under the sideband convention,
-    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), then 11 or 19
+    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), counted in full
+    for every optimum even where a sweep scores one grid block for all
+    block sizes of a channel, then 11 or 19
     for the refinement's first stencil, 18 or 26 per line search (8
     halvings and the stencil at the full step) and another 11 or 19 for
     each step that wins shorter than full.
@@ -207,13 +211,14 @@ def _evaluate(
     )
 
 
-def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
-    """Rates at decision vectors, rows of (log10 mu_0, beta_A, v_0/sigma).
+def _kernel(points, ch, sys):
+    """Kernel block at decision vectors, rows of (log10 mu_0, beta_A, v_0/sigma).
 
-    Each distinct angle is calibrated once and every point is scored in one
-    kernel block, decoded exactly as :func:`_decode` decodes a single point.
-    A point whose angle has no calibration root, or whose symbol means are
-    degenerate, scores -inf.
+    Returns the mask of rows whose angle has a calibration root and the
+    block of those rows, None when no row has one.  Each distinct angle is
+    calibrated once and every point is scored in one kernel block, decoded
+    exactly as :func:`_decode` decodes a single point.  Nothing in it
+    depends on the block size, so one block serves every ``fk``.
     """
     lg_mu, beta_A, v_sig = points.T
     delta = np.full(beta_A.size, math.nan)
@@ -224,19 +229,32 @@ def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
             delta[beta_A == beta] = calibrate_delta(beta, sys)
         except ScwError:
             pass
-    rates = np.full(beta_A.size, -math.inf)
     ok = ~np.isnan(delta)
-    if ok.any():
-        mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
-        block = rate_block(
-            mu_0, beta_A[ok], delta[ok], v_sig[ok] * noise_sigma(ch.xi), sys, ch
-        )
+    if not ok.any():
+        return ok, None
+    mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
+    return ok, rate_block(
+        mu_0, beta_A[ok], delta[ok], v_sig[ok] * noise_sigma(ch.xi), sys, ch
+    )
+
+
+def _rates(kernel, fk, ec_mode) -> np.ndarray:
+    """Rates of a :func:`_kernel` result; -inf at a point whose angle has no
+    calibration root or whose symbol means are degenerate."""
+    ok, block = kernel
+    rates = np.full(ok.size, -math.inf)
+    if block is not None:
         if fk is None:
             scored = asymptotic_rates(block)
         else:
             scored = finite_rates(block, fk, ec_mode)
         rates[ok] = np.where(block.degenerate, -math.inf, scored)
     return rates
+
+
+def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
+    """Rates at decision vectors: :func:`_rates` of their :func:`_kernel`."""
+    return _rates(_kernel(points, ch, sys), fk, ec_mode)
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -448,6 +466,55 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
     return x, n_eval
 
 
+def _coarse_grid(ch: ChannelModel, sys: SystemParams, bounds: Bounds):
+    """Stage one of :func:`optimize_point`: the coarse grid of one channel.
+
+    Returns the search box (lo, hi), the decoder, the grid rows and their
+    :func:`_kernel` result.  None of it depends on the block size, so one
+    grid starts the search for every ``fk`` at the channel.
+    """
+    lo, hi, shape, decode = _search_space(bounds, sys)
+    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
+    points = _grid_points(axes)
+    return lo, hi, decode, points, _kernel(decode(points), ch, sys)
+
+
+def _optimize_on(
+    grid, ch: ChannelModel, sys: SystemParams, fk: FiniteKeyParams | None, ec_mode: str
+) -> OptimumPoint:
+    """Stage two of :func:`optimize_point`: rates of the channel's ``grid``
+    for one block size, the refinement from its best point and the final
+    evaluation."""
+    lo, hi, decode, points, kernel = grid
+
+    def objective(rows):
+        return _score(decode(rows), ch, sys, fk, ec_mode)
+
+    rates = _rates(kernel, fk, ec_mode)
+    n_eval = rates.size
+    # argmax takes the first maximum in axis order: ties go to the smaller
+    # m or photon number
+    best = np.argmax(rates)
+    best_rate = float(rates[best])
+    x = points[best]
+    if not best_rate > 0.0:
+        raise InfeasibleError(
+            f"no positive rate on the {rates.size}-point coarse grid at "
+            f"loss={ch.loss_db} dB, xi={ch.xi}",
+            diagnostics={
+                "best_rate": best_rate,
+                "best_point": tuple(float(v) for v in decode(x[None])[0]),
+                "grid_points": rates.size,
+            },
+        )
+
+    x, refined = _refine(x, lambda rows: -objective(rows) / best_rate, lo, hi)
+    n_eval += refined
+
+    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode)
+    return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
+
+
 def optimize_point(
     ch: ChannelModel,
     sys: SystemParams,
@@ -471,66 +538,47 @@ def optimize_point(
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    lo, hi, shape, decode = _search_space(bounds, sys)
-    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
-    points = _grid_points(axes)
-
-    def objective(rows):
-        return _score(decode(rows), ch, sys, fk, ec_mode)
-
-    grid = objective(points)
-    n_eval = grid.size
-    # argmax takes the first maximum in axis order: ties go to the smaller
-    # m or photon number
-    best = np.argmax(grid)
-    best_rate = float(grid[best])
-    x = points[best]
-    if not best_rate > 0.0:
-        raise InfeasibleError(
-            f"no positive rate on the {grid.size}-point coarse grid at "
-            f"loss={ch.loss_db} dB, xi={ch.xi}",
-            diagnostics={
-                "best_rate": best_rate,
-                "best_point": tuple(float(v) for v in decode(x[None])[0]),
-                "grid_points": grid.size,
-            },
-        )
-
-    x, refined = _refine(x, lambda rows: -objective(rows) / best_rate, lo, hi)
-    n_eval += refined
-
-    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode)
-    return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
+    return _optimize_on(_coarse_grid(ch, sys, bounds), ch, sys, fk, ec_mode)
 
 
-def _sweep_worker(args) -> KeyRateReport:
-    loss_db, xi, n, sys, bounds, fk_template, ec_mode = args
-    ch = ChannelModel(loss_db=loss_db, xi=xi)
-    fk = None
-    if n is not None:
-        base = fk_template if fk_template is not None else FiniteKeyParams(n=n)
-        fk = replace(base, n=n)
-    try:
-        opt = optimize_point(ch, sys, fk=fk, ec_mode=ec_mode, bounds=bounds)
-    except InfeasibleError:
+def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
+    """The sweep row of an OptimumPoint, or of the exception raised instead."""
+    n = fk.n if fk is not None else None
+    if isinstance(outcome, OptimumPoint):
         return KeyRateReport(
-            loss_db=loss_db, xi=xi, n=n, rate=0.0,
-            Q=None, P=None, chi=None, params=None, status="infeasible",
+            loss_db=ch.loss_db, xi=ch.xi, n=n, rate=outcome.rate, Q=outcome.Q,
+            P=outcome.P, chi=outcome.chi, params=outcome.params, status="ok",
         )
-    except Exception as exc:  # record, never abort the sweep
-        return KeyRateReport(
-            loss_db=loss_db, xi=xi, n=n, rate=0.0,
-            Q=None, P=None, chi=None, params=None,
-            status=f"error: {type(exc).__name__}: {exc}",
-        )
+    if isinstance(outcome, InfeasibleError):
+        status = "infeasible"
+    else:
+        status = f"error: {type(outcome).__name__}: {outcome}"
     return KeyRateReport(
-        loss_db=loss_db, xi=xi, n=n, rate=opt.rate,
-        Q=opt.Q, P=opt.P, chi=opt.chi, params=opt.params, status="ok",
+        loss_db=ch.loss_db, xi=ch.xi, n=n, rate=0.0,
+        Q=None, P=None, chi=None, params=None, status=status,
     )
 
 
+def _channel_worker(args) -> list[KeyRateReport]:
+    """Rows of one channel for each block size in order, from one grid."""
+    loss_db, xi, fks, sys, bounds, ec_mode = args
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    try:
+        grid = _coarse_grid(ch, sys, bounds)
+    except Exception as exc:  # every block size of the channel records it
+        return [_report(ch, fk, exc) for fk in fks]
+    reports = []
+    for fk in fks:
+        try:
+            reports.append(_report(ch, fk, _optimize_on(grid, ch, sys, fk, ec_mode)))
+        except Exception as exc:  # record, never abort the sweep
+            reports.append(_report(ch, fk, exc))
+    return reports
+
+
 def thread_count(n_tasks: int) -> int:
-    """Worker count for sweeps: SCW_THREADS, else the CPU count, capped by tasks."""
+    """Worker count for sweeps: SCW_THREADS, else the CPU count, capped by
+    ``n_tasks`` (a sweep passes its number of channels)."""
     raw = os.environ.get("SCW_THREADS", "")
     try:
         threads = int(raw) if raw else (os.cpu_count() or 1)
@@ -544,20 +592,34 @@ def thread_count(n_tasks: int) -> int:
 def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
     """Optimize every (noise, block-size, loss) grid point.
 
-    Points are independent and evaluated in parallel when more than one
-    worker is available; the output order always follows the grid index
-    (noise level outermost, loss innermost), and per-point failures are
-    recorded in the report status rather than raised.
+    One task per channel (noise level, loss) scores the channel's coarse
+    grid once and optimizes each block size from it in turn.  Tasks are
+    independent and run in parallel when more than one worker is
+    available.  The output order always follows the grid index (noise
+    level outermost, loss innermost), and per-point failures are recorded
+    in the report status rather than raised; a failure while building a
+    channel's grid gives every block size of that channel its status.
     """
-    n_list = list(spec.n_values) if spec.n_values is not None else [None]
+    fks = [None]
+    if spec.n_values is not None:
+        fks = [
+            replace(spec.fk_template or FiniteKeyParams(n=n), n=n)
+            for n in spec.n_values
+        ]
     tasks = [
-        (loss, xi, n, sys, spec.bounds, spec.fk_template, spec.ec_mode)
+        (loss, xi, fks, sys, spec.bounds, spec.ec_mode)
         for xi in spec.noise_levels
-        for n in n_list
         for loss in spec.loss_grid
     ]
     workers = thread_count(len(tasks))
     if workers == 1:
-        return [_sweep_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, tasks))
+        per_channel = [_channel_worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_channel = list(pool.map(_channel_worker, tasks))
+    # back from (noise, loss, block size) to (noise, block size, loss)
+    reports = []
+    for i in range(0, len(per_channel), len(spec.loss_grid)):
+        for by_loss in zip(*per_channel[i : i + len(spec.loss_grid)]):
+            reports.extend(by_loss)
+    return reports

@@ -429,13 +429,110 @@ def test_sweep_single_point_matches_optimize(monkeypatch, opt3):
     assert reports[0].params == opt3.params
 
 
+def _pointwise_reports(spec):
+    """What ``sweep(spec)`` must return, from one optimize_point per point."""
+    reports = []
+    for xi in spec.noise_levels:
+        for n in spec.n_values or (None,):
+            for loss in spec.loss_grid:
+                ch = ChannelModel(loss_db=loss, xi=xi)
+                fk = FiniteKeyParams(n=n) if n is not None else None
+                try:
+                    opt = optimize_point(ch, SYS, fk=fk, ec_mode=spec.ec_mode)
+                except InfeasibleError:
+                    reports.append(KeyRateReport(
+                        loss_db=loss, xi=xi, n=n, rate=0.0, Q=None, P=None,
+                        chi=None, params=None, status="infeasible",
+                    ))
+                    continue
+                reports.append(KeyRateReport(
+                    loss_db=loss, xi=xi, n=n, rate=opt.rate, Q=opt.Q, P=opt.P,
+                    chi=opt.chi, params=opt.params, status="ok",
+                ))
+    return reports
+
+
+_BLOCKS = (10**8, 10**10, 10**12)
+_SWEEPS = {
+    "asymptotic": SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,)),
+    "finite-pointwise": SweepSpec(
+        loss_grid=(2.0, 4.0), noise_levels=(0.0, 0.1), n_values=_BLOCKS
+    ),
+    "finite-block": SweepSpec(
+        loss_grid=(2.0, 4.0), noise_levels=(0.0, 0.1), n_values=_BLOCKS,
+        ec_mode="block",
+    ),
+}
+
+
 def test_sweep_parallel_matches_serial(monkeypatch):
-    spec = SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,))
+    # one grid per channel serves every block size: each row equals its
+    # own optimize_point field for field, serially and in the pool
+    for kind, spec in _SWEEPS.items():
+        expected = _pointwise_reports(spec)
+        assert all(r.status == "ok" for r in expected)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SCW_THREADS", threads)
+            assert sweep(spec, SYS) == expected, (kind, threads)
+
+
+def _count_grid_blocks(monkeypatch, fail_at=None):
+    """Patch ``search.rate_block`` to log each grid-sized call's loss.
+
+    A refinement block has at most 26 points; the grid has 576 at S=1.
+    At the loss ``fail_at`` every call raises instead.
+    """
+    losses = []
+
+    def counted(mu_0, beta_A, delta, v_0, sys, ch):
+        if len(mu_0) > 26:
+            losses.append(ch.loss_db)
+        if ch.loss_db == fail_at:
+            raise ValueError("boom")
+        return rate_block(mu_0, beta_A, delta, v_0, sys, ch)
+
+    monkeypatch.setattr(search, "rate_block", counted)
+    return losses
+
+
+def test_sweep_scores_each_channel_grid_once(monkeypatch):
     monkeypatch.setenv("SCW_THREADS", "1")
-    serial = sweep(spec, SYS)
-    monkeypatch.setenv("SCW_THREADS", "2")
-    parallel = sweep(spec, SYS)
-    assert serial == parallel
+    losses = _count_grid_blocks(monkeypatch)
+    spec = _SWEEPS["finite-pointwise"]
+    reports = sweep(spec, SYS)
+    assert len(reports) == 12 and all(r.status == "ok" for r in reports)
+    # one 576-point block per (xi, loss) channel, not per block size
+    assert losses == [2.0, 4.0, 2.0, 4.0]
+
+
+def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
+    monkeypatch.setenv("SCW_THREADS", "1")
+    spec = SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,), n_values=_BLOCKS)
+    expected = _pointwise_reports(spec)
+    losses = _count_grid_blocks(monkeypatch, fail_at=4.0)
+    reports = sweep(spec, SYS)
+    # the channel's grid failed once and the sweep went on
+    assert losses == [2.0, 4.0]
+    assert [r.n for r in reports] == [n for n in _BLOCKS for _ in (2.0, 4.0)]
+    for got, want in zip(reports, expected):
+        if got.loss_db == 4.0:
+            assert got.status == "error: ValueError: boom"
+            assert got.rate == 0.0 and got.params is None
+        else:
+            assert got == want
+
+
+def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
+    # one channel, one grid: too short a block has no positive rate on
+    # it, a long one does
+    monkeypatch.setenv("SCW_THREADS", "1")
+    spec = SweepSpec(loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**4, 10**8))
+    expected = _pointwise_reports(spec)
+    losses = _count_grid_blocks(monkeypatch)
+    reports = sweep(spec, SYS)
+    assert losses == [3.0]
+    assert [r.status for r in reports] == ["infeasible", "ok"]
+    assert reports == expected
 
 
 def test_sweep_finite_grid(monkeypatch):

@@ -4,8 +4,10 @@
     PYTHONPATH=src python3 tools/optimum_gate.py compare A.json B.json
 
 ``dump`` runs ``optimize_point`` on 540 channel points with the package
-found on the import path, so pointing ``PYTHONPATH`` at another checkout's
-``src`` records that checkout:
+found on the import path.  To record another checkout, run that
+checkout's own copy of this tool with ``PYTHONPATH`` at its ``src``: the
+function that counts kernel calls is private and may differ between
+checkouts.  The points are:
 
 - S=1: losses 0.25-10 dB in 0.25 dB steps x xi 0/0.1/0.2 x asymptotic and
   finite pointwise n = 1e8, 1e10, 1e12 (480 points);
@@ -14,7 +16,8 @@ found on the import path, so pointing ``PYTHONPATH`` at another checkout's
 
 Each point records its status (``ok``, ``infeasible`` or the error), the
 rate, ``OptimumPoint.evaluations`` (kernel points scored) and the number
-of kernel calls (``search._score`` calls).
+of kernel calls (``search._kernel`` calls: one for the coarse grid, one
+per refinement block).
 
 ``compare`` prints the status changes from A to B, the range of the
 relative rate change over points that are ``ok`` in both, and the totals
@@ -55,14 +58,14 @@ def dump(out: str) -> None:
     from scw_cvqkd.optics import SystemParams
 
     calls = 0
-    score = search._score
+    kernel = search._kernel
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return score(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    search._score = counted
+    search._kernel = counted
     records = []
     for S, loss_db, xi, n in points():
         calls = 0
