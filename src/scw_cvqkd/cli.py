@@ -380,14 +380,13 @@ def _check_decision_integrals(rng) -> bool:
 
 
 def _check_calibration(rng) -> bool:
-    from .optics import SystemParams, interference_contrast
+    from .optics import SystemParams, matched_contrasts
 
     sys_p = SystemParams()
     for beta_A in (0.3, 0.7, 1.1):
         delta = calibrate_delta(beta_A, sys_p)
-        u0 = interference_contrast(beta_A, delta, sys_p.theta_carrier, sys_p.S, 0.0)
-        upi = interference_contrast(
-            beta_A, delta, sys_p.theta_carrier, sys_p.S, math.pi
+        u0, upi = matched_contrasts(
+            beta_A, delta * beta_A, sys_p.theta_carrier, sys_p.S
         )
         if abs(u0 + upi) > 1e-10:
             return False

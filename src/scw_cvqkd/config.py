@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ScwError
-from .finitekey import FiniteKeyParams
+from .finitekey import _EC_MODES, FiniteKeyParams
 from .optics import SystemParams, TunableParams, calibrate_delta
 from .search import Bounds, SweepSpec
 
@@ -94,9 +94,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "theta_carrier": _parse_float,
         "S": _parse_int,
         "s": _parse_float,
-        "N": _parse_int,
-        "theta_1_deg": _parse_degrees,
-        "mean_convention": _parse_choice("sideband", "detector"),
         "symmetric_doubling": _parse_bool,
     },
     "channel": {
@@ -128,7 +125,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "loss_grid": _parse_float_list,
         "noise_levels": _parse_float_list,
         "n_values": _parse_int_list,
-        "ec_mode": _parse_choice("pointwise", "block"),
+        "ec_mode": _parse_choice(*_EC_MODES),
     },
     "run": {
         "mode": _parse_choice("asymptotic", "finite"),
@@ -138,10 +135,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 # config key -> dataclass field, where the names differ
-_FIELD_NAME = {
-    "theta_1_deg": "theta_1",
-    "beta_A_deg": "beta_A",
-}
+_FIELD_NAME = {"beta_A_deg": "beta_A"}
 
 
 @dataclass(frozen=True)

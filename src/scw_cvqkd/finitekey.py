@@ -157,8 +157,11 @@ def finite_rates(
 ) -> np.ndarray:
     """Finite-block rates of a kernel block in bits per second; 0 where aborted.
 
-    ``k_sample`` (scalar or per point) defaults to ``fk.k_sample``.
+    ``ec_mode`` is one of ``_EC_MODES``; ``k_sample`` (scalar or per point)
+    defaults to ``fk.k_sample``.
     """
+    if ec_mode not in _EC_MODES:
+        raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
     if k_sample is None:
         k_sample = fk.k_sample
     # n-dependent overheads shared by both charges
@@ -186,7 +189,6 @@ def finite_key_rate(
     ch: ChannelModel,
     fk: FiniteKeyParams,
     ec_mode: str = "pointwise",
-    doubling: bool | None = None,
 ) -> FiniteKeyResult:
     """Finite-block secret key rate in bits per second.
 
@@ -196,12 +198,10 @@ def finite_key_rate(
     asymptotic rate.  ``fk.k_sample`` overrides ``tun.k_sample`` when the
     latter is zero.
     """
-    if ec_mode not in _EC_MODES:
-        raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
     k_sample = tun.k_sample if tun.k_sample > 0 else fk.k_sample
     if k_sample >= fk.n:
         raise DomainError(f"k_sample {k_sample} must be below block size {fk.n}")
-    block = point_block(tun, sys, ch, doubling)
+    block = point_block(tun, sys, ch)
     stats, quantities = block.point(0)
     rate = float(finite_rates(block, fk, ec_mode, k_sample)[0])
     return FiniteKeyResult(

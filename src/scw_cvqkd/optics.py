@@ -4,55 +4,48 @@ Alice's phase modulator spreads a carrier of ``mu_0`` mean photons over
 2S+1 modes with rotation angle ``beta_A`` and phase ``phi_A``.  Bob
 re-modulates with angle ``beta_B = delta * beta_A`` at phase ``phi_B``
 (plus a fixed structural offset he pre-compensates), which recombines the
-modes into an effective single rotation by the composite angle
-``beta_prime``.  The carrier power left after recombination feeds one
-detector arm, everything else the other; their difference, normalized by
-the local-oscillator amplitude, is the quadrature readout.
+modes into an effective single rotation by the composite angle beta',
 
-Two conventions for the per-symbol Gaussian center are supported:
+    cos(beta') = cos(beta_A) cos(beta_B) - sin(beta_A) sin(beta_B) cos(dphi),
 
-* ``"sideband"`` (default): the transmitted first-order sideband
-  amplitude sqrt(eta * mu_0) |d^S_{01}(beta_A)| scaled by the normalized
-  interference contrast u(dphi)/u(0);
-* ``"detector"``: the photocurrent-difference readout
-  (n1 - n2) s / (2 sqrt(n_LO)) taken literally.
+with dphi = phi_A - phi_B.  The carrier power left after recombination
+sets the interference contrast u(dphi) = 1 - 2 (1 - theta_carrier)
+d^S_{00}(beta')^2.
 
-The sideband convention reproduces the expected loss budget of the
-deployed system; the detector one is kept for diagnostics.
+The Gaussian center of each symbol is the transmitted first-order sideband
+amplitude s sqrt(eta * mu_0) |d^S_{01}(beta_A)| scaled by the normalized
+contrast u(dphi)/u(0).  The phase alphabets make dphi one of 0 and pi in
+the matched basis, where cos(beta') = cos(beta_A +- beta_B), and +-pi/2 in
+the other, where cos(beta') = cos(beta_A) cos(beta_B).
+:func:`matched_means_array` forms the matched pair for arrays of working
+points; :func:`matched_means` and :func:`mean_table` are its one-point case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import carrier_weight, first_sideband_weight, legendre_p, wigner_d_row
+from .angular import first_sideband_weight, legendre_p
 from .errors import DegenerateError, DomainError, InternalError, NoRootError
 
-_MEAN_CONVENTIONS = ("sideband", "detector")
-# Alice's modulator phase alphabet.
-ALICE_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-# Bob's two measurement bases as modulator phases.
-BOB_PHASES = (0.0, 0.5 * math.pi)
-
-_ARCCOS_SLOP = 1e-12
 _CAL_DELTA_MAX = 10.0
 _CAL_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Fixed hardware constants plus model conventions.
+    """Fixed hardware constants of the link.
 
     ``T`` is the duration of one transmission window in seconds, ``eta_B``
     the transmittance of Bob's module, ``theta_carrier`` the residual
     carrier attenuation of the spectral filter, ``S`` the number of
-    sideband pairs, ``s`` the detector sensitivity scale and ``N`` the
-    number of bases.  ``theta_1`` is Alice's constant modulator phase,
-    which only :func:`alice_state` reads.
+    sideband pairs and ``s`` the detector sensitivity scale.
+    ``symmetric_doubling`` folds the mirrored negative readout branch into
+    the rate.
     """
 
     T: float = 100e-9
@@ -60,9 +53,6 @@ class SystemParams:
     theta_carrier: float = 1e-6
     S: int = 1
     s: float = 1.0
-    N: int = 2
-    theta_1: float = 0.0
-    mean_convention: str = "sideband"
     symmetric_doubling: bool = True
 
     def __post_init__(self):
@@ -74,15 +64,8 @@ class SystemParams:
             raise DomainError(
                 f"carrier attenuation must be in [0, 1], got {self.theta_carrier}"
             )
-        if self.N != 2:
-            raise DomainError(f"two measurement bases required, got N={self.N}")
         if not (isinstance(self.S, int) and self.S >= 1):
             raise DomainError(f"sideband-pair count must be a positive int, got {self.S}")
-        if self.mean_convention not in _MEAN_CONVENTIONS:
-            raise DomainError(
-                f"mean_convention must be one of {_MEAN_CONVENTIONS}, "
-                f"got {self.mean_convention!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -112,227 +95,82 @@ class TunableParams:
         return self.delta * self.beta_A
 
 
-@dataclass(frozen=True)
-class MultimodeState:
-    """Product coherent state over modes k = -S..S."""
-
-    S: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def amplitude(self, k: int) -> complex:
-        if not -self.S <= k <= self.S:
-            raise DomainError(f"mode index {k} outside [-{self.S}, {self.S}]")
-        return complex(self.amplitudes[k + self.S])
-
-    @property
-    def mu_total(self) -> float:
-        """Total mean photon number, sum of |amplitude|^2 over modes."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def alice_state(
-    mu_0: float, beta_A: float, phi_A: float, sys: SystemParams
-) -> MultimodeState:
-    """Multimode coherent state leaving Alice's modulator.
-
-    Mode k carries amplitude sqrt(mu_0) d^S_{0k}(beta_A) e^{-i(theta_1+phi_A)k};
-    the total photon number equals mu_0 by row unitarity.
-    """
-    if not (math.isfinite(mu_0) and mu_0 >= 0.0):
-        raise DomainError(f"mu_0 must be finite and >= 0, got {mu_0}")
-    row = wigner_d_row(sys.S, beta_A)
-    k = np.arange(-sys.S, sys.S + 1)
-    phases = np.exp(-1j * (sys.theta_1 + phi_A) * k)
-    return MultimodeState(S=sys.S, amplitudes=math.sqrt(mu_0) * row.values * phases)
-
-
-def relative_phase(phi_A: float, phi_B: float) -> float:
-    """Effective modulation phase difference seen by the recombination.
-
-    Bob biases his modulator by the structural phase offset, so the offset
-    cancels and only the basis difference survives.
-    """
-    return phi_A - phi_B
-
-
-def beta_prime(beta_A: float, beta_B: float, delta_phi: float) -> float:
-    """Composite rotation angle of the two modulation stages.
-
-    cos(beta') = cos(beta_A) cos(beta_B) - sin(beta_A) sin(beta_B) cos(delta_phi).
-    ``beta_B`` may exceed pi: calibration scans drive delta up to 10, and the
-    composition formula extends to any real second angle.  The result always
-    lies in [0, pi].
-    """
-    if not 0.0 <= beta_A <= math.pi:
-        raise DomainError(f"beta_A must be in [0, pi], got {beta_A}")
-    if not (math.isfinite(beta_B) and beta_B >= 0.0):
-        raise DomainError(f"beta_B must be finite and >= 0, got {beta_B}")
-    arg = math.cos(beta_A) * math.cos(beta_B) - math.sin(beta_A) * math.sin(
-        beta_B
-    ) * math.cos(delta_phi)
-    if abs(arg) > 1.0 + _ARCCOS_SLOP:
-        raise InternalError(f"composite-angle cosine {arg} outside [-1, 1]")
-    return math.acos(min(max(arg, -1.0), 1.0))
-
-
-def interference_contrast(
-    beta_A: float, delta: float, theta_carrier: float, S: int, delta_phi: float
-) -> float:
-    """Normalized arm imbalance u = (n1 - n2)/(mu_0 eta eta_B).
-
-    u = 1 - 2 (1 - theta_carrier) d^S_{00}(beta')^2; independent of photon
-    budget and channel loss.
-    """
-    w = carrier_weight(S, beta_prime(beta_A, delta * beta_A, delta_phi))
+def _contrast(cos_beta_prime, theta_carrier: float, S: int):
+    """Interference contrast u = 1 - 2 (1 - theta_carrier) P_S(cos beta')^2."""
+    w = legendre_p(S, cos_beta_prime)
     return 1.0 - 2.0 * (1.0 - theta_carrier) * w * w
 
 
-def detector_photon_numbers(
-    tun: TunableParams,
-    sys: SystemParams,
-    eta: float,
-    phi_A: float,
-    phi_B: float,
-) -> tuple[float, float]:
-    """Mean photon numbers (n1, n2) at Bob's two detector arms.
+def matched_contrasts(beta_A, beta_B, theta_carrier: float, S: int):
+    """Contrasts (u(0), u(pi)) of the matched basis; scalar or array angles.
 
-    n2 collects the recombined-carrier fraction, n1 the rest; the sum is
-    mu_0 * eta * eta_B exactly.
+    The composite angle is beta_A + beta_B at dphi = 0 and |beta_A - beta_B|
+    at pi, so cos(beta') needs no arccos round trip.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"channel transmittance must be in (0, 1], got {eta}")
-    w = carrier_weight(
-        sys.S, beta_prime(tun.beta_A, tun.beta_B, relative_phase(phi_A, phi_B))
+    return (
+        _contrast(np.cos(beta_A + beta_B), theta_carrier, S),
+        _contrast(np.cos(beta_A - beta_B), theta_carrier, S),
     )
-    budget = tun.mu_0 * eta * sys.eta_B
-    carrier_frac = (1.0 - sys.theta_carrier) * w * w
-    return budget * (1.0 - carrier_frac), budget * carrier_frac
 
 
-def local_oscillator_photons(tun: TunableParams, sys: SystemParams, eta: float) -> float:
-    """Carrier photons arriving at Bob before his modulation stage."""
-    w = carrier_weight(sys.S, tun.beta_A)
-    return tun.mu_0 * eta * w * w
+def matched_means_array(mu_0, beta_A, delta, sys: SystemParams, eta: float):
+    """Gaussian centers of the matched-basis symbols at arrays of working points.
 
-
-def quadrature_mean(
-    tun: TunableParams,
-    sys: SystemParams,
-    eta: float,
-    phi_A: float,
-    phi_B: float,
-) -> float:
-    """Photocurrent-difference readout v = (n1 - n2) s / (2 sqrt(n_LO)).
-
-    mu_0 = 0 is the vacuum limit and returns 0; a vanishing local
-    oscillator with photons present has no defined readout.
+    ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays, already
+    validated as :class:`TunableParams` validates them.  Returns
+    (mean_plus, mean_minus, degenerate): the sideband amplitude and that
+    amplitude times u(pi)/u(0).  Where u(0) = 0 both are 0, and
+    ``degenerate`` marks the points among those whose u(pi) is not 0, where
+    the means are undefined.
     """
-    if tun.mu_0 == 0.0:
-        return 0.0
-    n_lo = local_oscillator_photons(tun, sys, eta)
-    # below ~1e-24 of the photon budget the readout normalization diverges
-    if n_lo <= 1e-24 * tun.mu_0 * eta:
-        raise DegenerateError(
-            f"local oscillator empty at beta_A={tun.beta_A} with mu_0={tun.mu_0}"
-        )
-    n1, n2 = detector_photon_numbers(tun, sys, eta, phi_A, phi_B)
-    return (n1 - n2) * sys.s / (2.0 * math.sqrt(n_lo))
-
-
-def symbol_mean(
-    tun: TunableParams,
-    sys: SystemParams,
-    eta: float,
-    phi_A: float,
-    phi_B: float,
-) -> float:
-    """Gaussian center of the quadrature distribution for one phase pair.
-
-    Under the default "sideband" convention this is the transmitted
-    first-order sideband amplitude scaled by the normalized interference
-    contrast; under "detector" it is :func:`quadrature_mean` verbatim.
-    """
-    if sys.mean_convention == "detector":
-        return quadrature_mean(tun, sys, eta, phi_A, phi_B)
-    if tun.mu_0 == 0.0:
-        return 0.0
-    dphi = relative_phase(phi_A, phi_B)
-    u = interference_contrast(tun.beta_A, tun.delta, sys.theta_carrier, sys.S, dphi)
-    u0 = interference_contrast(tun.beta_A, tun.delta, sys.theta_carrier, sys.S, 0.0)
-    if u0 == 0.0:
-        if u == 0.0:
-            return 0.0
-        raise DegenerateError(
-            f"zero matched-phase contrast at beta_A={tun.beta_A}, delta={tun.delta}"
-        )
-    amp1 = abs(wigner_d_row(sys.S, tun.beta_A)[1])
-    return sys.s * math.sqrt(eta * tun.mu_0) * amp1 * (u / u0)
+    u0, upi = matched_contrasts(beta_A, delta * beta_A, sys.theta_carrier, sys.S)
+    amp = sys.s * np.sqrt(eta * mu_0) * first_sideband_weight(sys.S, beta_A)
+    lit = u0 != 0.0
+    return amp * lit, amp * (upi / np.where(lit, u0, 1.0)), ~lit & (upi != 0.0)
 
 
 def matched_means(
     tun: TunableParams, sys: SystemParams, eta: float
 ) -> tuple[float, float]:
-    """Gaussian centers (mean_plus, mean_minus) of the two matched-basis symbols."""
-    return (
-        symbol_mean(tun, sys, eta, 0.0, 0.0),
-        symbol_mean(tun, sys, eta, math.pi, 0.0),
+    """(mean_plus, mean_minus) of one working point: :func:`matched_means_array`
+    at N=1.  The vacuum, mu_0 = 0, reads 0; undefined means raise
+    :class:`DegenerateError`."""
+    if tun.mu_0 == 0.0:
+        return 0.0, 0.0
+    plus, minus, degenerate = matched_means_array(
+        np.array([tun.mu_0]), np.array([tun.beta_A]), np.array([tun.delta]), sys, eta
     )
+    if degenerate[0]:
+        raise DegenerateError(
+            f"symbol means undefined at beta_A={tun.beta_A}, delta={tun.delta}"
+        )
+    return float(plus[0]), float(minus[0])
 
 
 def mean_table(tun: TunableParams, sys: SystemParams, eta: float) -> np.ndarray:
-    """4x2 array of Gaussian centers, rows = Alice phases, cols = Bob bases."""
-    return np.array(
-        [
-            [symbol_mean(tun, sys, eta, pa, pb) for pb in BOB_PHASES]
-            for pa in ALICE_PHASES
-        ]
-    )
+    """4x2 array of Gaussian centers over Alice's phases 0, pi/2, pi, 3pi/2
+    (rows) and Bob's bases 0, pi/2 (columns).
 
-
-def matched_contrasts(beta_A, beta_B, theta_carrier: float, S: int):
-    """Vectorized :func:`interference_contrast` at delta_phi = 0 and pi.
-
-    For arrays of Alice and Bob angles returns (u(0), u(pi)).  The composite
-    angle is beta_A + beta_B at delta_phi = 0 and |beta_A - beta_B| at pi, so
-    cos(beta') needs no arccos round trip.
+    Cells whose phase difference is 0 or pi hold :func:`matched_means`.  The
+    other four differ by +-pi/2 and hold mean_plus times u(pi/2)/u(0).
+    Where u(0) = 0 they are 0 if u(pi/2) = 0 too, and otherwise undefined
+    (:class:`DegenerateError`) unless mu_0 = 0.
     """
-    lead = 2.0 * (1.0 - theta_carrier)
-    w0 = legendre_p(S, np.cos(beta_A + beta_B))
-    wpi = legendre_p(S, np.cos(beta_A - beta_B))
-    return 1.0 - lead * w0 * w0, 1.0 - lead * wpi * wpi
-
-
-def matched_means_array(mu_0, beta_A, delta, sys: SystemParams, eta: float):
-    """Vectorized :func:`matched_means` over arrays of (mu_0, beta_A, delta).
-
-    Returns (mean_plus, mean_minus, degenerate).  ``degenerate`` marks the
-    points where :func:`symbol_mean` raises :class:`DegenerateError`; their
-    means are set to 0.  Inputs are assumed already validated, as by
-    :class:`TunableParams`.
-    """
-    u0, upi = matched_contrasts(beta_A, delta * beta_A, sys.theta_carrier, sys.S)
-    if sys.mean_convention == "detector":
-        w = legendre_p(sys.S, np.cos(beta_A))
-        n_lo = mu_0 * eta * w * w
-        # as quadrature_mean: the vacuum reads 0, an empty oscillator is undefined
-        live = (mu_0 > 0.0) & (n_lo > 1e-24 * mu_0 * eta)
-        gain = np.divide(
-            mu_0 * eta * sys.eta_B * sys.s,
-            2.0 * np.sqrt(n_lo),
-            out=np.zeros_like(n_lo),
-            where=live,
+    plus, minus = matched_means(tun, sys, eta)
+    beta_A, beta_B = np.array([tun.beta_A]), np.array([tun.beta_B])
+    (u0,), _ = matched_contrasts(beta_A, beta_B, sys.theta_carrier, sys.S)
+    (u_mid,) = _contrast(np.cos(beta_A) * np.cos(beta_B), sys.theta_carrier, sys.S)
+    if u0 == 0.0 and u_mid != 0.0 and tun.mu_0 > 0.0:
+        raise DegenerateError(
+            f"mismatched-basis mean undefined at beta_A={tun.beta_A}, delta={tun.delta}"
         )
-        return gain * u0, gain * upi, (mu_0 > 0.0) & ~live
-    amp = sys.s * np.sqrt(eta * mu_0) * first_sideband_weight(sys.S, beta_A)
-    # as symbol_mean: u(0) = 0 zeroes the pair, and is undefined unless u(pi) = 0
-    lit = u0 != 0.0
-    return amp * lit, amp * (upi / np.where(lit, u0, 1.0)), ~lit & (upi != 0.0)
+    mid = plus * (u_mid / u0) if u0 != 0.0 else 0.0
+    return np.array([[plus, mid], [mid, plus], [minus, mid], [mid, minus]])
 
 
 def _accept_root(delta: float, beta_A: float, theta_carrier: float, S: int) -> bool:
     """Check a balance root's residual; keep it if the matched contrast is positive."""
-    u0 = interference_contrast(beta_A, delta, theta_carrier, S, 0.0)
-    upi = interference_contrast(beta_A, delta, theta_carrier, S, math.pi)
+    u0, upi = matched_contrasts(beta_A, delta * beta_A, theta_carrier, S)
     if abs(u0 + upi) > _CAL_RESIDUAL_TOL:
         raise InternalError(
             f"calibration residual {abs(u0 + upi):.3e} at delta={delta}"
@@ -372,9 +210,8 @@ def _calibrate_by_scan(beta_A: float, theta_carrier: float, S: int) -> float | N
 
     def balance(d):
         # zero when the two matched-basis contrasts are symmetric about 0
-        return interference_contrast(
-            beta_A, d, theta_carrier, S, 0.0
-        ) + interference_contrast(beta_A, d, theta_carrier, S, math.pi)
+        u0, upi = matched_contrasts(beta_A, d * beta_A, theta_carrier, S)
+        return u0 + upi
 
     # the contrast oscillates faster at larger spin and angle
     n_scan = max(600, int(200 * S * beta_A))

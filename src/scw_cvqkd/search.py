@@ -6,13 +6,12 @@ readout-sigma units.  The modulation-depth ratio delta is never free: it
 is re-derived from the calibration condition at every angle, and
 finite-block searches charge the configured parameter-estimation count.
 
-At S=1 under the sideband convention the rate depends on photon number
-and angle only through m = mu_0 sin^2(beta_A), so the search runs over
-(log10 m, v_0/sigma) and decodes every point to the canonical point of
-its ridge: the largest in-box angle that has a calibration root, lowered
-where the photon number m / sin^2(beta_A) would fall below its bound.
-For S>1 and the detector convention it runs over (log10 mu_0, beta_A,
-v_0/sigma) itself.
+At S=1 the rate depends on photon number and angle only through
+m = mu_0 sin^2(beta_A), so the search runs over (log10 m, v_0/sigma) and
+decodes every point to the canonical point of its ridge: the largest
+in-box angle that has a calibration root, lowered where the photon number
+m / sin^2(beta_A) would fall below its bound.  For S>1 it runs over
+(log10 mu_0, beta_A, v_0/sigma) itself.
 
 The search is a deterministic two-stage scheme: a fixed coarse grid, 64 x
 9 points in two coordinates or 12 x 8 x 9 in three, scored as one kernel
@@ -44,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import FiniteKeyParams, finite_key_rate, finite_rates
+from .finitekey import _EC_MODES, FiniteKeyParams, finite_key_rate, finite_rates
 from .noise import ChannelModel, noise_sigma
 from .optics import SystemParams, TunableParams, calibrate_delta
 from .security import asymptotic_key_rate, asymptotic_rates, rate_block
@@ -116,11 +115,10 @@ class OptimumPoint:
     """Best parameters found for one channel point and the rate there.
 
     ``evaluations`` counts kernel points scored: the coarse grid (576
-    points over (log10 m, v_0/sigma) at S=1 under the sideband convention,
-    864 over (log10 mu_0, beta_A, v_0/sigma) otherwise), counted in full
-    for every optimum even where a sweep scores one grid block for all
-    block sizes of a channel, then 11 or 19
-    for the refinement's first stencil, 18 or 26 per line search (8
+    points over (log10 m, v_0/sigma) at S=1, 864 over (log10 mu_0, beta_A,
+    v_0/sigma) otherwise), counted in full for every optimum even where a
+    sweep scores one grid block for all block sizes of a channel, then 11
+    or 19 for the refinement's first stencil, 18 or 26 per line search (8
     halvings and the stencil at the full step) and another 11 or 19 for
     each step that wins shorter than full.
     """
@@ -158,6 +156,10 @@ class SweepSpec:
                 raise DomainError(
                     f"n_values must be strictly increasing, got {self.n_values}"
                 )
+        if self.ec_mode not in _EC_MODES:
+            raise DomainError(
+                f"ec_mode must be one of {_EC_MODES}, got {self.ec_mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -289,17 +291,17 @@ def _top_angle(bounds: Bounds, sys: SystemParams) -> float:
 def _search_space(bounds: Bounds, sys: SystemParams):
     """Search box (lo, hi), grid shape and decoder to decision vectors.
 
-    At S=1 under the sideband convention the search runs over (log10 m,
-    v_0/sigma) with m = mu_0 sin^2(beta_A), the only combination of the
-    two that the rate depends on.  Each row decodes to the canonical point
-    of its ridge: beta_A = min(beta_top, arcsin sqrt(m / mu_lo)) and
+    At S=1 the search runs over (log10 m, v_0/sigma) with
+    m = mu_0 sin^2(beta_A), the only combination of the two that the rate
+    depends on.  Each row decodes to the canonical point of its ridge:
+    beta_A = min(beta_top, arcsin sqrt(m / mu_lo)) and
     mu_0 = m / sin^2(beta_A), both clipped to the box, with beta_top from
     :func:`_top_angle`.
     Otherwise the search runs over (log10 mu_0, beta_A, v_0/sigma) and
     the decoder is the identity.
     """
     v_lo, v_hi = bounds.v_0_sigmas
-    if sys.S != 1 or sys.mean_convention != "sideband":
+    if sys.S != 1:
         lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], v_lo])
         hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], v_hi])
         return lo, hi, _GRID_SHAPE, lambda points: points
@@ -525,9 +527,9 @@ def optimize_point(
     """Maximize the key rate at one channel point.
 
     The best point of a fixed coarse grid starts one bounded Newton
-    descent (see :func:`_refine`).  At S=1 under the sideband convention
-    both run over (log10 m, v_0/sigma) and every point decodes to the
-    canonical (mu_0, beta_A) of its equal-rate curve; otherwise they run
+    descent (see :func:`_refine`).  At S=1 both run over (log10 m,
+    v_0/sigma) and every point decodes to the canonical (mu_0, beta_A) of
+    its equal-rate curve; otherwise they run
     over (log10 mu_0, beta_A, v_0/sigma) (see :func:`_search_space`).
     Each line search scores one kernel block: the halvings of the step
     and the gradient and curvature stencil at the full step, with central

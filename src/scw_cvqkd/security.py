@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import carrier_weight, legendre_p, wigner_d_row
+from .angular import carrier_weight, legendre_p
 from .errors import DegenerateError, DomainError
 from .noise import (
     P_FLOOR,
@@ -41,6 +41,8 @@ _BOUNDS_SLOP = 1e-12
 # relative) at 24 nodes for S=1 and 32 for S=3, and 48 gives 1.5x margin
 # over the S=3 knee (test_rate_kernel_converged_in_order pins this).
 _GL_ORDER = 48
+# Bob's measurement bases; each window is sifted into one of them
+N_BASES = 2
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,14 @@ def rate_block(
     v_0,
     sys: SystemParams,
     ch: ChannelModel,
-    doubling: bool | None = None,
 ) -> RateBlock:
     """Evaluate N working points at one channel at once.
 
     ``mu_0``, ``beta_A``, ``delta`` and ``v_0`` are equal-length arrays of
     values already validated as :class:`TunableParams` validates them.
-    ``doubling`` (default: the system's symmetric_doubling flag) folds in
-    the mirrored negative readout branch.
+    The system's symmetric_doubling flag folds in the mirrored negative
+    readout branch.
     """
-    if doubling is None:
-        doubling = sys.symmetric_doubling
     mu_0 = np.asarray(mu_0, dtype=float)
     beta_A = np.asarray(beta_A, dtype=float)
     v_0 = np.asarray(v_0, dtype=float)
@@ -224,17 +223,13 @@ def rate_block(
         one_minus_g=one_minus_g,
         e=e,
         half=half,
-        scale=(2.0 if doubling else 1.0) / (sys.N * sys.T),
+        scale=(2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T),
     )
 
 
-def point_block(
-    tun: TunableParams, sys: SystemParams, ch: ChannelModel, doubling: bool | None
-) -> RateBlock:
+def point_block(tun: TunableParams, sys: SystemParams, ch: ChannelModel) -> RateBlock:
     """The N=1 kernel block of one working point; undefined means raise."""
-    block = rate_block(
-        [tun.mu_0], [tun.beta_A], [tun.delta], [tun.v_0], sys, ch, doubling
-    )
+    block = rate_block([tun.mu_0], [tun.beta_A], [tun.delta], [tun.v_0], sys, ch)
     if block.degenerate[0]:
         raise DegenerateError(
             f"symbol means undefined at beta_A={tun.beta_A}, delta={tun.delta}"
@@ -249,20 +244,16 @@ def asymptotic_rates(block: RateBlock) -> np.ndarray:
 
 
 def asymptotic_key_rate(
-    tun: TunableParams,
-    sys: SystemParams,
-    ch: ChannelModel,
-    doubling: bool | None = None,
+    tun: TunableParams, sys: SystemParams, ch: ChannelModel
 ) -> KeyRateResult:
     """Collective-attack secret key rate in bits per second.
 
     Integrates the acceptance-weighted secret fraction over v >= v_0 and,
-    when ``doubling`` is set (default: the system's symmetric_doubling
-    flag), doubles it for the mirrored negative branch.  A non-positive
-    total, or an empty acceptance region, is clamped to 0 and flagged
-    insecure.
+    when the system's symmetric_doubling flag is set, doubles it for the
+    mirrored negative branch.  A non-positive total, or an empty acceptance
+    region, is clamped to 0 and flagged insecure.
     """
-    block = point_block(tun, sys, ch, doubling)
+    block = point_block(tun, sys, ch)
     stats, quantities = block.point(0)
     rate = float(asymptotic_rates(block)[0])
     return KeyRateResult(
@@ -273,8 +264,3 @@ def asymptotic_key_rate(
         quantities=quantities,
     )
 
-
-def sideband_photon_number(mu_0: float, beta_A: float, S: int) -> float:
-    """Total mean photons in the sidebands, mu_0 (1 - d00(beta_A)^2)."""
-    w = wigner_d_row(S, beta_A)[0]
-    return mu_0 * (1.0 - w * w)

@@ -16,9 +16,6 @@ eta_B = 0.2290867652767773
 theta_carrier = 1e-6
 S = 2
 s = 1.0
-N = 2
-theta_1_deg = 0
-mean_convention = sideband
 symmetric_doubling = true
 
 [channel]
@@ -138,11 +135,15 @@ def test_unknown_key_rejected(tmp_path):
         ("bounds", "k_frac", "0, 0.4"),
         ("system", "phi_0_deg", "5"),
         ("system", "theta_2_deg", "0"),
+        ("system", "theta_1_deg", "0"),
+        ("system", "N", "2"),
+        ("system", "mean_convention", "sideband"),
     ],
 )
 def test_removed_search_knobs_rejected(section, key, value, tmp_path, capsys):
     # the optimizer has no restart count and no parameter-estimation axis,
-    # and no result depends on the phi_0 or theta_2 modulator phases
+    # no result depends on the phi_0, theta_2 or theta_1 modulator phases,
+    # the link always has two bases and the sideband mean convention
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(path)
@@ -153,8 +154,8 @@ def test_removed_search_knobs_rejected(section, key, value, tmp_path, capsys):
 def test_bad_values_are_located(tmp_path):
     with pytest.raises(ConfigError, match=r"'xi' in section \[channel\]"):
         load_config(write(tmp_path, "[channel]\nxi = banana\n"))
-    with pytest.raises(ConfigError, match="mean_convention"):
-        load_config(write(tmp_path, "[system]\nmean_convention = modem\n"))
+    with pytest.raises(ConfigError, match=r"'ec_mode' in section \[sweep\]"):
+        load_config(write(tmp_path, "[sweep]\nec_mode = blok\n"))
     with pytest.raises(ConfigError, match="symmetric_doubling"):
         load_config(write(tmp_path, "[system]\nsymmetric_doubling = maybe\n"))
     with pytest.raises(ConfigError, match="n_values"):

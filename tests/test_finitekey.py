@@ -12,12 +12,13 @@ from scw_cvqkd.finitekey import (
     ec_syndrome_length,
     finite_key_length,
     finite_key_rate,
+    finite_rates,
     smoothing_correction,
     with_observed_error_rate,
 )
 from scw_cvqkd.noise import ChannelModel
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
-from scw_cvqkd.security import asymptotic_key_rate, holevo_dr
+from scw_cvqkd.security import N_BASES, asymptotic_key_rate, holevo_dr, point_block
 
 SYS = SystemParams()
 CH = ChannelModel(loss_db=3.0, xi=0.1)
@@ -159,7 +160,7 @@ def test_block_mode_reproduces_key_length():
     assert out.rate > 0.0
     chi = holevo_dr(t.mu_0, t.beta_A, SYS.S)
     l = finite_key_length(with_observed_error_rate(fk, out.stats.Q), chi)
-    recovered = out.rate * SYS.N * SYS.T * fk.n / out.stats.P
+    recovered = out.rate * N_BASES * SYS.T * fk.n / out.stats.P
     assert recovered == pytest.approx(l.l, rel=1e-9)
 
 
@@ -194,3 +195,7 @@ def test_rate_parameter_estimation_cost():
 def test_rate_rejects_bad_mode():
     with pytest.raises(DomainError):
         finite_key_rate(tun(), SYS, CH, FiniteKeyParams(n=10**8), ec_mode="magic")
+    # the kernel's rates check the mode too, rather than charging pointwise
+    block = point_block(tun(), SYS, CH)
+    with pytest.raises(DomainError, match="ec_mode"):
+        finite_rates(block, FiniteKeyParams(n=10**8), "blok")

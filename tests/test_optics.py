@@ -1,32 +1,22 @@
-"""State-preparation, detector-split and calibration tests."""
+"""Symbol-mean and calibration tests."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scw_cvqkd.errors import DegenerateError, DomainError, NoRootError
+from scw_cvqkd.noise import ChannelModel
 from scw_cvqkd.optics import (
     _calibrate_by_scan,
-    ALICE_PHASES,
-    BOB_PHASES,
-    MultimodeState,
     SystemParams,
     TunableParams,
-    alice_state,
-    beta_prime,
     calibrate_delta,
-    detector_photon_numbers,
-    interference_contrast,
-    local_oscillator_photons,
+    matched_contrasts,
     matched_means,
     mean_table,
-    quadrature_mean,
-    relative_phase,
-    symbol_mean,
 )
+from scw_cvqkd.security import rate_block
 
 SYS = SystemParams()
 # loss-free variant with a transparent carrier filter for closed-form checks
@@ -39,111 +29,45 @@ def tun(mu_0=0.4, beta_A=0.3, delta=None, v_0=0.0):
     return TunableParams(mu_0=mu_0, beta_A=beta_A, delta=delta, v_0=v_0)
 
 
-def test_alice_state_degenerate_angle():
-    st8 = alice_state(0.7, 0.0, math.pi, SYS)
-    assert st8.amplitude(0) == pytest.approx(math.sqrt(0.7))
-    assert st8.amplitude(1) == 0.0
-    assert st8.amplitude(-1) == 0.0
-
-
-def test_alice_state_photon_conservation():
-    for beta in (0.2, 0.9, 1.4):
-        st8 = alice_state(0.5, beta, 0.5 * math.pi, SYS)
-        assert st8.mu_total == pytest.approx(0.5, rel=1e-12)
-
-
-def test_alice_state_balanced_split():
-    # S=1, beta=pi/2: carrier empty, each sideband holds half the photons
-    st8 = alice_state(1.0, 0.5 * math.pi, 0.0, SYS)
-    assert abs(st8.amplitude(0)) == pytest.approx(0.0, abs=1e-15)
-    assert abs(st8.amplitude(1)) == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
-    assert abs(st8.amplitude(-1)) == pytest.approx(1.0 / math.sqrt(2), abs=1e-15)
-
-
-def test_alice_state_phase_winding():
-    sys_t = SystemParams(theta_1=0.4)
-    phi_A = 1.5 * math.pi
-    st8 = alice_state(1.0, 0.8, phi_A, sys_t)
-    base = alice_state(1.0, 0.8, 0.0, sys_t)
-    for k in (-1, 0, 1):
-        winding = complex(math.cos(phi_A * k), -math.sin(phi_A * k))
-        assert st8.amplitude(k) == pytest.approx(base.amplitude(k) * winding, abs=1e-14)
+def oracle_contrast(beta_A, beta_B, dphi, S, theta=SYS.theta_carrier):
+    # the general composition formula for cos(beta'), Legendre by numpy
+    c = math.cos(beta_A) * math.cos(beta_B) - math.sin(beta_A) * math.sin(
+        beta_B
+    ) * math.cos(dphi)
+    w = np.polynomial.legendre.legval(c, [0.0] * S + [1.0])
+    return 1.0 - 2.0 * (1.0 - theta) * w * w
 
 
 def test_beta_prime_identities():
-    assert beta_prime(0.7, 0.7, math.pi) == pytest.approx(0.0, abs=1e-7)
-    for dphi in (0.0, 1.0, 2.5):
-        assert beta_prime(0.7, 0.0, dphi) == pytest.approx(0.7, abs=1e-12)
-    # collinear composition adds angles
-    assert beta_prime(0.4, 0.5, 0.0) == pytest.approx(0.9, abs=1e-12)
-    assert beta_prime(0.4, 0.5, math.pi) == pytest.approx(0.1, abs=1e-10)
+    # at dphi = 0 and pi the composite angle is beta_A + beta_B and
+    # |beta_A - beta_B|, which matched_contrasts uses in closed form; the
+    # calibration scan pushes beta_B up to 10 beta_A, past pi
+    rng = np.random.default_rng(7)
+    for S in (1, 2, 3):
+        for _ in range(20):
+            beta_A = rng.uniform(0.0, math.pi)
+            beta_B = rng.uniform(0.0, 10.0 * beta_A)
+            u0, upi = matched_contrasts(beta_A, beta_B, SYS.theta_carrier, S)
+            for u, dphi in ((u0, 0.0), (upi, math.pi)):
+                expect = oracle_contrast(beta_A, beta_B, dphi, S)
+                assert u == pytest.approx(expect, abs=1e-12)
 
 
-def test_beta_prime_accepts_large_bob_angle():
-    # calibration scans push beta_B past pi
-    out = beta_prime(0.5, 5.0, 1.0)
-    assert 0.0 <= out <= math.pi
-
-
-def test_beta_prime_domain():
-    with pytest.raises(DomainError):
-        beta_prime(-0.1, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        beta_prime(0.5, -0.5, 0.0)
-
-
-def test_relative_phase_offset_cancels():
-    assert relative_phase(math.pi, 0.0) == math.pi
-    assert relative_phase(0.5 * math.pi, 0.5 * math.pi) == 0.0
-
-
-def test_detector_split_energy_conservation():
-    t = tun()
-    for eta in (1.0, 0.5, 0.05):
-        for pa in ALICE_PHASES:
-            for pb in BOB_PHASES:
-                n1, n2 = detector_photon_numbers(t, SYS, eta, pa, pb)
-                assert n1 >= 0.0 and n2 >= 0.0
-                assert n1 + n2 == pytest.approx(t.mu_0 * eta * SYS.eta_B, rel=1e-14)
-
-
-def test_detector_split_blocked_carrier():
-    sys_b = SystemParams(theta_carrier=1.0)
-    t = TunableParams(mu_0=0.8, beta_A=0.3, delta=1.0, v_0=0.0)
-    n1, n2 = detector_photon_numbers(t, sys_b, 0.7, 0.0, 0.0)
-    assert n2 == 0.0
-    assert n1 == pytest.approx(0.8 * 0.7 * sys_b.eta_B, rel=1e-14)
-
-
-def test_detector_split_aligned_modulators():
-    # beta' = 0 when Bob exactly undoes Alice at dphi = pi
-    t = TunableParams(mu_0=1.0, beta_A=0.4, delta=1.0, v_0=0.0)
-    n1, n2 = detector_photon_numbers(t, SYS_IDEAL, 1.0, math.pi, 0.0)
-    assert n2 == pytest.approx(1.0 * SYS_IDEAL.eta_B, rel=1e-9)
-    assert n1 == pytest.approx(0.0, abs=1e-9)
-
-
-def test_quadrature_mean_vacuum_is_zero():
-    t = TunableParams(mu_0=0.0, beta_A=0.3, delta=1.0, v_0=0.0)
-    assert quadrature_mean(t, SYS, 0.5, 0.0, 0.0) == 0.0
-
-
-def test_quadrature_mean_empty_local_oscillator():
-    # S=1, beta_A=pi/2 sends no carrier to Bob
-    t = TunableParams(mu_0=1.0, beta_A=0.5 * math.pi, delta=0.5, v_0=0.0)
-    assert local_oscillator_photons(t, SYS, 1.0) == pytest.approx(0.0, abs=1e-30)
-    with pytest.raises(DegenerateError):
-        quadrature_mean(t, SYS, 1.0, 0.0, 0.0)
-
-
-def test_quadrature_mean_closed_form():
-    # (n1-n2) s / (2 sqrt(n_LO)) assembled by hand at one parameter point
-    t = TunableParams(mu_0=0.6, beta_A=0.35, delta=1.2, v_0=0.0)
-    eta = 0.4
-    u = interference_contrast(t.beta_A, t.delta, SYS.theta_carrier, SYS.S, 0.0)
-    n_lo = 0.6 * eta * math.cos(0.35) ** 2
-    expect = 0.6 * eta * SYS.eta_B * u * SYS.s / (2.0 * math.sqrt(n_lo))
-    assert quadrature_mean(t, SYS, eta, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
+def test_contrast_even_in_phase():
+    # the four mismatched cells sit at dphi = +pi/2 or -pi/2 (3pi/2) and
+    # share one value; each matches the formula at its own phase difference
+    alice = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+    bob = (0.0, 0.5 * math.pi)
+    for S in (1, 3):
+        sys_s = SystemParams(S=S)
+        for beta_A in (0.2, 0.8, 1.4):
+            t = tun(beta_A=beta_A, delta=calibrate_delta(beta_A, sys_s))
+            table = mean_table(t, sys_s, 0.5)
+            u0 = oracle_contrast(beta_A, t.beta_B, 0.0, S)
+            for row, col in ((0, 1), (1, 0), (2, 1), (3, 0)):
+                u = oracle_contrast(beta_A, t.beta_B, alice[row] - bob[col], S)
+                expect = table[0, 0] * u / u0
+                assert table[row, col] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_calibration_closed_form_root():
@@ -157,8 +81,7 @@ def test_calibration_with_filter_leak():
     # theta_carrier = 1e-6 shifts the root by O(theta)
     d = calibrate_delta(0.3, SYS)
     assert d == pytest.approx(math.pi / 1.2, abs=1e-4)
-    u0 = interference_contrast(0.3, d, SYS.theta_carrier, SYS.S, 0.0)
-    upi = interference_contrast(0.3, d, SYS.theta_carrier, SYS.S, math.pi)
+    u0, upi = matched_contrasts(0.3, d * 0.3, SYS.theta_carrier, SYS.S)
     assert abs(u0 + upi) < 1e-10
     assert u0 > 0.0
 
@@ -194,8 +117,7 @@ def test_calibration_scan_path_higher_spin(S):
     sys_s = SystemParams(S=S)
     for beta_A in (0.2, 0.5, 0.8, 1.1, 1.4):
         d = calibrate_delta(beta_A, sys_s)
-        u0 = interference_contrast(beta_A, d, sys_s.theta_carrier, S, 0.0)
-        upi = interference_contrast(beta_A, d, sys_s.theta_carrier, S, math.pi)
+        u0, upi = matched_contrasts(beta_A, d * beta_A, sys_s.theta_carrier, S)
         assert abs(u0 + upi) < 1e-10
         assert u0 > 0.0
         # the balanced contrasts give antisymmetric matched means
@@ -221,19 +143,42 @@ def test_symbol_mean_sideband_closed_form():
     assert m_minus == pytest.approx(-expect, rel=1e-5)
 
 
-def test_symbol_mean_detector_convention():
-    sys_d = SystemParams(mean_convention="detector")
-    t = tun(mu_0=0.4, beta_A=0.3)
-    got = symbol_mean(t, sys_d, 0.5, 0.0, 0.0)
-    assert got == pytest.approx(quadrature_mean(t, sys_d, 0.5, 0.0, 0.0), rel=1e-14)
-    # conventions scale differently with loss but share the sign structure
-    assert got > 0.0
-    assert symbol_mean(t, sys_d, 0.5, math.pi, 0.0) < 0.0
-
-
 def test_symbol_mean_vacuum():
-    t = TunableParams(mu_0=0.0, beta_A=0.3, delta=1.0, v_0=0.0)
-    assert symbol_mean(t, SYS, 0.5, 0.0, 0.0) == 0.0
+    # mu_0 = 0 reads 0 in every cell, also where the means would be undefined
+    for sys_v, delta in ((SYS, 1.0), (SystemParams(theta_carrier=0.5), 3.0)):
+        t = TunableParams(mu_0=0.0, beta_A=0.25 * math.pi, delta=delta, v_0=0.0)
+        assert matched_means(t, sys_v, 0.5) == (0.0, 0.0)
+        assert np.array_equal(mean_table(t, sys_v, 0.5), np.zeros((4, 2)))
+
+
+def test_mean_table_degenerate():
+    # S=1, theta_carrier = 1/2, beta_A + beta_B = pi: u(0) = 0 but u(pi) = 1
+    sys_h = SystemParams(theta_carrier=0.5)
+    t = TunableParams(mu_0=0.4, beta_A=0.25 * math.pi, delta=3.0, v_0=0.0)
+    u0, upi = matched_contrasts(t.beta_A, t.beta_B, sys_h.theta_carrier, sys_h.S)
+    assert u0 == 0.0 and upi != 0.0
+    with pytest.raises(DegenerateError):
+        mean_table(t, sys_h, 0.5)
+    with pytest.raises(DegenerateError):
+        matched_means(t, sys_h, 0.5)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_means_match_kernel_bit_for_bit(S):
+    # one implementation of the matched means: the one-point helpers return
+    # the rate kernel's values exactly, at calibrated points
+    sys_s = SystemParams(S=S)
+    ch = ChannelModel(loss_db=3.0, xi=0.1)
+    for mu_0, beta_A in ((0.278, math.radians(72.0)), (0.05, 0.3), (2.0, 1.1)):
+        t = TunableParams(
+            mu_0=mu_0, beta_A=beta_A, delta=calibrate_delta(beta_A, sys_s), v_0=1.0
+        )
+        block = rate_block([mu_0], [beta_A], [t.delta], [t.v_0], sys_s, ch)
+        plus, minus = float(block.mean_plus[0]), float(block.mean_minus[0])
+        assert matched_means(t, sys_s, ch.eta) == (plus, minus)
+        table = mean_table(t, sys_s, ch.eta)
+        assert table[0, 0] == table[1, 1] == plus
+        assert table[2, 0] == table[3, 1] == minus
 
 
 def test_mean_table_structure():
@@ -263,22 +208,11 @@ def test_mismatched_mean_vanishes_at_small_angle():
     assert ratios[0] == pytest.approx(math.tan(0.4) / 2.0, rel=1e-2)
 
 
-def test_contrast_even_in_phase():
-    for dphi in (0.3, 1.1, 2.7):
-        a = interference_contrast(0.5, 1.7, 1e-6, 2, dphi)
-        b = interference_contrast(0.5, 1.7, 1e-6, 2, -dphi)
-        assert a == pytest.approx(b, abs=1e-15)
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         SystemParams(eta_B=0.0)
     with pytest.raises(DomainError):
         SystemParams(theta_carrier=1.5)
-    with pytest.raises(DomainError):
-        SystemParams(N=3)
-    with pytest.raises(DomainError):
-        SystemParams(mean_convention="other")
     with pytest.raises(DomainError):
         SystemParams(S=0)
     with pytest.raises(DomainError):
@@ -289,28 +223,4 @@ def test_params_validation():
         TunableParams(mu_0=0.1, beta_A=0.3, delta=1.0, v_0=-1.0)
     with pytest.raises(DomainError):
         TunableParams(mu_0=0.1, beta_A=4.0, delta=1.0, v_0=0.0)
-    with pytest.raises(DomainError):
-        detector_photon_numbers(tun(), SYS, 0.0, 0.0, 0.0)
 
-
-def test_multimode_state_index_guard():
-    st8 = alice_state(0.5, 0.3, 0.0, SYS)
-    assert isinstance(st8, MultimodeState)
-    with pytest.raises(DomainError):
-        st8.amplitude(2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    mu_0=st.floats(min_value=0.0, max_value=10.0),
-    beta_A=st.floats(min_value=0.0, max_value=math.pi),
-    delta=st.floats(min_value=0.01, max_value=10.0),
-    eta=st.floats(min_value=1e-4, max_value=1.0),
-    pa=st.sampled_from(ALICE_PHASES),
-    pb=st.sampled_from(BOB_PHASES),
-)
-def test_property_energy_conservation(mu_0, beta_A, delta, eta, pa, pb):
-    t = TunableParams(mu_0=mu_0, beta_A=beta_A, delta=delta, v_0=0.0)
-    n1, n2 = detector_photon_numbers(t, SYS, eta, pa, pb)
-    assert n1 >= -1e-30 and n2 >= -1e-30
-    assert n1 + n2 == pytest.approx(mu_0 * eta * SYS.eta_B, rel=1e-12, abs=1e-300)

@@ -546,6 +546,23 @@ def test_sweep_finite_grid(monkeypatch):
     assert 0.0 < reports[0].rate < reports[1].rate
 
 
+def test_bad_ec_mode_rejected_before_search(monkeypatch):
+    # a misspelt mode fails at once: the spec rejects it, and the grid's
+    # rates reject it before any refinement
+    with pytest.raises(DomainError, match="ec_mode"):
+        SweepSpec(
+            loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**8,), ec_mode="blok"
+        )
+
+    def no_refine(*args):
+        raise AssertionError("refinement ran with a bad ec_mode")
+
+    monkeypatch.setattr(search, "_refine", no_refine)
+    ch = ChannelModel(loss_db=3.0, xi=0.1)
+    with pytest.raises(DomainError, match="ec_mode"):
+        optimize_point(ch, SYS, fk=FiniteKeyParams(n=10**8), ec_mode="blok")
+
+
 def test_thread_count(monkeypatch):
     monkeypatch.setenv("SCW_THREADS", "3")
     assert thread_count(10) == 3

@@ -21,11 +21,11 @@ from scw_cvqkd.noise import ChannelModel, decision_stats, erasure_error_profiles
 from scw_cvqkd.optics import (
     SystemParams,
     TunableParams,
-    alice_state,
     calibrate_delta,
     matched_means,
 )
 from scw_cvqkd.security import (
+    N_BASES,
     KeyRateResult,
     asymptotic_key_rate,
     asymptotic_rates,
@@ -34,7 +34,6 @@ from scw_cvqkd.security import (
     integration_ceiling,
     rate_block,
     security_quantities,
-    sideband_photon_number,
     state_overlap,
 )
 
@@ -84,15 +83,17 @@ def test_overlap_trivial_limits():
 
 
 def test_overlap_matches_amplitude_oracle():
-    # |<a|b>| = exp(-sum |a_k - b_k|^2 / 2) for product coherent states
+    # |<a|b>| = exp(-sum |a_k - b_k|^2 / 2) for product coherent states; mode
+    # k of Alice's state carries sqrt(mu_0) d^S_{0k}(beta_A) e^{-i phi_A k},
+    # and the two symbols of a basis differ by phi_A = pi
     rng = np.random.default_rng(5)
     for S in (1, 2, 3, 5):
-        sys_s = SystemParams(S=S)
+        k = np.arange(-S, S + 1)
         for _ in range(6):
             mu_0 = rng.uniform(0.0, 3.0)
             beta_A = rng.uniform(0.0, math.pi)
-            a = alice_state(mu_0, beta_A, 0.0, sys_s).amplitudes
-            b = alice_state(mu_0, beta_A, math.pi, sys_s).amplitudes
+            a = math.sqrt(mu_0) * wigner_d_row(S, beta_A).values
+            b = a * np.exp(-1j * math.pi * k)
             oracle = math.exp(-0.5 * float(np.sum(np.abs(a - b) ** 2)))
             assert state_overlap(mu_0, beta_A, S) == pytest.approx(oracle, rel=1e-12)
 
@@ -181,7 +182,7 @@ def _quadrature_rate(t, ch, mode):
         assert issubclass(w.category, IntegrationWarning), w
         assert "roundoff" in str(w.message), w
         assert err <= 1e-11 * abs(raw)
-    return 2.0 / (SYS.N * SYS.T) * raw, stats
+    return 2.0 / (N_BASES * SYS.T) * raw, stats
 
 
 @pytest.mark.parametrize(
@@ -271,12 +272,16 @@ def test_rate_block_equals_single_points():
 
 def test_rate_doubling_toggle():
     ch = ChannelModel(loss_db=3.0, xi=0.1)
-    both = asymptotic_key_rate(tun(), SYS, ch, doubling=True)
-    one = asymptotic_key_rate(tun(), SYS, ch, doubling=False)
+    both = asymptotic_key_rate(tun(), SystemParams(symmetric_doubling=True), ch)
+    one = asymptotic_key_rate(tun(), SystemParams(symmetric_doubling=False), ch)
     assert both.rate == pytest.approx(2.0 * one.rate, rel=1e-12)
-    sys_single = SystemParams(symmetric_doubling=False)
-    ambient = asymptotic_key_rate(tun(), sys_single, ch)
-    assert ambient.rate == pytest.approx(one.rate, rel=1e-12)
+    assert asymptotic_key_rate(tun(), SYS, ch).rate == both.rate
+    # a finite point that clears the n = 1e10 overheads
+    t, fk = tun(mu_0=0.3, v_0=1.9), FiniteKeyParams(n=10**10)
+    both = finite_key_rate(t, SystemParams(symmetric_doubling=True), ch, fk)
+    one = finite_key_rate(t, SystemParams(symmetric_doubling=False), ch, fk)
+    assert one.rate > 0.0
+    assert both.rate == pytest.approx(2.0 * one.rate, rel=1e-12)
 
 
 def test_rate_zero_without_modulation():
@@ -328,13 +333,6 @@ def test_rate_ordering_in_noise_with_threshold_reoptimized():
 
     r0, r1, r2 = best_rate(0.0), best_rate(0.1), best_rate(0.2)
     assert r0 > r1 > r2 > 0.0
-
-
-def test_sideband_photon_number():
-    assert sideband_photon_number(0.8, 0.5, 1) == pytest.approx(
-        0.8 * math.sin(0.5) ** 2, rel=1e-14
-    )
-    assert sideband_photon_number(0.8, 0.0, 3) == 0.0
 
 
 def test_overlap_domain():
