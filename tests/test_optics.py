@@ -53,6 +53,21 @@ def test_beta_prime_identities():
                 assert u == pytest.approx(expect, abs=1e-12)
 
 
+def test_beta_prime_accepts_large_bob_angle():
+    # calibration scans push beta_B past pi; the contrast there equals the
+    # one at the composite angle folded back into [0, pi]
+    beta_A, beta_B = 0.5, 5.0
+    for S in (1, 2, 3):
+        u0, upi = matched_contrasts(beta_A, beta_B, SYS.theta_carrier, S)
+        for u, angle in ((u0, beta_A + beta_B), (upi, beta_B - beta_A)):
+            folded = math.acos(math.cos(angle))
+            assert 0.0 <= folded <= math.pi
+            w = np.polynomial.legendre.legval(math.cos(folded), [0.0] * S + [1.0])
+            expect = 1.0 - 2.0 * (1.0 - SYS.theta_carrier) * w * w
+            assert math.isfinite(u) and -1.0 <= u <= 1.0
+            assert u == pytest.approx(expect, abs=1e-12)
+
+
 def test_contrast_even_in_phase():
     # the four mismatched cells sit at dphi = +pi/2 or -pi/2 (3pi/2) and
     # share one value; each matches the formula at its own phase difference
