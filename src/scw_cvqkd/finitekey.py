@@ -30,7 +30,14 @@ import numpy as np
 from .errors import DomainError
 from .noise import ChannelModel, DecisionStats
 from .optics import SystemParams, TunableParams
-from .security import RateBlock, binary_entropy, point_block
+from .security import (
+    RateBlock,
+    SymbolBlock,
+    binary_entropy,
+    binary_entropy_inverse,
+    point_block,
+    threshold_at_error,
+)
 
 _EC_MODES = ("pointwise", "block")
 
@@ -149,6 +156,33 @@ def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
     return FiniteKeyLength(l=l, abort=False)
 
 
+def _fixed_charge(chi, fk: FiniteKeyParams, k_sample):
+    """The per-bit charges that do not depend on the readout: chi and the
+    n-dependent overheads shared by both error-correction charges."""
+    return (
+        chi
+        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
+        + (k_sample + fk.check_EC + fk.loss_PA) / fk.n
+    )
+
+
+def pointwise_threshold(
+    symbols: SymbolBlock, fk: FiniteKeyParams, v_lo: float, v_hi: float
+):
+    """The pointwise finite rate's best thresholds in [v_lo, v_hi].
+
+    The per-bit fraction 1 - c_n - f_EC h(min(e(v) + dQ, 1/2)), with c_n
+    from :func:`_fixed_charge`, crosses zero at
+    e* = h^-1((1 - c_n)/f_EC) - dQ (see
+    :func:`security.threshold_at_error`); when e* <= 0 it is negative at
+    every v and the threshold is v_hi.  Block mode's flat charge has no
+    such rule.
+    """
+    budget = (1.0 - _fixed_charge(symbols.chi, fk, fk.k_sample)) / fk.f_EC
+    e_star = binary_entropy_inverse(budget) - fk.dQ
+    return threshold_at_error(symbols, e_star, v_lo, v_hi)
+
+
 def finite_rates(
     block: RateBlock,
     fk: FiniteKeyParams,
@@ -164,12 +198,7 @@ def finite_rates(
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
     if k_sample is None:
         k_sample = fk.k_sample
-    # n-dependent overheads shared by both charges
-    fixed = (
-        block.chi
-        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
-        + (k_sample + fk.check_EC + fk.loss_PA) / fk.n
-    )
+    fixed = _fixed_charge(block.chi, fk, k_sample)
     abort = block.empty
     if ec_mode == "block":
         Q = np.divide(block.E, block.P, out=np.zeros_like(block.P), where=~abort)

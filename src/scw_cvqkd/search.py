@@ -6,24 +6,31 @@ readout-sigma units.  The modulation-depth ratio delta is never free: it
 is re-derived from the calibration condition at every angle, and
 finite-block searches charge the configured parameter-estimation count.
 
-At S=1 the rate depends on photon number and angle only through
-m = mu_0 sin^2(beta_A), so the search runs over (log10 m, v_0/sigma) and
-decodes every point to the canonical point of its ridge: the largest
-in-box angle that has a calibration root, lowered where the photon number
-m / sin^2(beta_A) would fall below its bound.  For S>1 it runs over
-(log10 mu_0, beta_A, v_0/sigma) itself.
+The threshold is not searched in asymptotic and pointwise finite mode:
+the rate's derivative in v_0 is minus the secret fraction at v_0, so the
+kernel sets v_0 where that fraction crosses zero, clipped to the box
+(:func:`security.asymptotic_threshold`,
+:func:`finitekey.pointwise_threshold`).  Block ``ec_mode`` charges a flat
+h(Q + dQ) that moves with v_0, so there the threshold stays the last
+search coordinate.
 
-The search is a deterministic two-stage scheme: a fixed coarse grid, 64 x
-9 points in two coordinates or 12 x 8 x 9 in three, scored as one kernel
-block, picks a start; grid ties go to the first point in axis order, so
-the smaller m or photon number wins.  That block depends on the channel,
-not on the block size, so a sweep scores it once per channel and applies
-each block size's rate to it.  A bounded Newton descent then refines the
-start.  The stencil of a point is 11 points in two coordinates or 19
-in three: the point, a central-difference pair on each axis for the
-gradient, and a curvature stencil of axis and diagonal pairs, whose axis
-pairs also cancel the gradient's h^2 error.  The start's stencil is one
-kernel block.  Each line search is one block of 18 or 26 points: 8
+At S=1 the rate depends on photon number and angle only through
+m = mu_0 sin^2(beta_A), so the search runs over log10 m (and v_0/sigma
+in block mode) and decodes every point to the canonical point of its
+ridge: the largest in-box angle that has a calibration root, lowered
+where the photon number m / sin^2(beta_A) would fall below its bound.
+For S>1 it runs over (log10 mu_0, beta_A[, v_0/sigma]) itself.
+
+The search is a deterministic two-stage scheme: a fixed coarse grid, 64
+points in one coordinate or 12 x 8 in two (64 x 9 and 12 x 8 x 9 with
+the threshold axis), scored as one kernel block, picks a start; grid ties
+go to the first point in axis order, so the smaller m or photon number
+wins.  A bounded Newton descent then refines the start.  The stencil of
+a point is 5, 11 or 19 points in one, two or three coordinates: the
+point, a central-difference pair on each axis for the gradient, and a
+curvature stencil of axis and diagonal pairs, whose axis pairs also
+cancel the gradient's h^2 error.  The start's stencil is one kernel
+block.  Each line search is one block of 12, 18 or 26 points: 8
 halvings of the step and the stencil at the full step, so a full step
 that wins needs no further call; a shorter winner has its stencil scored
 in a block of its own.  When no Newton trial decreases, a steepest-descent
@@ -43,17 +50,30 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import _EC_MODES, FiniteKeyParams, finite_key_rate, finite_rates
+from .finitekey import (
+    _EC_MODES,
+    FiniteKeyParams,
+    finite_key_rate,
+    finite_rates,
+    pointwise_threshold,
+)
 from .noise import ChannelModel, noise_sigma
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .security import asymptotic_key_rate, asymptotic_rates, rate_block
+from .security import (
+    SymbolBlock,
+    asymptotic_key_rate,
+    asymptotic_rates,
+    asymptotic_threshold,
+    symbol_block,
+)
 
-# coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma)
+# coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma);
+# the last axis is dropped where the threshold is solved for
 _GRID_SHAPE = (12, 8, 9)
-# coarse-grid resolution per axis over (log10 m, v_0/sigma) at S=1: 0.095
-# decades in m on the default box; 24 or 48 rows miss feasible pockets
-# near the cutoff (0.085 decades wide at 9 dB, xi=0.1) that the 3-D grid
-# finds
+# coarse-grid resolution per axis over (log10 m, v_0/sigma) at S=1, the
+# last axis again dropped where the threshold is solved for: 0.095
+# decades in m on the default box; 24 rows miss feasible pockets near the
+# cutoff (0.085 decades wide at 9 dB, xi=0.1) that 64 rows find
 _RIDGE_GRID_SHAPE = (64, 9)
 # central-difference step of the refinement gradient, as a fraction of
 # each box width
@@ -114,13 +134,13 @@ class Bounds:
 class OptimumPoint:
     """Best parameters found for one channel point and the rate there.
 
-    ``evaluations`` counts kernel points scored: the coarse grid (576
-    points over (log10 m, v_0/sigma) at S=1, 864 over (log10 mu_0, beta_A,
-    v_0/sigma) otherwise), counted in full for every optimum even where a
-    sweep scores one grid block for all block sizes of a channel, then 11
-    or 19 for the refinement's first stencil, 18 or 26 per line search (8
-    halvings and the stencil at the full step) and another 11 or 19 for
-    each step that wins shorter than full.
+    ``evaluations`` counts kernel points scored: the coarse grid (64
+    points over log10 m at S=1, 96 over (log10 mu_0, beta_A) otherwise;
+    576 and 864 in block ``ec_mode``, which adds the v_0/sigma axis), then
+    one stencil for the refinement's start (5, 11 or 19 points in one, two
+    or three coordinates), 12, 18 or 26 per line search (8 halvings and the
+    stencil at the full step) and another stencil for each step that wins
+    shorter than full.
     """
 
     params: TunableParams
@@ -177,15 +197,13 @@ class KeyRateReport:
     status: str
 
 
-def _decode(x, ch: ChannelModel, fk: FiniteKeyParams | None) -> TunableParams:
-    # plain floats: an np.float64 would print as np.float64(...) in reports
-    return TunableParams(
-        mu_0=10.0 ** float(x[0]),
-        beta_A=float(x[1]),
-        delta=1.0,
-        v_0=float(x[2]) * noise_sigma(ch.xi),
-        k_sample=fk.k_sample if fk is not None else 0,
-    )
+def _threshold(symbols: SymbolBlock, sigma: float, fk, bounds: Bounds):
+    """The best thresholds of a symbol block in the box: asymptotic, or
+    pointwise finite."""
+    v_lo, v_hi = (b * sigma for b in bounds.v_0_sigmas)
+    if fk is None:
+        return asymptotic_threshold(symbols, v_lo, v_hi)
+    return pointwise_threshold(symbols, fk, v_lo, v_hi)
 
 
 def _evaluate(
@@ -194,11 +212,29 @@ def _evaluate(
     sys: SystemParams,
     fk: FiniteKeyParams | None,
     ec_mode: str,
+    bounds: Bounds,
 ):
-    """Rate and reporting stats at one decision vector; ScwError means infeasible."""
-    shell = _decode(x, ch, fk)
-    delta = calibrate_delta(shell.beta_A, sys)
-    tun = replace(shell, delta=delta)
+    """Rate and reporting stats at one decision vector; ScwError means infeasible.
+
+    A vector without a v_0/sigma entry gets the threshold :func:`_kernel`
+    gives it.
+    """
+    # plain floats: an np.float64 would print as np.float64(...) in reports
+    mu_0, beta_A = 10.0 ** float(x[0]), float(x[1])
+    delta = calibrate_delta(beta_A, sys)
+    sigma = noise_sigma(ch.xi)
+    if x.size == 3:
+        v_0 = float(x[2]) * sigma
+    else:
+        symbols = symbol_block([mu_0], [beta_A], [delta], sys, ch)
+        v_0 = float(_threshold(symbols, sigma, fk, bounds)[0])
+    tun = TunableParams(
+        mu_0=mu_0,
+        beta_A=beta_A,
+        delta=delta,
+        v_0=v_0,
+        k_sample=fk.k_sample if fk is not None else 0,
+    )
     if fk is None:
         out = asymptotic_key_rate(tun, sys, ch)
     else:
@@ -213,16 +249,18 @@ def _evaluate(
     )
 
 
-def _kernel(points, ch, sys):
-    """Kernel block at decision vectors, rows of (log10 mu_0, beta_A, v_0/sigma).
+def _kernel(points, ch, sys, fk, ec_mode, bounds):
+    """Rates and thresholds at decision vectors, as one kernel block.
 
-    Returns the mask of rows whose angle has a calibration root and the
-    block of those rows, None when no row has one.  Each distinct angle is
-    calibrated once and every point is scored in one kernel block, decoded
-    exactly as :func:`_decode` decodes a single point.  Nothing in it
-    depends on the block size, so one block serves every ``fk``.
+    Rows are (log10 mu_0, beta_A, v_0/sigma), or (log10 mu_0, beta_A) where
+    the threshold is solved for (see :func:`_threshold`).  Returns the
+    rates and each row's v_0/sigma.  Each distinct angle is calibrated
+    once and the symbol means and chi are formed once for every row.  A
+    row scores -inf where its angle has no calibration root, where its
+    symbol means are degenerate, and where they are not ordered
+    (m+ <= m-), since the threshold rule rests on m+ > m-.
     """
-    lg_mu, beta_A, v_sig = points.T
+    lg_mu, beta_A = points[:, 0], points[:, 1]
     delta = np.full(beta_A.size, math.nan)
     # dict.fromkeys, not np.unique: the first np.unique in a process
     # imports numpy.ma
@@ -232,31 +270,26 @@ def _kernel(points, ch, sys):
         except ScwError:
             pass
     ok = ~np.isnan(delta)
-    if not ok.any():
-        return ok, None
-    mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
-    return ok, rate_block(
-        mu_0, beta_A[ok], delta[ok], v_sig[ok] * noise_sigma(ch.xi), sys, ch
-    )
-
-
-def _rates(kernel, fk, ec_mode) -> np.ndarray:
-    """Rates of a :func:`_kernel` result; -inf at a point whose angle has no
-    calibration root or whose symbol means are degenerate."""
-    ok, block = kernel
     rates = np.full(ok.size, -math.inf)
-    if block is not None:
-        if fk is None:
-            scored = asymptotic_rates(block)
-        else:
-            scored = finite_rates(block, fk, ec_mode)
-        rates[ok] = np.where(block.degenerate, -math.inf, scored)
-    return rates
-
-
-def _score(points, ch, sys, fk, ec_mode) -> np.ndarray:
-    """Rates at decision vectors: :func:`_rates` of their :func:`_kernel`."""
-    return _rates(_kernel(points, ch, sys), fk, ec_mode)
+    v_sig = np.full(ok.size, math.nan)
+    if not ok.any():
+        return rates, v_sig
+    mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
+    symbols = symbol_block(mu_0, beta_A[ok], delta[ok], sys, ch)
+    sigma = noise_sigma(ch.xi)
+    if points.shape[1] == 3:
+        v_0 = points[ok, 2] * sigma
+    else:
+        v_0 = _threshold(symbols, sigma, fk, bounds)
+    block = symbols.at(v_0)
+    if fk is None:
+        scored = asymptotic_rates(block)
+    else:
+        scored = finite_rates(block, fk, ec_mode)
+    invalid = symbols.degenerate | ~(symbols.mean_plus > symbols.mean_minus)
+    rates[ok] = np.where(invalid, -math.inf, scored)
+    v_sig[ok] = v_0 / sigma
+    return rates, v_sig
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -288,37 +321,47 @@ def _top_angle(bounds: Bounds, sys: SystemParams) -> float:
     return lo
 
 
-def _search_space(bounds: Bounds, sys: SystemParams):
+def _search_space(bounds: Bounds, sys: SystemParams, v_axis: bool):
     """Search box (lo, hi), grid shape and decoder to decision vectors.
 
-    At S=1 the search runs over (log10 m, v_0/sigma) with
-    m = mu_0 sin^2(beta_A), the only combination of the two that the rate
-    depends on.  Each row decodes to the canonical point of its ridge:
+    At S=1 the search runs over log10 m with m = mu_0 sin^2(beta_A), the
+    only combination of the two that the rate depends on.  Each row
+    decodes to the canonical point of its ridge:
     beta_A = min(beta_top, arcsin sqrt(m / mu_lo)) and
     mu_0 = m / sin^2(beta_A), both clipped to the box, with beta_top from
     :func:`_top_angle`.
-    Otherwise the search runs over (log10 mu_0, beta_A, v_0/sigma) and
-    the decoder is the identity.
+    Otherwise the search runs over (log10 mu_0, beta_A) and the decoder is
+    the identity.  With ``v_axis`` a last coordinate v_0/sigma is searched
+    too and passed through as the decision vector's third entry.
     """
-    v_lo, v_hi = bounds.v_0_sigmas
     if sys.S != 1:
-        lo = np.array([math.log10(bounds.mu_0[0]), bounds.beta_A[0], v_lo])
-        hi = np.array([math.log10(bounds.mu_0[1]), bounds.beta_A[1], v_hi])
-        return lo, hi, _GRID_SHAPE, lambda points: points
+        lo = [math.log10(bounds.mu_0[0]), bounds.beta_A[0]]
+        hi = [math.log10(bounds.mu_0[1]), bounds.beta_A[1]]
+        shape = _GRID_SHAPE
 
-    mu_lo, mu_hi = bounds.mu_0
-    beta_lo, beta_top = bounds.beta_A[0], _top_angle(bounds, sys)
-    lo = np.array([math.log10(mu_lo * math.sin(beta_lo) ** 2), v_lo])
-    hi = np.array([math.log10(mu_hi * math.sin(beta_top) ** 2), v_hi])
+        def decode(points):
+            return points
 
-    def decode(points):
-        m = 10.0 ** points[:, 0]
-        beta = np.arcsin(np.sqrt(np.minimum(1.0, m / mu_lo)))
-        beta = np.clip(beta, beta_lo, beta_top)
-        mu_0 = np.clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
-        return np.column_stack([np.log10(mu_0), beta, points[:, 1]])
+    else:
+        mu_lo, mu_hi = bounds.mu_0
+        beta_lo, beta_top = bounds.beta_A[0], _top_angle(bounds, sys)
+        lo = [math.log10(mu_lo * math.sin(beta_lo) ** 2)]
+        hi = [math.log10(mu_hi * math.sin(beta_top) ** 2)]
+        shape = _RIDGE_GRID_SHAPE
 
-    return lo, hi, _RIDGE_GRID_SHAPE, decode
+        def decode(points):
+            m = 10.0 ** points[:, 0]
+            beta = np.arcsin(np.sqrt(np.minimum(1.0, m / mu_lo)))
+            beta = np.clip(beta, beta_lo, beta_top)
+            mu_0 = np.clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
+            return np.column_stack([np.log10(mu_0), beta, points[:, 1:]])
+
+    if v_axis:
+        lo.append(bounds.v_0_sigmas[0])
+        hi.append(bounds.v_0_sigmas[1])
+    else:
+        shape = shape[:-1]
+    return np.array(lo), np.array(hi), shape, decode
 
 
 @lru_cache(maxsize=None)
@@ -468,55 +511,6 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
     return x, n_eval
 
 
-def _coarse_grid(ch: ChannelModel, sys: SystemParams, bounds: Bounds):
-    """Stage one of :func:`optimize_point`: the coarse grid of one channel.
-
-    Returns the search box (lo, hi), the decoder, the grid rows and their
-    :func:`_kernel` result.  None of it depends on the block size, so one
-    grid starts the search for every ``fk`` at the channel.
-    """
-    lo, hi, shape, decode = _search_space(bounds, sys)
-    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
-    points = _grid_points(axes)
-    return lo, hi, decode, points, _kernel(decode(points), ch, sys)
-
-
-def _optimize_on(
-    grid, ch: ChannelModel, sys: SystemParams, fk: FiniteKeyParams | None, ec_mode: str
-) -> OptimumPoint:
-    """Stage two of :func:`optimize_point`: rates of the channel's ``grid``
-    for one block size, the refinement from its best point and the final
-    evaluation."""
-    lo, hi, decode, points, kernel = grid
-
-    def objective(rows):
-        return _score(decode(rows), ch, sys, fk, ec_mode)
-
-    rates = _rates(kernel, fk, ec_mode)
-    n_eval = rates.size
-    # argmax takes the first maximum in axis order: ties go to the smaller
-    # m or photon number
-    best = np.argmax(rates)
-    best_rate = float(rates[best])
-    x = points[best]
-    if not best_rate > 0.0:
-        raise InfeasibleError(
-            f"no positive rate on the {rates.size}-point coarse grid at "
-            f"loss={ch.loss_db} dB, xi={ch.xi}",
-            diagnostics={
-                "best_rate": best_rate,
-                "best_point": tuple(float(v) for v in decode(x[None])[0]),
-                "grid_points": rates.size,
-            },
-        )
-
-    x, refined = _refine(x, lambda rows: -objective(rows) / best_rate, lo, hi)
-    n_eval += refined
-
-    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode)
-    return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
-
-
 def optimize_point(
     ch: ChannelModel,
     sys: SystemParams,
@@ -527,20 +521,53 @@ def optimize_point(
     """Maximize the key rate at one channel point.
 
     The best point of a fixed coarse grid starts one bounded Newton
-    descent (see :func:`_refine`).  At S=1 both run over (log10 m,
-    v_0/sigma) and every point decodes to the canonical (mu_0, beta_A) of
-    its equal-rate curve; otherwise they run
-    over (log10 mu_0, beta_A, v_0/sigma) (see :func:`_search_space`).
-    Each line search scores one kernel block: the halvings of the step
-    and the gradient and curvature stencil at the full step, with central
-    differences that turn one-sided where a pair meets a face or a point
-    without a calibration root.  Deterministic: no randomness
-    enters at any stage.
+    descent (see :func:`_refine`).  At S=1 both run over log10 m and every
+    point decodes to the canonical (mu_0, beta_A) of its equal-rate curve;
+    otherwise they run over (log10 mu_0, beta_A) (see
+    :func:`_search_space`).  The kernel sets each point's threshold (see
+    :func:`_kernel`), except in block ``ec_mode``, where v_0/sigma is a
+    last search coordinate.  Each line search scores one kernel block: the
+    halvings of the step and the gradient and curvature stencil at the
+    full step, with central differences that turn one-sided where a pair
+    meets a face or a point without a calibration root.  Deterministic: no
+    randomness enters at any stage.
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    return _optimize_on(_coarse_grid(ch, sys, bounds), ch, sys, fk, ec_mode)
+    v_axis = fk is not None and ec_mode == "block"
+    lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
+
+    def score(rows):
+        return _kernel(decode(rows), ch, sys, fk, ec_mode, bounds)
+
+    points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
+    rates, v_sig = score(points)
+    n_eval = rates.size
+    # argmax takes the first maximum in axis order: ties go to the smaller
+    # m or photon number
+    best = np.argmax(rates)
+    best_rate = float(rates[best])
+    x = points[best]
+    if not best_rate > 0.0:
+        vector = decode(x[None])[0]
+        if not v_axis:
+            vector = np.append(vector, v_sig[best])
+        raise InfeasibleError(
+            f"no positive rate on the {rates.size}-point coarse grid at "
+            f"loss={ch.loss_db} dB, xi={ch.xi}",
+            diagnostics={
+                "best_rate": best_rate,
+                "best_point": tuple(float(v) for v in vector),
+                "grid_points": rates.size,
+            },
+        )
+
+    x, refined = _refine(x, lambda rows: -score(rows)[0] / best_rate, lo, hi)
+    n_eval += refined
+
+    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode, bounds)
+    return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
 
 
 def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
@@ -561,26 +588,19 @@ def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
     )
 
 
-def _channel_worker(args) -> list[KeyRateReport]:
-    """Rows of one channel for each block size in order, from one grid."""
-    loss_db, xi, fks, sys, bounds, ec_mode = args
+def _point_worker(args) -> KeyRateReport:
+    """Row of one channel point at one block size."""
+    loss_db, xi, fk, sys, bounds, ec_mode = args
     ch = ChannelModel(loss_db=loss_db, xi=xi)
     try:
-        grid = _coarse_grid(ch, sys, bounds)
-    except Exception as exc:  # every block size of the channel records it
-        return [_report(ch, fk, exc) for fk in fks]
-    reports = []
-    for fk in fks:
-        try:
-            reports.append(_report(ch, fk, _optimize_on(grid, ch, sys, fk, ec_mode)))
-        except Exception as exc:  # record, never abort the sweep
-            reports.append(_report(ch, fk, exc))
-    return reports
+        return _report(ch, fk, optimize_point(ch, sys, fk, ec_mode, bounds))
+    except Exception as exc:  # record, never abort the sweep
+        return _report(ch, fk, exc)
 
 
 def thread_count(n_tasks: int) -> int:
     """Worker count for sweeps: SCW_THREADS, else the CPU count, capped by
-    ``n_tasks`` (a sweep passes its number of channels)."""
+    ``n_tasks`` (a sweep passes its number of points)."""
     raw = os.environ.get("SCW_THREADS", "")
     try:
         threads = int(raw) if raw else (os.cpu_count() or 1)
@@ -594,13 +614,11 @@ def thread_count(n_tasks: int) -> int:
 def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
     """Optimize every (noise, block-size, loss) grid point.
 
-    One task per channel (noise level, loss) scores the channel's coarse
-    grid once and optimizes each block size from it in turn.  Tasks are
-    independent and run in parallel when more than one worker is
-    available.  The output order always follows the grid index (noise
-    level outermost, loss innermost), and per-point failures are recorded
-    in the report status rather than raised; a failure while building a
-    channel's grid gives every block size of that channel its status.
+    Each point is one :func:`optimize_point` task.  Tasks are independent
+    and run in parallel when more than one worker is available.  The output
+    order always follows the grid index (noise level outermost, loss
+    innermost), and per-point failures are recorded in the report status
+    rather than raised.
     """
     fks = [None]
     if spec.n_values is not None:
@@ -609,19 +627,13 @@ def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
             for n in spec.n_values
         ]
     tasks = [
-        (loss, xi, fks, sys, spec.bounds, spec.ec_mode)
+        (loss, xi, fk, sys, spec.bounds, spec.ec_mode)
         for xi in spec.noise_levels
+        for fk in fks
         for loss in spec.loss_grid
     ]
     workers = thread_count(len(tasks))
     if workers == 1:
-        per_channel = [_channel_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_channel = list(pool.map(_channel_worker, tasks))
-    # back from (noise, loss, block size) to (noise, block size, loss)
-    reports = []
-    for i in range(0, len(per_channel), len(spec.loss_grid)):
-        for by_loss in zip(*per_channel[i : i + len(spec.loss_grid)]):
-            reports.extend(by_loss)
-    return reports
+        return [_point_worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_point_worker, tasks))

@@ -8,17 +8,27 @@ secret fraction at readout v is 1 - h(e(v)) - chi, and the key rate is
 its acceptance-weighted integral over the post-selected region, converted
 to bits per second by the basis count and window duration.
 
-Rates are evaluated by one vectorized kernel, :func:`rate_block`, which
-takes N working points at one channel and forms their symbol means, chi,
-P and E, and the readout profiles on an N x ``_GL_ORDER`` Gauss-Legendre
-grid.  :func:`asymptotic_key_rate` and :func:`finitekey.finite_key_rate`
-are its N=1 case; the optimizer scores its coarse grid in blocks.
+Rates are evaluated by one vectorized kernel in two stages:
+:func:`symbol_block` forms the symbol means and chi of N working points at
+one channel, and :meth:`SymbolBlock.at` adds P and E at given thresholds
+and the readout profiles on an N x ``_GL_ORDER`` Gauss-Legendre grid
+(:func:`rate_block` runs both).  :func:`asymptotic_key_rate` and
+:func:`finitekey.finite_key_rate` are its N=1 case; the optimizer scores
+its coarse grid in blocks.
+
+Between the two stages the optimizer can solve for the threshold instead
+of searching it.  Both readout Gaussians have the variance (1 + xi)/4, so
+e(v) is a logistic in a linear function of v and falls as v rises; the
+secret fraction at v then rises, and the rate, its integral from v_0 up,
+peaks where the fraction crosses zero: post-selection keeps exactly the
+readouts with a positive advantage (:func:`asymptotic_threshold`,
+:func:`finitekey.pointwise_threshold`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +37,7 @@ from .angular import carrier_weight, legendre_p
 from .errors import DegenerateError, DomainError
 from .noise import (
     P_FLOOR,
+    V_VAC,
     ChannelModel,
     DecisionStats,
     decision_masses,
@@ -43,6 +54,15 @@ _BOUNDS_SLOP = 1e-12
 _GL_ORDER = 48
 # Bob's measurement bases; each window is sifted into one of them
 N_BASES = 2
+# start table of binary_entropy_inverse: this many nodes of
+# log(p / (1 - 2p)) on [-40, 34] and 34 coarser ones from -700 up to -40;
+# from its linear interpolation two steps leave h(p) within 4.5e-16 of the
+# target (test_binary_entropy_inverse_round_trip pins 1e-14)
+_HINV_NODES = 512
+_HINV_STEPS = 2
+# the iterate stays in [_P_MIN, _P_MAX], where both logs of a step are finite
+_P_MIN = float(np.finfo(float).tiny)
+_P_MAX = 0.5 - 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,57 @@ def binary_entropy(x):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _hinv_table():
+    """Nodes (logit h(p), log(p / (1 - 2p))) of :func:`binary_entropy_inverse`'s start.
+
+    Both coordinates run from -inf to +inf as p goes from 0 to 1/2, and
+    each is asymptotically linear in the other at both ends.  1 - h(p) is
+    formed from u = 1 - 2p for p >= 1/4, where h(p) nears 1.
+    """
+    t = np.exp(
+        np.concatenate([np.linspace(-700.0, -40.0, 34, endpoint=False),
+                        np.linspace(-40.0, 34.0, _HINV_NODES)])
+    )
+    p = t / (1.0 + 2.0 * t)
+    logit = np.empty_like(p)
+    low = p < 0.25
+    h = _entropy_bits(p[low])
+    logit[low] = np.log(h / (1.0 - h))
+    u = 1.0 - 2.0 * p[~low]
+    one_minus_h = (2.0 * u * np.arctanh(u) + np.log1p(-u * u)) / (2.0 * math.log(2.0))
+    logit[~low] = np.log((1.0 - one_minus_h) / one_minus_h)
+    return logit, np.log(t)
+
+
+def binary_entropy_inverse(y) -> np.ndarray:
+    """The p in [0, 1/2] with h(p) = y, elementwise; y is clipped to [0, 1].
+
+    Starts from a table (:func:`_hinv_table`) and takes _HINV_STEPS
+    Newton steps in w = (1 - 2p)^2 rather than in p: h'(1/2) = 0, so
+    Newton in p converges only linearly as y nears 1, while 1 - h is
+    smooth in w with a nonzero slope at w = 0.  The step is carried out
+    on p, which keeps its relative precision as p nears 0.
+    """
+    # np.minimum/np.maximum: np.clip costs twice as much on short arrays
+    y = np.minimum(np.maximum(np.asarray(y, dtype=float), 0.0), 1.0)
+    logit, log_t = _hinv_table()
+    # y = 0 and y = 1 give logits of -inf and +inf, which take the end nodes
+    with np.errstate(divide="ignore"):
+        t = np.exp(np.interp(np.log(y / (1.0 - y)), logit, log_t))
+    p = t / (1.0 + 2.0 * t)
+    y_nats = y * math.log(2.0)
+    for _ in range(_HINV_STEPS):
+        p = np.minimum(np.maximum(p, _P_MIN), _P_MAX)
+        u = 1.0 - 2.0 * p
+        # log((1 - p)/p), and the plain Newton step in p, in nats
+        slope = np.log1p(u / p)
+        r = (p * slope - np.log1p(-p) - y_nats) / slope
+        # the Newton step in w, expressed as a step in p
+        p = p - 2.0 * r / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * r / u, 0.0)))
+    return np.minimum(np.maximum(p, 0.0), 0.5)
+
+
 def state_overlap(mu_0: float, beta_A: float, S: int) -> float:
     """Overlap of the two same-basis signal states, exp(-mu_0 (1 - d00(2 beta_A))).
 
@@ -123,30 +194,56 @@ def _gl_nodes(order: int):
 
 
 @dataclass(frozen=True)
-class RateBlock:
-    """Shared ingredients of N rate points at one channel.
+class SymbolBlock:
+    """The threshold-free part of N rate points at one channel.
 
-    Every field is an array over the N points.  ``one_minus_g`` and ``e``
-    are the readout profiles at the Gauss-Legendre nodes of each point's
-    accepted region [v_0, ceiling], shape (N, ``_GL_ORDER``).  ``empty``
-    marks an acceptance mass below the abort floor, ``degenerate`` symbol
-    means the model leaves undefined.
+    Every array is over the N points.  ``degenerate`` marks symbol means
+    the model leaves undefined.
     """
 
-    v_0: np.ndarray
     xi: float
     mean_plus: np.ndarray
     mean_minus: np.ndarray
     overlap: np.ndarray
     chi: np.ndarray
+    degenerate: np.ndarray
+    scale: float
+
+    def at(self, v_0) -> RateBlock:
+        """The rate block of these points at thresholds ``v_0`` (one per point)."""
+        v_0 = np.asarray(v_0, dtype=float)
+        E, P = decision_masses(v_0, self.mean_plus, self.mean_minus, self.xi)
+        hi = integration_ceiling(self.mean_plus, self.mean_minus, self.xi)
+        half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
+        x, _ = _gl_nodes(_GL_ORDER)
+        nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
+        one_minus_g, e = erasure_error_profiles(
+            nodes, self.mean_plus[:, None], self.mean_minus[:, None], self.xi
+        )
+        shared = {f.name: getattr(self, f.name) for f in fields(SymbolBlock)}
+        return RateBlock(
+            **shared, v_0=v_0, E=E, P=P, empty=P < P_FLOOR,
+            one_minus_g=one_minus_g, e=e, half=half,
+        )
+
+
+@dataclass(frozen=True)
+class RateBlock(SymbolBlock):
+    """Shared ingredients of N rate points at one channel and their thresholds.
+
+    ``one_minus_g`` and ``e`` are the readout profiles at the
+    Gauss-Legendre nodes of each point's accepted region [v_0, ceiling],
+    shape (N, ``_GL_ORDER``).  ``empty`` marks an acceptance mass below
+    the abort floor.
+    """
+
+    v_0: np.ndarray
     E: np.ndarray
     P: np.ndarray
     empty: np.ndarray
-    degenerate: np.ndarray
     one_minus_g: np.ndarray
     e: np.ndarray
     half: np.ndarray
-    scale: float
 
     def integrate(self, fraction) -> np.ndarray:
         """Bits per second from a per-bit secret fraction on the node grid."""
@@ -177,6 +274,32 @@ class RateBlock:
         return stats, quantities
 
 
+def symbol_block(mu_0, beta_A, delta, sys: SystemParams, ch: ChannelModel) -> SymbolBlock:
+    """Symbol means and chi of N working points at one channel.
+
+    ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays of values
+    already validated as :class:`TunableParams` validates them.  The
+    system's symmetric_doubling flag folds in the mirrored negative
+    readout branch.
+    """
+    mu_0 = np.asarray(mu_0, dtype=float)
+    beta_A = np.asarray(beta_A, dtype=float)
+    mean_plus, mean_minus, degenerate = matched_means_array(
+        mu_0, beta_A, np.asarray(delta, dtype=float), sys, ch.eta
+    )
+    # the doubled angle can exceed pi; P_S(cos) continues analytically there
+    overlap = np.exp(-mu_0 * (1.0 - legendre_p(sys.S, np.cos(2.0 * beta_A))))
+    return SymbolBlock(
+        xi=ch.xi,
+        mean_plus=mean_plus,
+        mean_minus=mean_minus,
+        overlap=overlap,
+        chi=_entropy_bits(0.5 * (1.0 - overlap)),
+        degenerate=degenerate,
+        scale=(2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T),
+    )
+
+
 def rate_block(
     mu_0,
     beta_A,
@@ -185,46 +308,36 @@ def rate_block(
     sys: SystemParams,
     ch: ChannelModel,
 ) -> RateBlock:
-    """Evaluate N working points at one channel at once.
+    """Evaluate N working points at one channel at once: :func:`symbol_block`
+    at thresholds ``v_0``, an array of the same length."""
+    return symbol_block(mu_0, beta_A, delta, sys, ch).at(v_0)
 
-    ``mu_0``, ``beta_A``, ``delta`` and ``v_0`` are equal-length arrays of
-    values already validated as :class:`TunableParams` validates them.
-    The system's symmetric_doubling flag folds in the mirrored negative
-    readout branch.
+
+def threshold_at_error(symbols: SymbolBlock, e_star, v_lo: float, v_hi: float):
+    """Thresholds where the error fraction e(v) falls to ``e_star``, in [v_lo, v_hi].
+
+    With sigma^2 = (1 + xi)/4, logit e(v) = (m+ - m-)(m+ + m- - 2v) /
+    (2 sigma^2), so v = (m+ + m-)/2 - sigma^2 logit(e*) / (m+ - m-).  An
+    e* <= 0 is reached by no v and gives v_hi.  The rule needs m+ > m-;
+    a point without it gets v_lo, and callers must not score it.
     """
-    mu_0 = np.asarray(mu_0, dtype=float)
-    beta_A = np.asarray(beta_A, dtype=float)
-    v_0 = np.asarray(v_0, dtype=float)
-    mean_plus, mean_minus, degenerate = matched_means_array(
-        mu_0, beta_A, np.asarray(delta, dtype=float), sys, ch.eta
-    )
-    # the doubled angle can exceed pi; P_S(cos) continues analytically there
-    overlap = np.exp(-mu_0 * (1.0 - legendre_p(sys.S, np.cos(2.0 * beta_A))))
-    E, P = decision_masses(v_0, mean_plus, mean_minus, ch.xi)
+    gap = symbols.mean_plus - symbols.mean_minus
+    sigma2 = V_VAC * (1.0 + symbols.xi)
+    e_star = np.maximum(e_star, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.log(e_star) - np.log1p(-e_star)
+        v = 0.5 * (symbols.mean_plus + symbols.mean_minus) - sigma2 * logit / gap
+    return np.where(gap > 0.0, np.minimum(np.maximum(v, v_lo), v_hi), v_lo)
 
-    hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
-    half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
-    x, _ = _gl_nodes(_GL_ORDER)
-    nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
-    one_minus_g, e = erasure_error_profiles(
-        nodes, mean_plus[:, None], mean_minus[:, None], ch.xi
-    )
-    return RateBlock(
-        v_0=v_0,
-        xi=ch.xi,
-        mean_plus=mean_plus,
-        mean_minus=mean_minus,
-        overlap=overlap,
-        chi=_entropy_bits(0.5 * (1.0 - overlap)),
-        E=E,
-        P=P,
-        empty=P < P_FLOOR,
-        degenerate=degenerate,
-        one_minus_g=one_minus_g,
-        e=e,
-        half=half,
-        scale=(2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T),
-    )
+
+def asymptotic_threshold(symbols: SymbolBlock, v_lo: float, v_hi: float):
+    """The asymptotic rate's best thresholds in [v_lo, v_hi].
+
+    The secret fraction 1 - h(e(v)) - chi crosses zero at
+    e* = h^-1(1 - chi) (see :func:`threshold_at_error`).
+    """
+    e_star = binary_entropy_inverse(1.0 - symbols.chi)
+    return threshold_at_error(symbols, e_star, v_lo, v_hi)
 
 
 def point_block(tun: TunableParams, sys: SystemParams, ch: ChannelModel) -> RateBlock:

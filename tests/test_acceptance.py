@@ -8,7 +8,6 @@ stated tolerances.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -8,7 +8,7 @@ import pytest
 
 from scw_cvqkd import search
 from scw_cvqkd.errors import DomainError, InfeasibleError, NoRootError
-from scw_cvqkd.finitekey import FiniteKeyParams, finite_key_rate
+from scw_cvqkd.finitekey import FiniteKeyParams, finite_key_rate, finite_rates
 from scw_cvqkd.noise import ChannelModel, noise_sigma
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
 from scw_cvqkd.search import (
@@ -20,7 +20,12 @@ from scw_cvqkd.search import (
     sweep,
     thread_count,
 )
-from scw_cvqkd.security import asymptotic_key_rate, asymptotic_rates, rate_block
+from scw_cvqkd.security import (
+    asymptotic_key_rate,
+    asymptotic_rates,
+    rate_block,
+    symbol_block,
+)
 
 SYS = SystemParams()
 CH3 = ChannelModel(loss_db=3.0, xi=0.1)
@@ -77,15 +82,96 @@ def test_optimum_zero_loss_noiseless():
 
 
 def test_infeasible_beyond_cutoff():
-    # (log10 m, v_0/sigma) at S=1; (log10 mu_0, beta_A, v_0/sigma) above
-    for S, grid_points in ((1, 64 * 9), (3, 12 * 8 * 9)):
+    # log10 m at S=1; (log10 mu_0, beta_A) above
+    for S, grid_points in ((1, 64), (3, 12 * 8)):
         with pytest.raises(InfeasibleError) as exc:
             optimize_point(ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S))
         diag = exc.value.diagnostics
         assert diag["best_rate"] <= 0.0
         assert diag["grid_points"] == grid_points
-        # reported as a decision vector in either case
+        # reported as a decision vector in either case, with the threshold
+        # the kernel gave the point
         assert len(diag["best_point"]) == 3
+        assert 0.0 <= diag["best_point"][2] <= Bounds().v_0_sigmas[1]
+    # block ec_mode searches the threshold on a last grid axis of 9
+    for S, grid_points in ((1, 64 * 9), (3, 12 * 8 * 9)):
+        with pytest.raises(InfeasibleError) as exc:
+            optimize_point(
+                ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S),
+                fk=FiniteKeyParams(n=10**8), ec_mode="block",
+            )
+        assert exc.value.diagnostics["grid_points"] == grid_points
+        assert len(exc.value.diagnostics["best_point"]) == 3
+
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_grid_means_are_ordered_and_antisymmetric(S):
+    # the threshold rule needs m+ > m- and e(v) <= 1/2 for v >= 0; the
+    # calibration makes the means antisymmetric, so e(0) = 1/2 to rounding
+    sys_s = SystemParams(S=S)
+    lo, hi, shape, decode = search._search_space(Bounds(), sys_s, v_axis=False)
+    rows = decode(search._grid_points(
+        [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
+    ))
+    delta = [calibrate_delta(float(beta), sys_s) for beta in rows[:, 1]]
+    for loss_db in (0.5, 3.0, 6.0, 9.0, 10.0):
+        for xi in (0.0, 0.1, 0.2):
+            ch = ChannelModel(loss_db=loss_db, xi=xi)
+            sym = symbol_block(10.0 ** rows[:, 0], rows[:, 1], delta, sys_s, ch)
+            assert np.all(sym.mean_plus - sym.mean_minus > 1e-3 * ch.sigma)
+            centre = np.abs(sym.mean_plus + sym.mean_minus) / 2.0
+            assert np.all(centre <= 1.1e-14 * ch.sigma)
+
+
+def test_unordered_means_score_no_rate(monkeypatch):
+    # with m+ <= m- the threshold rule does not hold: such rows score
+    # -inf instead of a rate at a wrong threshold
+    def swapped(*args):
+        sym = symbol_block(*args)
+        return replace(sym, mean_plus=sym.mean_minus, mean_minus=sym.mean_plus)
+
+    monkeypatch.setattr(search, "symbol_block", swapped)
+    with pytest.raises(InfeasibleError) as exc:
+        optimize_point(CH3, SYS)
+    assert exc.value.diagnostics["best_rate"] == -math.inf
+
+
+_EXACT_CASES = [
+    (3.0, 0.1, 1, None, False),
+    (3.0, 0.1, 1, 10**8, False),
+    (3.0, 0.1, 3, None, False),
+    (3.0, 0.1, 3, 10**8, False),
+    # near the cutoff the best threshold lies past the box: clipped to 6 sigma
+    (9.0, 0.1, 1, None, True),
+]
+
+
+@pytest.mark.parametrize("loss_db, xi, S, n, on_face", _EXACT_CASES)
+def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, on_face):
+    # at the reported (mu_0, beta_A), no threshold in the box gives a rate
+    # above the reported one: a 1201-point scan over [0, 6] sigma and 201
+    # points within 1e-3 sigma of the reported threshold
+    ch = ChannelModel(loss_db=loss_db, xi=xi)
+    sys_s = SystemParams(S=S)
+    fk = FiniteKeyParams(n=n) if n is not None else None
+    opt = optimize_point(ch, sys_s, fk=fk)
+    t = opt.params
+    v_hi = Bounds().v_0_sigmas[1]
+    if on_face:
+        assert t.v_0 == pytest.approx(v_hi * ch.sigma, rel=1e-15)
+    else:
+        assert 0.0 < t.v_0 < 0.99 * v_hi * ch.sigma
+    v_sig = np.concatenate([
+        np.linspace(0.0, v_hi, 1201),
+        t.v_0 / ch.sigma + np.linspace(-1e-3, 1e-3, 201),
+    ])
+    v_0 = np.clip(v_sig, 0.0, v_hi) * ch.sigma
+    ones = np.ones(v_0.size)
+    block = rate_block(
+        t.mu_0 * ones, t.beta_A * ones, t.delta * ones, v_0, sys_s, ch
+    )
+    rates = asymptotic_rates(block) if fk is None else finite_rates(block, fk)
+    assert rates.max() <= opt.rate * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -99,10 +185,11 @@ def test_s1_grid_resolves_narrow_pockets(loss_db, xi, n):
     assert search._RIDGE_GRID_SHAPE == (64, 9)
     opt = optimize_point(ch, SYS, fk=fk)
     assert opt.rate > 0.0
-    # a 24 x 9 grid over the same box finds no positive rate
-    lo, hi, _, decode = search._search_space(Bounds(), SYS)
-    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, (24, 9))]
-    coarse = search._score(decode(search._grid_points(axes)), ch, SYS, fk, "pointwise")
+    # a 24-row grid over the same box finds no positive rate
+    lo, hi, shape, decode = search._search_space(Bounds(), SYS, v_axis=False)
+    assert shape == (64,)
+    rows = np.linspace(lo[0], hi[0], 24)[:, None]
+    coarse, _ = search._kernel(decode(rows), ch, SYS, fk, "pointwise", Bounds())
     assert not coarse.max() > 0.0
 
 
@@ -466,8 +553,8 @@ _SWEEPS = {
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):
-    # one grid per channel serves every block size: each row equals its
-    # own optimize_point field for field, serially and in the pool
+    # each row equals its own optimize_point field for field, serially and
+    # in the pool
     for kind, spec in _SWEEPS.items():
         expected = _pointwise_reports(spec)
         assert all(r.status == "ok" for r in expected)
@@ -477,42 +564,43 @@ def test_sweep_parallel_matches_serial(monkeypatch):
 
 
 def _count_grid_blocks(monkeypatch, fail_at=None):
-    """Patch ``search.rate_block`` to log each grid-sized call's loss.
+    """Patch ``search.symbol_block`` to log each grid-sized call's loss and size.
 
-    A refinement block has at most 26 points; the grid has 576 at S=1.
+    A refinement block has at most 26 points; the grid has 64 at S=1.
     At the loss ``fail_at`` every call raises instead.
     """
-    losses = []
+    grids = []
 
-    def counted(mu_0, beta_A, delta, v_0, sys, ch):
+    def counted(mu_0, beta_A, delta, sys, ch):
         if len(mu_0) > 26:
-            losses.append(ch.loss_db)
+            grids.append((ch.loss_db, len(mu_0)))
         if ch.loss_db == fail_at:
             raise ValueError("boom")
-        return rate_block(mu_0, beta_A, delta, v_0, sys, ch)
+        return symbol_block(mu_0, beta_A, delta, sys, ch)
 
-    monkeypatch.setattr(search, "rate_block", counted)
-    return losses
+    monkeypatch.setattr(search, "symbol_block", counted)
+    return grids
 
 
-def test_sweep_scores_each_channel_grid_once(monkeypatch):
+def test_sweep_scores_one_grid_per_point(monkeypatch):
+    # the threshold, and so the grid's rates, depend on the block size:
+    # each (xi, n, loss) point scores its own 64-point grid, in row order
     monkeypatch.setenv("SCW_THREADS", "1")
-    losses = _count_grid_blocks(monkeypatch)
+    grids = _count_grid_blocks(monkeypatch)
     spec = _SWEEPS["finite-pointwise"]
     reports = sweep(spec, SYS)
     assert len(reports) == 12 and all(r.status == "ok" for r in reports)
-    # one 576-point block per (xi, loss) channel, not per block size
-    assert losses == [2.0, 4.0, 2.0, 4.0]
+    assert grids == [(r.loss_db, 64) for r in reports]
 
 
 def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
     monkeypatch.setenv("SCW_THREADS", "1")
     spec = SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,), n_values=_BLOCKS)
     expected = _pointwise_reports(spec)
-    losses = _count_grid_blocks(monkeypatch, fail_at=4.0)
+    grids = _count_grid_blocks(monkeypatch, fail_at=4.0)
     reports = sweep(spec, SYS)
-    # the channel's grid failed once and the sweep went on
-    assert losses == [2.0, 4.0]
+    # the channel's grid failed at each block size and the sweep went on
+    assert grids == [(2.0, 64), (4.0, 64)] * len(_BLOCKS)
     assert [r.n for r in reports] == [n for n in _BLOCKS for _ in (2.0, 4.0)]
     for got, want in zip(reports, expected):
         if got.loss_db == 4.0:
@@ -523,14 +611,14 @@ def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
 
 
 def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
-    # one channel, one grid: too short a block has no positive rate on
-    # it, a long one does
+    # one channel: too short a block has no positive rate on its grid, a
+    # long one does
     monkeypatch.setenv("SCW_THREADS", "1")
     spec = SweepSpec(loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**4, 10**8))
     expected = _pointwise_reports(spec)
-    losses = _count_grid_blocks(monkeypatch)
+    grids = _count_grid_blocks(monkeypatch)
     reports = sweep(spec, SYS)
-    assert losses == [3.0]
+    assert grids == [(3.0, 64), (3.0, 64)]
     assert [r.status for r in reports] == ["infeasible", "ok"]
     assert reports == expected
 

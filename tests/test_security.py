@@ -10,7 +10,7 @@ from scipy.special import xlogy
 
 from scw_cvqkd import search, security
 from scw_cvqkd.angular import carrier_weight, wigner_d_row
-from scw_cvqkd.errors import DomainError
+from scw_cvqkd.errors import DomainError, ScwError
 from scw_cvqkd.finitekey import (
     FiniteKeyParams,
     finite_key_rate,
@@ -30,6 +30,7 @@ from scw_cvqkd.security import (
     asymptotic_key_rate,
     asymptotic_rates,
     binary_entropy,
+    binary_entropy_inverse,
     holevo_dr,
     integration_ceiling,
     rate_block,
@@ -72,6 +73,29 @@ def test_binary_entropy_symmetry_and_vector():
         binary_entropy(-0.01)
     with pytest.raises(DomainError):
         binary_entropy(1.01)
+
+
+def test_binary_entropy_inverse_round_trip():
+    # h(h^-1(y)) = y over [0, 1], down to subnormal y and up to the last
+    # doubles below 1, where h'(1/2) = 0 makes the inverse ill-conditioned
+    y = np.concatenate([
+        np.linspace(0.0, 1.0, 10001),
+        np.logspace(-320.0, 0.0, 3000),
+        1.0 - np.logspace(-17.0, 0.0, 3000),
+        [5e-324, 1.0 - 2.0**-53, 1.0 - 2.0**-52],
+    ])
+    p = binary_entropy_inverse(y)
+    assert np.all((0.0 <= p) & (p <= 0.5))
+    assert np.max(np.abs(binary_entropy(p) - y)) <= 1e-14
+    assert binary_entropy_inverse(0.0) == 0.0
+    assert binary_entropy_inverse(1.0) == pytest.approx(0.5, abs=1e-15)
+    # small p keeps its relative precision
+    for q in (1e-3, 1e-9, 1e-100):
+        assert binary_entropy_inverse(binary_entropy(q)) == pytest.approx(q, rel=1e-13)
+    # out-of-range targets are clipped to [0, 1]
+    assert binary_entropy_inverse(np.array([-0.5, 1.5])).tolist() == [
+        0.0, float(binary_entropy_inverse(1.0))
+    ]
 
 
 def test_overlap_trivial_limits():
@@ -208,12 +232,29 @@ def test_rate_kernel_matches_quadrature_oracle(point, mode):
     assert out.stats.E == pytest.approx(stats.E, rel=1e-9)
 
 
+def _fixed_threshold_rates(points, ch, sys_s, fk):
+    """Rates on rows of (log10 mu_0, beta_A, v_0/sigma) through ``rate_block``;
+    rows whose angle has no calibration root are left out."""
+    deltas = {}
+    for beta in dict.fromkeys(points[:, 1].tolist()):
+        try:
+            deltas[beta] = calibrate_delta(beta, sys_s)
+        except ScwError:
+            pass
+    rows = points[np.isin(points[:, 1], list(deltas))]
+    delta = np.array([deltas[beta] for beta in rows[:, 1].tolist()])
+    block = rate_block(
+        10.0 ** rows[:, 0], rows[:, 1], delta, rows[:, 2] * ch.sigma, sys_s, ch
+    )
+    return asymptotic_rates(block) if fk is None else finite_rates(block, fk)
+
+
 @pytest.mark.parametrize("S", [1, 3])
 def test_rate_kernel_converged_in_order(S, monkeypatch):
     # the fixed Gauss-Legendre rule against one of twice its order, on the
-    # 3-D search's full coarse grid (at S=1 it spans the same m range as the
-    # 2-D one) from low loss to past the cutoff; both sit on the ~3e-11
-    # rounding floor once the rule has converged
+    # 12 x 8 x 9 grid of (log10 mu_0, beta_A, v_0/sigma), which spans the
+    # search's m range at S=1, from low loss to past the cutoff; both sit on
+    # the ~3e-11 rounding floor once the rule has converged
     order = security._GL_ORDER
     sys_s = SystemParams(S=S)
     bounds = search.Bounds()
@@ -231,7 +272,7 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
                 rates = []
                 for n_nodes in (order, 2 * order):
                     monkeypatch.setattr(security, "_GL_ORDER", n_nodes)
-                    rates.append(search._score(points, ch, sys_s, fk, "pointwise"))
+                    rates.append(_fixed_threshold_rates(points, ch, sys_s, fk))
                 low, ref = rates
                 judged = ref > 1e-3 * ref.max()
                 np.testing.assert_allclose(

@@ -1,7 +1,6 @@
 """Monte Carlo emulator tests."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from scipy.special import ndtri
