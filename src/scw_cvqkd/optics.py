@@ -113,11 +113,12 @@ def matched_contrasts(beta_A, beta_B, theta_carrier: float, S: int):
     )
 
 
-def matched_means_array(mu_0, beta_A, delta, sys: SystemParams, eta: float):
+def matched_means_array(mu_0, beta_A, delta, sys: SystemParams, eta):
     """Gaussian centers of the matched-basis symbols at arrays of working points.
 
     ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays, already
-    validated as :class:`TunableParams` validates them.  Returns
+    validated as :class:`TunableParams` validates them; ``eta`` is the
+    channel transmittance, one for all points or one per point.  Returns
     (mean_plus, mean_minus, degenerate): the sideband amplitude and that
     amplitude times u(pi)/u(0).  Where u(0) = 0 both are 0, and
     ``degenerate`` marks the points among those whose u(pi) is not 0, where

@@ -37,35 +37,30 @@ in a block of its own.  When no Newton trial decreases, a steepest-descent
 step is searched the same way.  It stops when the largest entry of the
 projected gradient is at most 1e-7.
 ``OptimumPoint.evaluations`` counts the kernel points scored.
+
+Kernel calls, not points, set the search's time, so a sweep optimizes
+all losses of one (noise level, block size) pair in lockstep, in one
+process: one kernel call scores every channel's coarse grid, then each
+round stacks every unfinished descent's next block into one call, and a
+last block scores every optimum for its report.  A kernel row depends on
+that row alone, to the last bit, so every sweep row equals what
+:func:`optimize_point`, the one-channel case, returns for it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import (
-    _EC_MODES,
-    FiniteKeyParams,
-    finite_key_rate,
-    finite_rates,
-    pointwise_threshold,
-)
+from .finitekey import _EC_MODES, FiniteKeyParams, finite_rates, pointwise_threshold
 from .noise import ChannelModel, noise_sigma
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .security import (
-    SymbolBlock,
-    asymptotic_key_rate,
-    asymptotic_rates,
-    asymptotic_threshold,
-    symbol_block,
-)
+from .security import SymbolBlock, asymptotic_rates, asymptotic_threshold, symbol_block
 
 # coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma);
 # the last axis is dropped where the threshold is solved for
@@ -206,61 +201,40 @@ def _threshold(symbols: SymbolBlock, sigma: float, fk, bounds: Bounds):
     return pointwise_threshold(symbols, fk, v_lo, v_hi)
 
 
-def _evaluate(
-    x,
-    ch: ChannelModel,
-    sys: SystemParams,
-    fk: FiniteKeyParams | None,
-    ec_mode: str,
-    bounds: Bounds,
-):
-    """Rate and reporting stats at one decision vector; ScwError means infeasible.
+def _rate_block(points, delta, eta, xi: float, sys, fk, ec_mode, bounds):
+    """The kernel block of decision vectors and its rates.
 
-    A vector without a v_0/sigma entry gets the threshold :func:`_kernel`
-    gives it.
+    Every row's angle has the calibration root ``delta``; ``eta`` holds
+    each row's transmittance.  A row without a v_0/sigma entry gets the
+    best threshold of its point (see :func:`_threshold`).
     """
-    # plain floats: an np.float64 would print as np.float64(...) in reports
-    mu_0, beta_A = 10.0 ** float(x[0]), float(x[1])
-    delta = calibrate_delta(beta_A, sys)
-    sigma = noise_sigma(ch.xi)
-    if x.size == 3:
-        v_0 = float(x[2]) * sigma
+    mu_0 = np.array([10.0 ** float(m) for m in points[:, 0]])
+    symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
+    sigma = noise_sigma(xi)
+    if points.shape[1] == 3:
+        v_0 = points[:, 2] * sigma
     else:
-        symbols = symbol_block([mu_0], [beta_A], [delta], sys, ch)
-        v_0 = float(_threshold(symbols, sigma, fk, bounds)[0])
-    tun = TunableParams(
-        mu_0=mu_0,
-        beta_A=beta_A,
-        delta=delta,
-        v_0=v_0,
-        k_sample=fk.k_sample if fk is not None else 0,
-    )
+        v_0 = _threshold(symbols, sigma, fk, bounds)
+    block = symbols.at(v_0)
     if fk is None:
-        out = asymptotic_key_rate(tun, sys, ch)
-    else:
-        out = finite_key_rate(tun, sys, ch, fk, ec_mode=ec_mode)
-    stats = out.stats
-    return (
-        tun,
-        out.rate,
-        stats.Q if stats is not None else None,
-        stats.P if stats is not None else None,
-        out.chi,
-    )
+        return block, asymptotic_rates(block)
+    return block, finite_rates(block, fk, ec_mode)
 
 
-def _kernel(points, ch, sys, fk, ec_mode, bounds):
+def _kernel(points, eta, xi: float, sys, fk, ec_mode, bounds):
     """Rates and thresholds at decision vectors, as one kernel block.
 
     Rows are (log10 mu_0, beta_A, v_0/sigma), or (log10 mu_0, beta_A) where
-    the threshold is solved for (see :func:`_threshold`).  Returns the
-    rates and each row's v_0/sigma.  Each distinct angle is calibrated
-    once and the symbol means and chi are formed once for every row.  A
-    row scores -inf where its angle has no calibration root, where its
-    symbol means are degenerate, and where they are not ordered
+    the threshold is solved for (see :func:`_threshold`); ``eta`` holds
+    each row's transmittance, and every row has the excess noise ``xi``.
+    Returns the rates and each row's v_0/sigma; a row's values do not
+    depend on the other rows.  Each distinct angle is calibrated once and
+    the symbol means and chi are formed once for every row.  A row scores
+    -inf where its angle has no calibration root, where its symbol means
+    are degenerate, and where they are not ordered
     (m+ <= m-), since the threshold rule rests on m+ > m-.
     """
-    lg_mu, beta_A = points[:, 0], points[:, 1]
+    beta_A = points[:, 1]
     delta = np.full(beta_A.size, math.nan)
     # dict.fromkeys, not np.unique: the first np.unique in a process
     # imports numpy.ma
@@ -274,21 +248,12 @@ def _kernel(points, ch, sys, fk, ec_mode, bounds):
     v_sig = np.full(ok.size, math.nan)
     if not ok.any():
         return rates, v_sig
-    mu_0 = np.array([10.0 ** float(m) for m in lg_mu[ok]])
-    symbols = symbol_block(mu_0, beta_A[ok], delta[ok], sys, ch)
-    sigma = noise_sigma(ch.xi)
-    if points.shape[1] == 3:
-        v_0 = points[ok, 2] * sigma
-    else:
-        v_0 = _threshold(symbols, sigma, fk, bounds)
-    block = symbols.at(v_0)
-    if fk is None:
-        scored = asymptotic_rates(block)
-    else:
-        scored = finite_rates(block, fk, ec_mode)
-    invalid = symbols.degenerate | ~(symbols.mean_plus > symbols.mean_minus)
+    block, scored = _rate_block(
+        points[ok], delta[ok], eta[ok], xi, sys, fk, ec_mode, bounds
+    )
+    invalid = block.degenerate | ~(block.mean_plus > block.mean_minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
-    v_sig[ok] = v_0 / sigma
+    v_sig[ok] = block.v_0 / noise_sigma(xi)
     return rates, v_sig
 
 
@@ -436,11 +401,13 @@ def _curvature(d, df) -> np.ndarray:
     return hess
 
 
-def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
-    """Bounded Newton descent of ``objective`` from x; returns (x, points scored).
+def _refine(x, lo, hi):
+    """Bounded Newton descent from x, as a generator of the blocks it scores.
 
-    ``objective`` maps rows of decision vectors to values, +inf where a
-    point has no rate.  Steps are formed in box-width units.  A coordinate
+    It yields each block of rows to score and is sent back their objective
+    values, +inf where a point has no rate; it returns (x, points scored).
+    The caller may score many descents' blocks in one kernel call.  Steps
+    are formed in box-width units.  A coordinate
     on a face whose gradient points out of the box is held.  On the others
     the step is Newton's, with each curvature eigenvalue replaced by its
     magnitude floored at _EIG_FLOOR of the largest, and no coordinate moves
@@ -467,7 +434,7 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
     for _ in range(_MAX_ITER):
         if f is None:
             rows = np.clip(x + offsets, lo, hi)
-            f = objective(rows)
+            f = yield rows
             n_eval += f.size
         inside = (x - far >= lo) & (x + far <= hi)
         grad = _gradient(f, rows, inside)
@@ -493,7 +460,7 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
             step[free] = direction * min(1.0, _MAX_STEP / np.abs(direction).max())
             trials = np.clip(x + np.outer(halvings, step * width), lo, hi)
             ahead = np.clip(trials[0] + offsets, lo, hi)
-            f_ahead = objective(np.vstack([trials, ahead[1:]]))
+            f_ahead = yield np.vstack([trials, ahead[1:]])
             n_eval += f_ahead.size
             f_trial = f_ahead[:_TRIALS]
             ok = (f_trial < f[0]) & (f_trial <= f[0] + _ARMIJO * ((trials - x) @ grad))
@@ -509,6 +476,98 @@ def _refine(x, objective, lo, hi) -> tuple[np.ndarray, int]:
         else:
             f = None
     return x, n_eval
+
+
+
+
+def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
+    """Maximize the key rate at channels of one excess noise, in lockstep.
+
+    Returns one outcome per channel: an :class:`OptimumPoint`, or the
+    :class:`InfeasibleError` of a channel whose coarse grid has no
+    positive rate.  Every channel's grid is scored in one kernel call.
+    Then each round stacks the next block of every unfinished descent
+    (see :func:`_refine`) into one kernel call, and one last block scores
+    every optimum for its report.  Since a kernel row depends on that row
+    alone, each outcome equals the one its channel gets alone.
+    """
+    v_axis = fk is not None and ec_mode == "block"
+    lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
+    xi = channels[0].xi
+    eta = np.array([ch.eta for ch in channels])
+
+    def score(blocks: dict):
+        """Rates and v_0/sigma of each channel's rows, from one kernel call."""
+        sizes = [len(rows) for rows in blocks.values()]
+        rates, v_sig = _kernel(
+            decode(np.concatenate(list(blocks.values()))),
+            np.repeat(eta[list(blocks)], sizes), xi, sys, fk, ec_mode, bounds,
+        )
+        ends = list(accumulate(sizes))
+        starts = [0] + ends[:-1]
+        return [(k, rates[a:b], v_sig[a:b]) for k, a, b in zip(blocks, starts, ends)]
+
+    points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
+    outcomes = [None] * len(channels)
+    descents, pending, best_rate = {}, {}, {}
+    for k, rates, v_sig in score(dict.fromkeys(range(len(channels)), points)):
+        # argmax takes the first maximum in axis order: ties go to the
+        # smaller m or photon number
+        best = np.argmax(rates)
+        best_rate[k] = float(rates[best])
+        if best_rate[k] > 0.0:
+            descents[k] = _refine(points[best], lo, hi)
+            pending[k] = next(descents[k])
+            continue
+        vector = decode(points[best][None])[0]
+        if not v_axis:
+            vector = np.append(vector, v_sig[best])
+        ch = channels[k]
+        outcomes[k] = InfeasibleError(
+            f"no positive rate on the {rates.size}-point coarse grid at "
+            f"loss={ch.loss_db} dB, xi={ch.xi}",
+            diagnostics={
+                "best_rate": best_rate[k],
+                "best_point": tuple(float(v) for v in vector),
+                "grid_points": rates.size,
+            },
+        )
+
+    optima = {}
+    while pending:
+        for k, rates, _ in score(pending):
+            try:
+                pending[k] = descents[k].send(-rates / best_rate[k])
+            except StopIteration as stop:
+                optima[k] = stop.value
+                del pending[k]
+    if not optima:
+        return outcomes
+
+    # the reported point of each optimum, scored once more for Q, P and chi
+    done = sorted(optima)
+    vectors = decode(np.array([optima[k][0] for k in done]))
+    delta = np.array([calibrate_delta(float(b), sys) for b in vectors[:, 1]])
+    block, rates = _rate_block(vectors, delta, eta[done], xi, sys, fk, ec_mode, bounds)
+    for i, k in enumerate(done):
+        stats, quantities = block.point(i)
+        # plain floats: an np.float64 would print as np.float64(...) in reports
+        tun = TunableParams(
+            mu_0=10.0 ** float(vectors[i, 0]),
+            beta_A=float(vectors[i, 1]),
+            delta=float(delta[i]),
+            v_0=float(block.v_0[i]),
+            k_sample=fk.k_sample if fk is not None else 0,
+        )
+        outcomes[k] = OptimumPoint(
+            params=tun,
+            rate=float(rates[i]),
+            Q=stats.Q if stats is not None else None,
+            P=stats.P if stats is not None else None,
+            chi=quantities.chi_dr,
+            evaluations=points.shape[0] + optima[k][1],
+        )
+    return outcomes
 
 
 def optimize_point(
@@ -530,44 +589,16 @@ def optimize_point(
     halvings of the step and the gradient and curvature stencil at the
     full step, with central differences that turn one-sided where a pair
     meets a face or a point without a calibration root.  Deterministic: no
-    randomness enters at any stage.
+    randomness enters at any stage.  This is the one-channel case of a
+    sweep's lockstep search (:func:`_optimize_group`).
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    v_axis = fk is not None and ec_mode == "block"
-    lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
-
-    def score(rows):
-        return _kernel(decode(rows), ch, sys, fk, ec_mode, bounds)
-
-    points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
-    rates, v_sig = score(points)
-    n_eval = rates.size
-    # argmax takes the first maximum in axis order: ties go to the smaller
-    # m or photon number
-    best = np.argmax(rates)
-    best_rate = float(rates[best])
-    x = points[best]
-    if not best_rate > 0.0:
-        vector = decode(x[None])[0]
-        if not v_axis:
-            vector = np.append(vector, v_sig[best])
-        raise InfeasibleError(
-            f"no positive rate on the {rates.size}-point coarse grid at "
-            f"loss={ch.loss_db} dB, xi={ch.xi}",
-            diagnostics={
-                "best_rate": best_rate,
-                "best_point": tuple(float(v) for v in vector),
-                "grid_points": rates.size,
-            },
-        )
-
-    x, refined = _refine(x, lambda rows: -score(rows)[0] / best_rate, lo, hi)
-    n_eval += refined
-
-    tun, rate, q, p, chi = _evaluate(decode(x[None])[0], ch, sys, fk, ec_mode, bounds)
-    return OptimumPoint(params=tun, rate=rate, Q=q, P=p, chi=chi, evaluations=n_eval)
+    (outcome,) = _optimize_group([ch], sys, fk, ec_mode, bounds)
+    if isinstance(outcome, InfeasibleError):
+        raise outcome
+    return outcome
 
 
 def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
@@ -588,37 +619,32 @@ def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
     )
 
 
-def _point_worker(args) -> KeyRateReport:
-    """Row of one channel point at one block size."""
-    loss_db, xi, fk, sys, bounds, ec_mode = args
-    ch = ChannelModel(loss_db=loss_db, xi=xi)
+def _alone(ch: ChannelModel, sys, fk, ec_mode: str, bounds: Bounds):
+    """What :func:`optimize_point` returns at one channel, or the exception it raises."""
     try:
-        return _report(ch, fk, optimize_point(ch, sys, fk, ec_mode, bounds))
+        return optimize_point(ch, sys, fk, ec_mode, bounds)
     except Exception as exc:  # record, never abort the sweep
-        return _report(ch, fk, exc)
+        return exc
 
 
 def thread_count(n_tasks: int) -> int:
-    """Worker count for sweeps: SCW_THREADS, else the CPU count, capped by
-    ``n_tasks`` (a sweep passes its number of points)."""
-    raw = os.environ.get("SCW_THREADS", "")
-    try:
-        threads = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        raise DomainError(f"SCW_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise DomainError(f"SCW_THREADS must be at least 1, got {raw!r}")
-    return max(1, min(threads, n_tasks))
+    """Processes a sweep runs in: always 1, since a sweep scores every
+    channel of a noise level in one kernel call per round."""
+    # kept for perfbench/worker.py, which reports it as the sweep worker count
+    return 1
 
 
 def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
     """Optimize every (noise, block-size, loss) grid point.
 
-    Each point is one :func:`optimize_point` task.  Tasks are independent
-    and run in parallel when more than one worker is available.  The output
-    order always follows the grid index (noise level outermost, loss
-    innermost), and per-point failures are recorded in the report status
-    rather than raised.
+    The losses of each (noise, block size) pair are optimized together
+    in lockstep (see :func:`_optimize_group`), in one process: a kernel
+    call scores a block for every unfinished point, and each row equals
+    its own :func:`optimize_point`.  When such a shared call raises, that
+    pair's points are optimized again one at a time, so only the point at
+    fault records the error.  The output order follows the grid index
+    (noise level outermost, loss innermost), and per-point failures are
+    recorded in the report status rather than raised.
     """
     fks = [None]
     if spec.n_values is not None:
@@ -626,14 +652,14 @@ def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
             replace(spec.fk_template or FiniteKeyParams(n=n), n=n)
             for n in spec.n_values
         ]
-    tasks = [
-        (loss, xi, fk, sys, spec.bounds, spec.ec_mode)
-        for xi in spec.noise_levels
-        for fk in fks
-        for loss in spec.loss_grid
-    ]
-    workers = thread_count(len(tasks))
-    if workers == 1:
-        return [_point_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_point_worker, tasks))
+    reports = []
+    for xi in spec.noise_levels:
+        channels = [ChannelModel(loss_db=loss, xi=xi) for loss in spec.loss_grid]
+        for fk in fks:
+            args = (sys, fk, spec.ec_mode, spec.bounds)
+            try:
+                outcomes = _optimize_group(channels, *args)
+            except Exception:
+                outcomes = [_alone(ch, *args) for ch in channels]
+            reports.extend(_report(ch, fk, o) for ch, o in zip(channels, outcomes))
+    return reports

@@ -9,12 +9,15 @@ its acceptance-weighted integral over the post-selected region, converted
 to bits per second by the basis count and window duration.
 
 Rates are evaluated by one vectorized kernel in two stages:
-:func:`symbol_block` forms the symbol means and chi of N working points at
-one channel, and :meth:`SymbolBlock.at` adds P and E at given thresholds
-and the readout profiles on an N x ``_GL_ORDER`` Gauss-Legendre grid
-(:func:`rate_block` runs both).  :func:`asymptotic_key_rate` and
-:func:`finitekey.finite_key_rate` are its N=1 case; the optimizer scores
-its coarse grid in blocks.
+:func:`symbol_block` forms the symbol means and chi of N working points,
+each with its own channel loss, at one excess noise, and
+:meth:`SymbolBlock.at` adds P and E at given thresholds and the readout
+profiles on an N x ``_GL_ORDER`` Gauss-Legendre grid (:func:`rate_block`
+runs both at one channel).  Each row's result depends on that row alone,
+to the last bit, whatever the block around it.
+:func:`asymptotic_key_rate` and :func:`finitekey.finite_key_rate` are its
+N=1 case; the optimizer scores many points, and many channels, per
+block.
 
 Between the two stages the optimizer can solve for the threshold instead
 of searching it.  Both readout Gaussians have the variance (1 + xi)/4, so
@@ -195,7 +198,7 @@ def _gl_nodes(order: int):
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """The threshold-free part of N rate points at one channel.
+    """The threshold-free part of N rate points at one excess noise.
 
     Every array is over the N points.  ``degenerate`` marks symbol means
     the model leaves undefined.
@@ -229,7 +232,7 @@ class SymbolBlock:
 
 @dataclass(frozen=True)
 class RateBlock(SymbolBlock):
-    """Shared ingredients of N rate points at one channel and their thresholds.
+    """Shared ingredients of N rate points at one excess noise and their thresholds.
 
     ``one_minus_g`` and ``e`` are the readout profiles at the
     Gauss-Legendre nodes of each point's accepted region [v_0, ceiling],
@@ -246,9 +249,14 @@ class RateBlock(SymbolBlock):
     half: np.ndarray
 
     def integrate(self, fraction) -> np.ndarray:
-        """Bits per second from a per-bit secret fraction on the node grid."""
+        """Bits per second from a per-bit secret fraction on the node grid.
+
+        einsum, not a BLAS ``@``: the last bits of a BLAS product depend on
+        how many rows share the call, and a row's rate must not.
+        """
         _, w = _gl_nodes(_GL_ORDER)
-        return self.scale * (self.half * ((self.one_minus_g * fraction) @ w))
+        weighted = np.einsum("ij,j->i", self.one_minus_g * fraction, w)
+        return self.scale * (self.half * weighted)
 
     def point(self, i: int) -> tuple[DecisionStats | None, SecurityQuantities]:
         """Post-selection statistics (None when empty) and chi spectrum of point i."""
@@ -274,23 +282,24 @@ class RateBlock(SymbolBlock):
         return stats, quantities
 
 
-def symbol_block(mu_0, beta_A, delta, sys: SystemParams, ch: ChannelModel) -> SymbolBlock:
-    """Symbol means and chi of N working points at one channel.
+def symbol_block(mu_0, beta_A, delta, eta, xi: float, sys: SystemParams) -> SymbolBlock:
+    """Symbol means and chi of N working points at one excess noise ``xi``.
 
     ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays of values
-    already validated as :class:`TunableParams` validates them.  The
-    system's symmetric_doubling flag folds in the mirrored negative
-    readout branch.
+    already validated as :class:`TunableParams` validates them; ``eta``
+    holds each point's channel transmittance, or one for all.  Every
+    output row depends on its own point alone.  The system's
+    symmetric_doubling flag folds in the mirrored negative readout branch.
     """
     mu_0 = np.asarray(mu_0, dtype=float)
     beta_A = np.asarray(beta_A, dtype=float)
     mean_plus, mean_minus, degenerate = matched_means_array(
-        mu_0, beta_A, np.asarray(delta, dtype=float), sys, ch.eta
+        mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
     # the doubled angle can exceed pi; P_S(cos) continues analytically there
     overlap = np.exp(-mu_0 * (1.0 - legendre_p(sys.S, np.cos(2.0 * beta_A))))
     return SymbolBlock(
-        xi=ch.xi,
+        xi=xi,
         mean_plus=mean_plus,
         mean_minus=mean_minus,
         overlap=overlap,
@@ -310,7 +319,7 @@ def rate_block(
 ) -> RateBlock:
     """Evaluate N working points at one channel at once: :func:`symbol_block`
     at thresholds ``v_0``, an array of the same length."""
-    return symbol_block(mu_0, beta_A, delta, sys, ch).at(v_0)
+    return symbol_block(mu_0, beta_A, delta, ch.eta, ch.xi, sys).at(v_0)
 
 
 def threshold_at_error(symbols: SymbolBlock, e_star, v_lo: float, v_hi: float):

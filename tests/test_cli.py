@@ -133,8 +133,7 @@ def test_usage_error_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_sweep_csv_contract(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_csv_contract(tmp_path, capsys):
     out_csv = tmp_path / "grid.csv"
     cfg = write(tmp_path, SWEEP_CFG)
     code = main(["sweep", "--config", cfg, "--out", str(out_csv)])
@@ -168,8 +167,7 @@ def test_sweep_csv_contract(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_sweep_includes_infeasible_rows(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_includes_infeasible_rows(tmp_path, capsys):
     cfg = write(tmp_path, "[sweep]\nloss_grid = 15.0\nnoise_levels = 0.1\n")
     code = main(["sweep", "--config", cfg])
     out = capsys.readouterr().out
@@ -283,7 +281,6 @@ def test_unwritable_out_exit_1(argv, cfg_text, tmp_path, capsys, monkeypatch):
     # the path is opened first, so no computation may start
     for name in ("optimize_point", "asymptotic_key_rate", "sweep", "simulate_rounds"):
         monkeypatch.setattr(cli_mod, name, never)
-    monkeypatch.setenv("SCW_THREADS", "1")
     out = tmp_path / "missing" / "x.out"
     code = main(argv + ["--config", write(tmp_path, cfg_text), "--out", str(out)])
     assert code == 1
@@ -317,17 +314,19 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 masked = "numpy.ma" in sys.modules
+pools = sorted(m for m in sys.modules
+               if m.split(".")[0] in ("concurrent", "multiprocessing"))
 delta = calibrate_delta(0.9, SystemParams(S=2))
 print(json.dumps({"codes": codes, "loaded": loaded, "masked": masked,
-                  "delta": delta, "on_demand": "scipy.optimize" in sys.modules}))
+                  "pools": pools, "delta": delta, "on_demand": "scipy.optimize" in sys.modules}))
 """
 
 
 def test_rate_paths_never_import_scipy(tmp_path):
-    # a fresh interpreter: the S=1 rate path, finite keys, a serial sweep and
-    # the emulator run on numpy alone, without numpy.ma; only the S>1
-    # calibration loads scipy
-    env = dict(os.environ, SCW_THREADS="1")
+    # a fresh interpreter: the S=1 rate path, finite keys, a sweep and
+    # the emulator run on numpy alone, without numpy.ma or a process pool;
+    # only the S>1 calibration loads scipy
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(scw_cvqkd.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -340,6 +339,7 @@ def test_rate_paths_never_import_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0, 0]
     assert result["loaded"] == []
     assert not result["masked"]
+    assert result["pools"] == []
     assert 0.0 < result["delta"] <= 10.0
     assert result["on_demand"]
 

@@ -117,7 +117,9 @@ def test_grid_means_are_ordered_and_antisymmetric(S):
     for loss_db in (0.5, 3.0, 6.0, 9.0, 10.0):
         for xi in (0.0, 0.1, 0.2):
             ch = ChannelModel(loss_db=loss_db, xi=xi)
-            sym = symbol_block(10.0 ** rows[:, 0], rows[:, 1], delta, sys_s, ch)
+            sym = symbol_block(
+                10.0 ** rows[:, 0], rows[:, 1], delta, ch.eta, ch.xi, sys_s
+            )
             assert np.all(sym.mean_plus - sym.mean_minus > 1e-3 * ch.sigma)
             centre = np.abs(sym.mean_plus + sym.mean_minus) / 2.0
             assert np.all(centre <= 1.1e-14 * ch.sigma)
@@ -189,7 +191,8 @@ def test_s1_grid_resolves_narrow_pockets(loss_db, xi, n):
     lo, hi, shape, decode = search._search_space(Bounds(), SYS, v_axis=False)
     assert shape == (64,)
     rows = np.linspace(lo[0], hi[0], 24)[:, None]
-    coarse, _ = search._kernel(decode(rows), ch, SYS, fk, "pointwise", Bounds())
+    eta = np.full(len(rows), ch.eta)
+    coarse, _ = search._kernel(decode(rows), eta, ch.xi, SYS, fk, "pointwise", Bounds())
     assert not coarse.max() > 0.0
 
 
@@ -397,6 +400,18 @@ def _counted(fn):
     return objective, sizes
 
 
+def _descend(x, objective, lo, hi):
+    """Run the ``_refine`` generator from x, scoring each block it yields
+    with ``objective``; returns what it returns, (x, points scored)."""
+    descent = search._refine(x, lo, hi)
+    rows = next(descent)
+    while True:
+        try:
+            rows = descent.send(objective(rows))
+        except StopIteration as stop:
+            return stop.value
+
+
 _UNIT_LO, _UNIT_HI = np.zeros(2), np.ones(2)
 _HESS = np.array([[2.0, 0.6], [0.6, 1.0]])
 
@@ -417,7 +432,7 @@ def test_refine_full_step_brings_its_stencil():
     # descent without another call
     centre = np.array([0.55, 0.4])
     objective, sizes = _counted(_quadratic(centre))
-    x, n_eval = search._refine(np.array([0.45, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, n_eval = _descend(np.array([0.45, 0.5]), objective, _UNIT_LO, _UNIT_HI)
     assert sizes == [11, 18]
     assert n_eval == 29
     assert np.max(np.abs(x - centre)) < 1e-9
@@ -434,7 +449,7 @@ def test_refine_scores_stencil_after_a_halving():
         return np.log(np.cosh(20.0 * u)) + v**2
 
     objective, sizes = _counted(log_cosh)
-    x, n_eval = search._refine(np.array([0.58, 0.45]), objective, _UNIT_LO, _UNIT_HI)
+    x, n_eval = _descend(np.array([0.58, 0.45]), objective, _UNIT_LO, _UNIT_HI)
     assert sizes[:3] == [11, 18, 11]
     assert sizes.count(11) == 2
     assert n_eval == sum(sizes)
@@ -447,7 +462,7 @@ def test_refine_stops_on_face_and_at_missing_rates():
     objective, sizes = _counted(
         lambda rows: ((rows - [1.3, 0.4]) ** 2 * [1.0, 2.0]).sum(axis=1)
     )
-    x, _ = search._refine(np.array([0.9, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, _ = _descend(np.array([0.9, 0.5]), objective, _UNIT_LO, _UNIT_HI)
     assert sizes == [11, 18, 18]
     assert x[0] == 1.0 and abs(x[1] - 0.4) < 1e-9
 
@@ -460,7 +475,7 @@ def test_refine_stops_on_face_and_at_missing_rates():
         return np.where(rows[:, 0] > 0.7, np.inf, _quadratic(centre)(rows))
 
     objective, sizes = _counted(edge)
-    x, _ = search._refine(np.array([0.6, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, _ = _descend(np.array([0.6, 0.5]), objective, _UNIT_LO, _UNIT_HI)
     assert sizes == [11, 18, 11, 18, 18]
     assert abs(x[0] - 0.7) < 1e-12 and abs(x[1] - 0.45) < 1e-9
 
@@ -488,8 +503,7 @@ def test_s1_rate_constant_along_ridge():
         assert abs(rate - base) <= 1e-12 * base, beta
 
 
-def test_sweep_serial_ordering(monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_serial_ordering():
     spec = SweepSpec(loss_grid=(1.0, 3.0, 5.0), noise_levels=(0.1,))
     reports = sweep(spec, SYS)
     assert [r.loss_db for r in reports] == [1.0, 3.0, 5.0]
@@ -498,8 +512,7 @@ def test_sweep_serial_ordering(monkeypatch):
     assert rates[0] > rates[1] > rates[2] > 0.0
 
 
-def test_sweep_records_infeasible_points(monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_records_infeasible_points():
     spec = SweepSpec(loss_grid=(3.0, 15.0), noise_levels=(0.1,))
     reports = sweep(spec, SYS)
     assert reports[0].status == "ok"
@@ -508,15 +521,14 @@ def test_sweep_records_infeasible_points(monkeypatch):
     assert reports[1].params is None
 
 
-def test_sweep_single_point_matches_optimize(monkeypatch, opt3):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_single_point_matches_optimize(opt3):
     reports = sweep(SweepSpec(loss_grid=(3.0,), noise_levels=(0.1,)), SYS)
     assert len(reports) == 1
     assert reports[0].rate == opt3.rate
     assert reports[0].params == opt3.params
 
 
-def _pointwise_reports(spec):
+def _pointwise_reports(spec, sys=SYS):
     """What ``sweep(spec)`` must return, from one optimize_point per point."""
     reports = []
     for xi in spec.noise_levels:
@@ -525,7 +537,7 @@ def _pointwise_reports(spec):
                 ch = ChannelModel(loss_db=loss, xi=xi)
                 fk = FiniteKeyParams(n=n) if n is not None else None
                 try:
-                    opt = optimize_point(ch, SYS, fk=fk, ec_mode=spec.ec_mode)
+                    opt = optimize_point(ch, sys, fk=fk, ec_mode=spec.ec_mode)
                 except InfeasibleError:
                     reports.append(KeyRateReport(
                         loss_db=loss, xi=xi, n=n, rate=0.0, Q=None, P=None,
@@ -552,31 +564,41 @@ _SWEEPS = {
 }
 
 
-def test_sweep_parallel_matches_serial(monkeypatch):
-    # each row equals its own optimize_point field for field, serially and
-    # in the pool
-    for kind, spec in _SWEEPS.items():
-        expected = _pointwise_reports(spec)
-        assert all(r.status == "ok" for r in expected)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SCW_THREADS", threads)
-            assert sweep(spec, SYS) == expected, (kind, threads)
+def test_sweep_lockstep_matches_pointwise():
+    # each row, optimized in lockstep with the other losses of its noise
+    # level and block size, equals its own optimize_point field for field
+    cases = [(kind, spec, SYS) for kind, spec in _SWEEPS.items()]
+    # S=3 searches two coordinates and calibrates by scan
+    cases.append((
+        "S=3",
+        SweepSpec(loss_grid=(1.0, 3.0, 6.0), noise_levels=(0.1,), n_values=(10**10,)),
+        SystemParams(S=3),
+    ))
+    for kind, spec, sys in cases:
+        expected = _pointwise_reports(spec, sys)
+        assert all(r.status == "ok" for r in expected), kind
+        assert sweep(spec, sys) == expected, kind
 
 
 def _count_grid_blocks(monkeypatch, fail_at=None):
-    """Patch ``search.symbol_block`` to log each grid-sized call's loss and size.
+    """Patch ``search.symbol_block`` to log each grid-sized call's losses and size.
 
-    A refinement block has at most 26 points; the grid has 64 at S=1.
-    At the loss ``fail_at`` every call raises instead.
+    A refinement block has at most 26 points per channel and is stacked
+    with at most one other channel's here; a channel's grid has 64 points
+    at S=1.  A call that holds a row at the loss ``fail_at`` raises
+    instead.
     """
     grids = []
+    losses = [2.0, 3.0, 4.0]
+    loss_of = {ChannelModel(loss_db=loss).eta: loss for loss in losses}
 
-    def counted(mu_0, beta_A, delta, sys, ch):
-        if len(mu_0) > 26:
-            grids.append((ch.loss_db, len(mu_0)))
-        if ch.loss_db == fail_at:
+    def counted(mu_0, beta_A, delta, eta, xi, sys):
+        rows = [loss_of[float(e)] for e in eta]
+        if len(mu_0) > 52:
+            grids.append((tuple(dict.fromkeys(rows)), len(mu_0)))
+        if fail_at in rows:
             raise ValueError("boom")
-        return symbol_block(mu_0, beta_A, delta, sys, ch)
+        return symbol_block(mu_0, beta_A, delta, eta, xi, sys)
 
     monkeypatch.setattr(search, "symbol_block", counted)
     return grids
@@ -584,23 +606,24 @@ def _count_grid_blocks(monkeypatch, fail_at=None):
 
 def test_sweep_scores_one_grid_per_point(monkeypatch):
     # the threshold, and so the grid's rates, depend on the block size:
-    # each (xi, n, loss) point scores its own 64-point grid, in row order
-    monkeypatch.setenv("SCW_THREADS", "1")
+    # each (xi, n) pair scores the 64-point grids of both its losses in
+    # one call, in row order
     grids = _count_grid_blocks(monkeypatch)
     spec = _SWEEPS["finite-pointwise"]
     reports = sweep(spec, SYS)
     assert len(reports) == 12 and all(r.status == "ok" for r in reports)
-    assert grids == [(r.loss_db, 64) for r in reports]
+    assert grids == [((2.0, 4.0), 2 * 64)] * 6
+    assert [r.loss_db for r in reports] == [2.0, 4.0] * 6
 
 
 def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
     spec = SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,), n_values=_BLOCKS)
     expected = _pointwise_reports(spec)
     grids = _count_grid_blocks(monkeypatch, fail_at=4.0)
     reports = sweep(spec, SYS)
-    # the channel's grid failed at each block size and the sweep went on
-    assert grids == [(2.0, 64), (4.0, 64)] * len(_BLOCKS)
+    # at each block size the shared grid failed, then each channel's own
+    # grid was scored alone: 2.0 dB went on, 4.0 dB failed again
+    assert grids == [((2.0, 4.0), 128), ((2.0,), 64), ((4.0,), 64)] * len(_BLOCKS)
     assert [r.n for r in reports] == [n for n in _BLOCKS for _ in (2.0, 4.0)]
     for got, want in zip(reports, expected):
         if got.loss_db == 4.0:
@@ -610,21 +633,39 @@ def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
             assert got == want
 
 
+def test_sweep_refinement_failure_stays_with_its_point(monkeypatch):
+    # a failure in a shared refinement block, after both grids scored: the
+    # pair is run again one point at a time and only 4.0 dB records it
+    spec = SweepSpec(loss_grid=(2.0, 3.0, 4.0), noise_levels=(0.1,))
+    expected = _pointwise_reports(spec)
+    calls = []
+
+    def flaky(mu_0, beta_A, delta, eta, xi, sys):
+        calls.append(len(mu_0))
+        if len(mu_0) < 64 and ChannelModel(loss_db=4.0).eta in eta:
+            raise ValueError("late boom")
+        return symbol_block(mu_0, beta_A, delta, eta, xi, sys)
+
+    monkeypatch.setattr(search, "symbol_block", flaky)
+    reports = sweep(spec, SYS)
+    assert calls[0] == 3 * 64
+    assert [r.status for r in reports] == ["ok", "ok", "error: ValueError: late boom"]
+    assert reports[:2] == expected[:2]
+
+
 def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
     # one channel: too short a block has no positive rate on its grid, a
     # long one does
-    monkeypatch.setenv("SCW_THREADS", "1")
     spec = SweepSpec(loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**4, 10**8))
     expected = _pointwise_reports(spec)
     grids = _count_grid_blocks(monkeypatch)
     reports = sweep(spec, SYS)
-    assert grids == [(3.0, 64), (3.0, 64)]
+    assert grids == [((3.0,), 64), ((3.0,), 64)]
     assert [r.status for r in reports] == ["infeasible", "ok"]
     assert reports == expected
 
 
-def test_sweep_finite_grid(monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "1")
+def test_sweep_finite_grid():
     spec = SweepSpec(
         loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**9, 10**11)
     )
@@ -652,13 +693,10 @@ def test_bad_ec_mode_rejected_before_search(monkeypatch):
 
 
 def test_thread_count(monkeypatch):
-    monkeypatch.setenv("SCW_THREADS", "3")
-    assert thread_count(10) == 3
-    assert thread_count(2) == 2
-    for bad in ("zebra", "0", "-3"):
-        monkeypatch.setenv("SCW_THREADS", bad)
-        with pytest.raises(DomainError):
-            thread_count(4)
+    # sweeps run in one process; SCW_THREADS is no longer read
+    for value in ("3", "zebra", "0", "-3"):
+        monkeypatch.setenv("SCW_THREADS", value)
+        assert thread_count(10) == 1
     monkeypatch.delenv("SCW_THREADS")
     assert thread_count(1) == 1
 

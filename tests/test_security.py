@@ -15,6 +15,7 @@ from scw_cvqkd.finitekey import (
     FiniteKeyParams,
     finite_key_rate,
     finite_rates,
+    pointwise_threshold,
     smoothing_correction,
 )
 from scw_cvqkd.noise import ChannelModel, decision_stats, erasure_error_profiles
@@ -309,6 +310,46 @@ def test_rate_block_equals_single_points():
             assert rates[mode][i] == pytest.approx(out.rate, rel=1e-12, abs=1e-300)
         assert block.P[i] == pytest.approx(single["asymptotic"].stats.P, rel=1e-12)
         assert block.chi[i] == pytest.approx(single["asymptotic"].chi, rel=1e-12)
+
+
+def test_rate_rows_independent_of_block():
+    # a lockstep sweep stacks the points of many channels in one block, so
+    # a row's results must not depend on the rows around it: each point
+    # scored alone equals the same point inside larger blocks of other
+    # channels' points, at several offsets, to the last bit
+    rng = np.random.default_rng(5)
+    xi, n_rows = 0.1, 119
+    fk = FiniteKeyParams(n=10**10)
+    v_hi = 6.0 * ChannelModel(loss_db=0.0, xi=xi).sigma
+    beta_A = rng.uniform(1.0, 1.45, n_rows)
+    delta = np.array([calibrate_delta(float(b), SYS) for b in beta_A])
+    mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, n_rows)
+    eta = 10.0 ** (-rng.uniform(0.0, 10.0, n_rows) / 10.0)
+    v_0 = rng.uniform(0.0, 1.0, n_rows) * v_hi
+
+    def results(rows):
+        symbols = security.symbol_block(
+            mu_0[rows], beta_A[rows], delta[rows], eta[rows], xi, SYS
+        )
+        block = symbols.at(v_0[rows])
+        return np.column_stack([
+            asymptotic_rates(block),
+            finite_rates(block, fk, "pointwise"),
+            finite_rates(block, fk, "block"),
+            block.P,
+            block.E,
+            symbols.chi,
+            security.asymptotic_threshold(symbols, 0.0, v_hi),
+            pointwise_threshold(symbols, fk, 0.0, v_hi),
+        ])
+
+    whole = results(np.arange(n_rows))
+    assert 0 < np.count_nonzero(whole[:, 0]) < n_rows
+    for i in range(n_rows):
+        np.testing.assert_array_equal(results(np.array([i]))[0], whole[i])
+    for start, size in ((0, 2), (3, 17), (40, 64), (100, 19)):
+        rows = np.arange(start, start + size)
+        np.testing.assert_array_equal(results(rows), whole[rows])
 
 
 def test_rate_doubling_toggle():
