@@ -41,9 +41,10 @@ projected gradient is at most 1e-7.
 Kernel calls, not points, set the search's time, so a sweep optimizes
 all losses of one (noise level, block size) pair in lockstep, in one
 process: one kernel call scores every channel's coarse grid, then each
-round stacks every unfinished descent's next block into one call, and a
-last block scores every optimum for its report.  A kernel row depends on
-that row alone, to the last bit, so every sweep row equals what
+round stacks every unfinished descent's next block into one call and one
+vectorised step advances every descent, and a last block scores every
+optimum for its report.  A kernel row and a descent's step depend on that
+row or descent alone, to the last bit, so every sweep row equals what
 :func:`optimize_point`, the one-channel case, returns for it.
 """
 
@@ -82,6 +83,7 @@ _EIG_FLOOR = 1e-6
 _MAX_STEP = 0.2
 # each line search scores the step times 1, 1/2, ..., 1/2^(_TRIALS - 1)
 _TRIALS = 8
+_HALVINGS = 0.5 ** np.arange(_TRIALS)[:, None]
 # sufficient-decrease constant of the line search
 _ARMIJO = 1e-4
 # stop when no entry of the projected gradient exceeds this, in rate
@@ -234,15 +236,16 @@ def _kernel(points, eta, xi: float, sys, fk, ec_mode, bounds):
     are degenerate, and where they are not ordered
     (m+ <= m-), since the threshold rule rests on m+ > m-.
     """
-    beta_A = points[:, 1]
-    delta = np.full(beta_A.size, math.nan)
+    angles = points[:, 1].tolist()
     # dict.fromkeys, not np.unique: the first np.unique in a process
     # imports numpy.ma
-    for beta in dict.fromkeys(beta_A.tolist()):
+    roots = dict.fromkeys(angles, math.nan)
+    for beta in roots:
         try:
-            delta[beta_A == beta] = calibrate_delta(beta, sys)
+            roots[beta] = calibrate_delta(beta, sys)
         except ScwError:
             pass
+    delta = np.array([roots[beta] for beta in angles])
     ok = ~np.isnan(delta)
     rates = np.full(ok.size, -math.inf)
     v_sig = np.full(ok.size, math.nan)
@@ -352,132 +355,193 @@ def _hessian_terms(dim: int):
 
 
 def _gradient(f, rows, inside):
-    """Gradient from the values ``f`` at the stencil ``rows`` of one point.
+    """Gradients of K points from the values ``f`` (K, n) at their stencils
+    ``rows`` (K, n, dim).
 
-    ``rows`` holds x, x + h e_i, x - h e_i and the curvature stencil, whose
-    first rows are x + H e_i and x - H e_i with H = r h, all clipped to the
-    box.  Where all four axis points scored a rate and the far pair is
-    unclipped (``inside``), the central differences D(h) and D(H) cancel
+    A stencil holds x, x + h e_i, x - h e_i and the curvature stencil,
+    whose first rows are x + H e_i and x - H e_i with H = r h, all clipped
+    to the box.  Where all four axis points scored a rate and the far pair
+    is unclipped (``inside``), the central differences D(h) and D(H) cancel
     their h^2 error: (r^2 D(h) - D(H)) / (r^2 - 1).  Elsewhere a near side
     that was clipped onto x or scored no rate falls back to x, so the
     difference turns one-sided; with both sides gone the slope is 0.
     """
-    x = rows[0]
-    dim = x.size
+    x = rows[:, 0]
+    k, dim = x.shape
     # the moved coordinate of each axis point
     at_up, at_down, at_far_up, at_far_down = (
-        rows[1 : 1 + 4 * dim].reshape(4, dim, dim).diagonal(axis1=1, axis2=2)
-    )
-    near_up, near_down, far_up, far_down = f[1 : 1 + 4 * dim].reshape(4, dim)
-    up_ok, down_ok = np.isfinite(near_up), np.isfinite(near_down)
-    f_up = np.where(up_ok, near_up, f[0])
-    f_down = np.where(down_ok, near_down, f[0])
+        rows[:, 1 : 1 + 4 * dim].reshape(k, 4, dim, dim).diagonal(axis1=2, axis2=3)
+    ).transpose(1, 0, 2)
+    axis_f = f[:, 1 : 1 + 4 * dim].reshape(k, 4, dim)
+    near_up, near_down, far_up, far_down = axis_f.transpose(1, 0, 2)
+    finite = np.isfinite(axis_f)
+    up_ok, down_ok = finite[:, 0], finite[:, 1]
+    f_up = np.where(up_ok, near_up, f[:, :1])
+    f_down = np.where(down_ok, near_down, f[:, :1])
     span = np.where(up_ok, at_up, x) - np.where(down_ok, at_down, x)
-    grad = np.divide(f_up - f_down, span, out=np.zeros(dim), where=span > 0.0)
+    grad = np.divide(f_up - f_down, span, out=np.zeros_like(x), where=span > 0.0)
 
-    fourth = inside & up_ok & down_ok & np.isfinite(far_up) & np.isfinite(far_down)
-    far_span = at_far_up - at_far_down
-    far_diff = np.subtract(far_up, far_down, out=np.zeros(dim), where=fourth)
-    far_grad = np.divide(far_diff, far_span, out=np.zeros(dim), where=fourth)
+    fourth = inside & finite.all(axis=1)
+    far_diff = np.subtract(far_up, far_down, out=np.zeros_like(x), where=fourth)
+    far_grad = np.divide(
+        far_diff, at_far_up - at_far_down, out=np.zeros_like(x), where=fourth
+    )
     r2 = (_CURVE_STEP / _STEP) ** 2
     return np.where(fourth, (r2 * grad - far_grad) / (r2 - 1.0), grad)
 
 
 def _curvature(d, df) -> np.ndarray:
-    """Least-squares Hessian from displacements ``d`` and value changes ``df``.
+    """Least-squares Hessians of K points from displacements ``d`` (K, n,
+    dim) and value changes ``df`` (K, n).
 
     Each row says df = d.H.d / 2 once the gradient term is removed.
-    Displacements clipped onto the point, or points with no rate, drop out;
-    entries the rest leave undetermined come out 0.
+    Displacements clipped onto the point, or points with no rate, drop out
+    as zeroed rows; the minimum-norm solution, from one stacked SVD with
+    lstsq's default cutoff, leaves entries the rest do not determine at 0.
     """
-    dim = d.shape[1]
+    dim = d.shape[2]
     i, j, weight = _hessian_terms(dim)
-    ok = np.isfinite(df) & (np.abs(d).sum(axis=1) > 0.0)
-    design = d[ok][:, i] * d[ok][:, j] * weight
-    coef = np.linalg.lstsq(design, df[ok], rcond=None)[0]
-    hess = np.zeros((dim, dim))
-    hess[i, j] = coef
-    hess[j, i] = coef
+    ok = np.isfinite(df) & (np.abs(d).sum(axis=2) > 0.0)
+    design = np.where(ok[:, :, None], d[:, :, i] * d[:, :, j] * weight, 0.0)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    kept = s > s[:, :1] * (np.finfo(float).eps * max(design.shape[1:]))
+    proj = np.einsum("kni,kn->ki", u, np.where(ok, df, 0.0))
+    coef = np.einsum(
+        "kij,ki->kj", vt, np.divide(proj, s, out=np.zeros_like(s), where=kept)
+    )
+    hess = np.zeros((len(d), dim, dim))
+    hess[:, i, j] = coef
+    hess[:, j, i] = coef
     return hess
 
 
-def _refine(x, lo, hi):
-    """Bounded Newton descent from x, as a generator of the blocks it scores.
+def _line_searches(x, rows, f, lo, hi, offsets):
+    """The next line-search blocks of K descents, from the values ``f``
+    (K, n) at the stencils ``rows`` (K, n, dim) of their points ``x``.
 
-    It yields each block of rows to score and is sent back their objective
-    values, +inf where a point has no rate; it returns (x, points scored).
-    The caller may score many descents' blocks in one kernel call.  Steps
-    are formed in box-width units.  A coordinate
-    on a face whose gradient points out of the box is held.  On the others
-    the step is Newton's, with each curvature eigenvalue replaced by its
-    magnitude floored at _EIG_FLOOR of the largest, and no coordinate moves
-    by more than _MAX_STEP.  One block scores halvings of the step, clipped
-    to the box, together with the gradient and curvature stencil around
-    the full step, and the longest halving with a sufficient decrease wins.
-    When none decreases, a steepest-descent step to the minimum of the same
-    quadratic model is tried the same way; when that fails too, x is
-    returned.  Stops when the projected gradient's largest entry is at most
-    _GTOL.  A full step that wins brings its stencil to the next
+    Returns which descents go on, their gradients, and their Newton and
+    steepest-descent blocks (K', 2, _TRIALS + n - 1, dim), or None for
+    both when none goes on.  A block holds the step's halvings, clipped to
+    the box, and the stencil at the full step.  A
+    descent stops where no entry of the projected gradient exceeds _GTOL
+    or no curvature is left.  Steps are in box-width units; a coordinate
+    on a face whose gradient points out of the box is held.  The Newton
+    step floors each curvature eigenvalue's magnitude at _EIG_FLOOR of the
+    largest, the steepest-descent step goes to the minimum of the same
+    quadratic model, and neither moves a coordinate more than _MAX_STEP.
+    """
+    dim = x.shape[1]
+    width = hi - lo
+    inside = (x - _CURVE_STEP * width >= lo) & (x + _CURVE_STEP * width <= hi)
+    grad = _gradient(f, rows, inside)
+    go = np.max(np.abs(x - np.clip(x - grad, lo, hi)), axis=1) > _GTOL
+    if not go.any():
+        return go, None, None
+    x, rows, f, grad = x[go], rows[go], f[go], grad[go]
+    # in box-width units from here on
+    g, d = grad * width, (rows[:, 1 + 2 * dim :] - x[:, None]) / width
+    df = f[:, 1 + 2 * dim :] - f[:, :1] - np.einsum("knd,kd->kn", d, g)
+    free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+    # a held coordinate's curvature row and column and its gradient entry
+    # are zeroed, so its eigenvector carries no step
+    g = np.where(free, g, 0.0)
+    pair = free[:, :, None] & free[:, None, :]
+    lam, vec = np.linalg.eigh(np.where(pair, _curvature(d, df), 0.0))
+    lam = np.abs(lam)
+    top = lam.max(axis=1, keepdims=True)
+    curved = top[:, 0] > 0.0
+    if not curved.all():
+        go[go] = curved
+        x, grad, g, free, lam, vec, top = (
+            a[curved] for a in (x, grad, g, free, lam, vec, top)
+        )
+    lam = np.maximum(lam, _EIG_FLOOR * top)
+    proj = np.einsum("kij,ki->kj", vec, g)
+    newton = -np.einsum("kij,kj->ki", vec, proj / lam)
+    curve = np.einsum("kj,kj->k", proj**2, lam)[:, None]
+    cauchy = -g * np.einsum("ki,ki->k", g, g)[:, None] / curve
+    steps = np.where(free[:, None], np.stack([newton, cauchy], axis=1), 0.0)
+    steps *= np.minimum(1.0, _MAX_STEP / np.abs(steps).max(axis=2, keepdims=True))
+    trials = np.clip(x[:, None, None] + _HALVINGS * (steps * width)[:, :, None], lo, hi)
+    ahead = np.clip(trials[:, :, :1] + offsets, lo, hi)
+    return go, grad, np.concatenate([trials, ahead[:, :, 1:]], axis=2)
+
+
+def _refine(starts, lo, hi):
+    """Bounded Newton descents from each row of ``starts``, in lockstep, as
+    a generator of the blocks they score.
+
+    Each round it yields a dict from descent index to the next block of
+    every unfinished descent and is sent a dict of their objective values,
+    +inf where a point has no rate; it returns (x, points scored), one
+    entry per descent.  One vectorised pass over a round's values advances
+    every descent, using only elementwise operations, einsum and stacked
+    linear algebra, so a descent's bits do not depend on the others.  A
+    descent first scores the stencil at its start; then each line search
+    (see :func:`_line_searches`) keeps its longest halving with a
+    sufficient decrease, else tries the steepest-descent block, else
+    returns x.  A full step that wins brings its stencil to the next
     iteration; a shorter winner has its stencil scored in a block of its
     own.
     """
-    dim = x.size
+    count, dim = starts.shape
     width = hi - lo
-    small = np.diag(_STEP * width)
-    far = _CURVE_STEP * width
+    small, far = np.diag(_STEP * width), _CURVE_STEP * width
     # the stencil of a point, as offsets from it: the point itself, the
     # near pair on each axis, then the curvature stencil
     offsets = np.vstack([np.zeros(dim), small, -small, _stencil(dim) * far])
-    halvings = 0.5 ** np.arange(_TRIALS)
-    f = None
-    n_eval = 0
-    for _ in range(_MAX_ITER):
-        if f is None:
-            rows = np.clip(x + offsets, lo, hi)
-            f = yield rows
-            n_eval += f.size
-        inside = (x - far >= lo) & (x + far <= hi)
-        grad = _gradient(f, rows, inside)
-        if np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= _GTOL:
-            break
-        # in box-width units from here on
-        g, d = grad * width, (rows[1 + 2 * dim :] - x) / width
-        hess = _curvature(d, f[1 + 2 * dim :] - f[0] - d @ g)
-        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        lam, vec = np.linalg.eigh(hess[free][:, free])
-        lam = np.abs(lam)
-        if not lam.max() > 0.0:
-            break
-        lam = np.maximum(lam, _EIG_FLOOR * lam.max())
-        g_free = g[free]
-        proj = vec.T @ g_free
-        newton = -vec @ (proj / lam)
-        # the minimum of the same quadratic model along the gradient
-        cauchy = -g_free * (g_free @ g_free) / (proj**2 @ lam)
-        won = None
-        for direction in (newton, cauchy):
-            step = np.zeros(dim)
-            step[free] = direction * min(1.0, _MAX_STEP / np.abs(direction).max())
-            trials = np.clip(x + np.outer(halvings, step * width), lo, hi)
-            ahead = np.clip(trials[0] + offsets, lo, hi)
-            f_ahead = yield np.vstack([trials, ahead[1:]])
-            n_eval += f_ahead.size
-            f_trial = f_ahead[:_TRIALS]
-            ok = (f_trial < f[0]) & (f_trial <= f[0] + _ARMIJO * ((trials - x) @ grad))
-            if ok.any():
-                won = np.argmax(ok)
-                break
-        if won is None:
-            break
-        x = trials[won]
-        # a full step brings its stencil; a shorter winner is scored anew
-        if won == 0:
-            rows, f = ahead, np.concatenate([f_ahead[:1], f_ahead[_TRIALS:]])
-        else:
-            f = None
+    size = len(offsets)
+    # the rows of a search block that form the stencil at its full step
+    ahead = np.r_[0, _TRIALS : _TRIALS + size - 1]
+    x, grad, f_x = starts.copy(), np.zeros_like(starts), np.zeros(count)
+    # each descent's Newton and steepest-descent search blocks
+    searches = np.zeros((count, 2, _TRIALS + size - 1, dim))
+    # what each descent's pending block is: 0 its stencil, 1 or 2 a search
+    stage, iters, n_eval = [0] * count, [0] * count, [0] * count
+    blocks = {k: np.clip(x[k] + offsets, lo, hi) for k in range(count)}
+    while blocks:
+        sent, values = blocks, (yield blocks)
+        blocks = {}
+        for k in sent:
+            n_eval[k] += len(values[k])
+        at = [k for k in sent if stage[k] == 0]
+        rows, f = [sent[k] for k in at], [values[k] for k in at]
+        searched = [k for k in sent if stage[k]]
+        if searched:
+            block = np.array([sent[k] for k in searched])
+            f_block = np.array([values[k] for k in searched])
+            trials, f_trial = block[:, :_TRIALS], f_block[:, :_TRIALS]
+            slope = np.einsum("ktd,kd->kt", trials - x[searched, None], grad[searched])
+            f_0 = f_x[searched, None]
+            ok = (f_trial < f_0) & (f_trial <= f_0 + _ARMIJO * slope)
+            won, hit = np.argmax(ok, axis=1).tolist(), ok.any(axis=1).tolist()
+            for i, k in enumerate(searched):
+                if not hit[i]:
+                    # no decrease: the steepest-descent search next, or x is kept
+                    if stage[k] == 1:
+                        stage[k], blocks[k] = 2, searches[k, 1]
+                    continue
+                x[k] = trials[i, won[i]]
+                if iters[k] == _MAX_ITER:  # that was its last iteration
+                    continue
+                # a full step brings its stencil; a shorter winner is scored anew
+                if won[i]:
+                    stage[k], blocks[k] = 0, np.clip(x[k] + offsets, lo, hi)
+                else:
+                    at.append(k)
+                    rows.append(block[i, ahead])
+                    f.append(f_block[i, ahead])
+        if at:
+            f = np.array(f)
+            go, g, found = _line_searches(x[at], np.array(rows), f, lo, hi, offsets)
+            for k in at:
+                iters[k] += 1
+            at = [k for k, on in zip(at, go.tolist()) if on]
+            if at:
+                grad[at], f_x[at], searches[at] = g, f[go, 0], found
+                for k in at:
+                    stage[k], blocks[k] = 1, searches[k, 0]
     return x, n_eval
-
-
 
 
 def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
@@ -486,22 +550,25 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
     Returns one outcome per channel: an :class:`OptimumPoint`, or the
     :class:`InfeasibleError` of a channel whose coarse grid has no
     positive rate.  Every channel's grid is scored in one kernel call.
-    Then each round stacks the next block of every unfinished descent
-    (see :func:`_refine`) into one kernel call, and one last block scores
-    every optimum for its report.  Since a kernel row depends on that row
-    alone, each outcome equals the one its channel gets alone.
+    Then each round of one batched descent (see :func:`_refine`) stacks
+    the next block of every unfinished descent into one kernel call and
+    advances them all in one vectorised step, and one last block scores
+    every optimum for its report.  Since a kernel row and a descent's step
+    depend on that row or descent alone, each outcome equals the one its
+    channel gets alone.
     """
     v_axis = fk is not None and ec_mode == "block"
     lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
     xi = channels[0].xi
     eta = np.array([ch.eta for ch in channels])
 
-    def score(blocks: dict):
-        """Rates and v_0/sigma of each channel's rows, from one kernel call."""
+    def score(blocks: dict, etas):
+        """Rates and v_0/sigma of each block of rows, from one kernel call;
+        block i is at transmittance etas[i]."""
         sizes = [len(rows) for rows in blocks.values()]
         rates, v_sig = _kernel(
             decode(np.concatenate(list(blocks.values()))),
-            np.repeat(eta[list(blocks)], sizes), xi, sys, fk, ec_mode, bounds,
+            np.repeat(etas[list(blocks)], sizes), xi, sys, fk, ec_mode, bounds,
         )
         ends = list(accumulate(sizes))
         starts = [0] + ends[:-1]
@@ -509,15 +576,14 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
 
     points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
     outcomes = [None] * len(channels)
-    descents, pending, best_rate = {}, {}, {}
-    for k, rates, v_sig in score(dict.fromkeys(range(len(channels)), points)):
+    grid_best, best_rate = {}, {}
+    for k, rates, v_sig in score(dict.fromkeys(range(len(channels)), points), eta):
         # argmax takes the first maximum in axis order: ties go to the
         # smaller m or photon number
         best = np.argmax(rates)
         best_rate[k] = float(rates[best])
         if best_rate[k] > 0.0:
-            descents[k] = _refine(points[best], lo, hi)
-            pending[k] = next(descents[k])
+            grid_best[k] = points[best]
             continue
         vector = decode(points[best][None])[0]
         if not v_axis:
@@ -532,21 +598,23 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
                 "grid_points": rates.size,
             },
         )
-
-    optima = {}
-    while pending:
-        for k, rates, _ in score(pending):
-            try:
-                pending[k] = descents[k].send(-rates / best_rate[k])
-            except StopIteration as stop:
-                optima[k] = stop.value
-                del pending[k]
-    if not optima:
+    if not grid_best:
         return outcomes
 
+    # descent i refines channel done[i], in units of its grid best
+    done = list(grid_best)
+    descent = _refine(np.array(list(grid_best.values())), lo, hi)
+    blocks = next(descent)
+    try:
+        while True:
+            scored = score(blocks, eta[done])
+            values = {i: -rates / best_rate[done[i]] for i, rates, _ in scored}
+            blocks = descent.send(values)
+    except StopIteration as stop:
+        x, n_eval = stop.value
+
     # the reported point of each optimum, scored once more for Q, P and chi
-    done = sorted(optima)
-    vectors = decode(np.array([optima[k][0] for k in done]))
+    vectors = decode(x)
     delta = np.array([calibrate_delta(float(b), sys) for b in vectors[:, 1]])
     block, rates = _rate_block(vectors, delta, eta[done], xi, sys, fk, ec_mode, bounds)
     for i, k in enumerate(done):
@@ -565,7 +633,7 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
             Q=stats.Q if stats is not None else None,
             P=stats.P if stats is not None else None,
             chi=quantities.chi_dr,
-            evaluations=points.shape[0] + optima[k][1],
+            evaluations=points.shape[0] + n_eval[i],
         )
     return outcomes
 

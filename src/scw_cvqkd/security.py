@@ -191,9 +191,33 @@ def holevo_dr(mu_0: float, beta_A: float, S: int) -> float:
     return security_quantities(mu_0, beta_A, S).chi_dr
 
 
+def _legendre_series(c, x):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in legval's operation order."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+    ``numpy.polynomial.legendre.leggauss`` (companion-matrix eigenvalues,
+    one Newton step), without importing numpy.polynomial."""
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    off = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    c = np.eye(order + 1)[order]
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    k = np.arange(order)
+    dc = np.where(k % 2 == (order - 1) % 2, 2.0 * k + 1.0, 0.0)
+    df = _legendre_series(dc, x)
+    x -= _legendre_series(c, x) / df
+    fm = _legendre_series(c[1:], x)
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
 
 
 @dataclass(frozen=True)

@@ -314,18 +314,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 masked = "numpy.ma" in sys.modules
+polynomial = "numpy.polynomial" in sys.modules
 pools = sorted(m for m in sys.modules
                if m.split(".")[0] in ("concurrent", "multiprocessing"))
 delta = calibrate_delta(0.9, SystemParams(S=2))
 print(json.dumps({"codes": codes, "loaded": loaded, "masked": masked,
+                  "polynomial": polynomial,
                   "pools": pools, "delta": delta, "on_demand": "scipy.optimize" in sys.modules}))
 """
 
 
 def test_rate_paths_never_import_scipy(tmp_path):
     # a fresh interpreter: the S=1 rate path, finite keys, a sweep and
-    # the emulator run on numpy alone, without numpy.ma or a process pool;
-    # only the S>1 calibration loads scipy
+    # the emulator run on numpy alone, without numpy.ma, numpy.polynomial
+    # or a process pool; only the S>1 calibration loads scipy
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(scw_cvqkd.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -339,6 +341,7 @@ def test_rate_paths_never_import_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0, 0]
     assert result["loaded"] == []
     assert not result["masked"]
+    assert not result["polynomial"]
     assert result["pools"] == []
     assert 0.0 < result["delta"] <= 10.0
     assert result["on_demand"]

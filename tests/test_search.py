@@ -400,14 +400,16 @@ def _counted(fn):
     return objective, sizes
 
 
-def _descend(x, objective, lo, hi):
-    """Run the ``_refine`` generator from x, scoring each block it yields
-    with ``objective``; returns what it returns, (x, points scored)."""
-    descent = search._refine(x, lo, hi)
-    rows = next(descent)
+def _descend(starts, objectives, lo, hi):
+    """Run one ``_refine`` generator over descents from each of ``starts``,
+    scoring each descent's blocks with its own objective; returns what it
+    returns, (x, points scored), one entry per descent."""
+    descent = search._refine(np.array(starts), lo, hi)
+    blocks = next(descent)
     while True:
+        values = {k: objectives[k](rows) for k, rows in blocks.items()}
         try:
-            rows = descent.send(objective(rows))
+            blocks = descent.send(values)
         except StopIteration as stop:
             return stop.value
 
@@ -424,60 +426,92 @@ def _quadratic(centre):
     return objective
 
 
+def _log_cosh(rows):
+    u, v = (rows - [0.5, 0.5]).T
+    return np.log(np.cosh(20.0 * u)) + v**2
+
+
+def _beyond_face(rows):
+    return ((rows - [1.3, 0.4]) ** 2 * [1.0, 2.0]).sum(axis=1)
+
+
+def _past_edge(rows):
+    return np.where(rows[:, 0] > 0.7, np.inf, _quadratic(np.array([0.8, 0.4]))(rows))
+
+
+# start and objective of each refinement case below
+_DESCENTS = {
+    "quadratic": ([0.45, 0.5], _quadratic(np.array([0.55, 0.4]))),
+    "log_cosh": ([0.58, 0.45], _log_cosh),
+    "face": ([0.9, 0.5], _beyond_face),
+    "edge": ([0.6, 0.5], _past_edge),
+}
+
+
+def _refine_alone(name):
+    """(x, points scored, block sizes) of one refinement case run alone."""
+    start, fn = _DESCENTS[name]
+    objective, sizes = _counted(fn)
+    (x,), (n_eval,) = _descend([start], [objective], _UNIT_LO, _UNIT_HI)
+    return x, n_eval, sizes
+
+
 def test_refine_full_step_brings_its_stencil():
     # a strictly convex quadratic with its minimiser inside the box: the
     # first block scores the stencil (11 points in 2-D), the second the 8
     # halvings of the Newton step and the stencil at the full step (18);
     # the full step lands on the minimiser, whose stencil then stops the
     # descent without another call
-    centre = np.array([0.55, 0.4])
-    objective, sizes = _counted(_quadratic(centre))
-    x, n_eval = _descend(np.array([0.45, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, n_eval, sizes = _refine_alone("quadratic")
     assert sizes == [11, 18]
     assert n_eval == 29
-    assert np.max(np.abs(x - centre)) < 1e-9
+    assert np.max(np.abs(x - [0.55, 0.4])) < 1e-9
 
 
 def test_refine_scores_stencil_after_a_halving():
     # log cosh is flatter away from its minimum than at the start, so the
     # first full Newton step overshoots and only a halving decreases: that
     # point needs one stencil call of its own; every later full step wins
-    centre = np.array([0.5, 0.5])
-
-    def log_cosh(rows):
-        u, v = (rows - centre).T
-        return np.log(np.cosh(20.0 * u)) + v**2
-
-    objective, sizes = _counted(log_cosh)
-    x, n_eval = _descend(np.array([0.58, 0.45]), objective, _UNIT_LO, _UNIT_HI)
+    x, n_eval, sizes = _refine_alone("log_cosh")
     assert sizes[:3] == [11, 18, 11]
     assert sizes.count(11) == 2
     assert n_eval == sum(sizes)
-    assert np.max(np.abs(x - centre)) < 1e-9
+    assert np.max(np.abs(x - [0.5, 0.5])) < 1e-9
 
 
 def test_refine_stops_on_face_and_at_missing_rates():
     # minimiser beyond the x0 = 1 face: x0 ends on the face, x1 at its
     # optimum, and the stencil a full step brought stops the descent
-    objective, sizes = _counted(
-        lambda rows: ((rows - [1.3, 0.4]) ** 2 * [1.0, 2.0]).sum(axis=1)
-    )
-    x, _ = _descend(np.array([0.9, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, _, sizes = _refine_alone("face")
     assert sizes == [11, 18, 18]
     assert x[0] == 1.0 and abs(x[1] - 0.4) < 1e-9
 
     # no rate past x0 = 0.7 (as at angles without a calibration root) and
     # the minimiser beyond it: the descent reaches the edge, then neither
     # the Newton nor the steepest-descent block decreases, and x is kept
-    centre = np.array([0.8, 0.4])
-
-    def edge(rows):
-        return np.where(rows[:, 0] > 0.7, np.inf, _quadratic(centre)(rows))
-
-    objective, sizes = _counted(edge)
-    x, _ = _descend(np.array([0.6, 0.5]), objective, _UNIT_LO, _UNIT_HI)
+    x, _, sizes = _refine_alone("edge")
     assert sizes == [11, 18, 11, 18, 18]
     assert abs(x[0] - 0.7) < 1e-12 and abs(x[1] - 0.45) < 1e-9
+
+
+def test_refine_round_mixes_phases_without_crosstalk():
+    # the four cases above as one batched descent: within a round one
+    # descent scores a line search while others score a stencil after a
+    # halving or have stopped, and each gets exactly what it gets alone
+    alone = {name: _refine_alone(name) for name in _DESCENTS}
+    counted = [_counted(fn) for _, fn in _DESCENTS.values()]
+    xs, n_evals = _descend(
+        [start for start, _ in _DESCENTS.values()],
+        [objective for objective, _ in counted], _UNIT_LO, _UNIT_HI,
+    )
+    for i, name in enumerate(_DESCENTS):
+        x, n_eval, sizes = alone[name]
+        assert np.array_equal(xs[i], x), name
+        assert n_evals[i] == n_eval and counted[i][1] == sizes, name
+    # round r holds block r of every descent still running; the third
+    # holds a line search (face) and stencils after a halving (log_cosh, edge)
+    third = [sizes[2] for _, sizes in counted if len(sizes) > 2]
+    assert sorted(third) == [11, 11, 18]
 
 
 def _calibrated(mu_0: float, beta_A: float, v_0: float) -> TunableParams:

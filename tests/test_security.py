@@ -284,6 +284,17 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
     assert compared > 1000
 
 
+def test_gl_nodes_equal_leggauss():
+    # the rule is formed without numpy.polynomial, by the same arithmetic,
+    # so the nodes, the weights and every rate stay bit-identical
+    from numpy.polynomial.legendre import leggauss
+
+    for order in (security._GL_ORDER, 2 * security._GL_ORDER):
+        x, w = security._gl_nodes(order)
+        x_ref, w_ref = leggauss(order)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), order
+
+
 def test_rate_block_equals_single_points():
     # one N-point block against N separate N=1 calls, feasible and not
     rng = np.random.default_rng(11)
