@@ -23,7 +23,7 @@ idealized efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +130,13 @@ def ec_syndrome_length(n: int, Q_est, dQ: float, f_EC: float):
     q = np.asarray(Q_est, dtype=float) + dQ
     if not np.all((0.0 <= q) & (q < 0.5)):
         raise DomainError(f"Q_est + dQ must be in [0, 1/2), got {q}")
-    bits = np.ceil(n * f_EC * binary_entropy(q))
+    bits = _syndrome_bits(n, q, f_EC)
     return int(bits) if bits.ndim == 0 else bits
+
+
+def _syndrome_bits(n, q, f_EC: float):
+    """ceil(n f_EC h(q)), with one block size ``n`` or one per entry of ``q``."""
+    return np.ceil(n * f_EC * binary_entropy(q))
 
 
 def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
@@ -156,19 +161,21 @@ def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
     return FiniteKeyLength(l=l, abort=False)
 
 
-def _fixed_charge(chi, fk: FiniteKeyParams, k_sample):
+def _fixed_charge(chi, fk: FiniteKeyParams, k_sample, n):
     """The per-bit charges that do not depend on the readout: chi and the
-    n-dependent overheads shared by both error-correction charges."""
+    overheads of block size ``n`` (one, or one per point) shared by both
+    error-correction charges."""
+    # sqrt is correctly rounded in numpy as in math, so a per-point n gets
+    # the bits of the scalar call
+    root_n = np.sqrt(n) if isinstance(n, np.ndarray) else math.sqrt(n)
     return (
         chi
-        + smoothing_correction(fk.eps_s) / math.sqrt(fk.n)
-        + (k_sample + fk.check_EC + fk.loss_PA) / fk.n
+        + smoothing_correction(fk.eps_s) / root_n
+        + (k_sample + fk.check_EC + fk.loss_PA) / n
     )
 
 
-def pointwise_threshold(
-    symbols: SymbolBlock, fk: FiniteKeyParams, v_lo: float, v_hi: float
-):
+def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
     """The pointwise finite rate's best thresholds in [v_lo, v_hi].
 
     The per-bit fraction 1 - c_n - f_EC h(min(e(v) + dQ, 1/2)), with c_n
@@ -176,9 +183,11 @@ def pointwise_threshold(
     e* = h^-1((1 - c_n)/f_EC) - dQ (see
     :func:`security.threshold_at_error`); when e* <= 0 it is negative at
     every v and the threshold is v_hi.  Block mode's flat charge has no
-    such rule.
+    such rule.  The bounds and the block size ``n`` (default ``fk.n``) are
+    one for all points or one per point.
     """
-    budget = (1.0 - _fixed_charge(symbols.chi, fk, fk.k_sample)) / fk.f_EC
+    n = fk.n if n is None else n
+    budget = (1.0 - _fixed_charge(symbols.chi, fk, fk.k_sample, n)) / fk.f_EC
     e_star = binary_entropy_inverse(budget) - fk.dQ
     return threshold_at_error(symbols, e_star, v_lo, v_hi)
 
@@ -188,23 +197,26 @@ def finite_rates(
     fk: FiniteKeyParams,
     ec_mode: str = "pointwise",
     k_sample=None,
+    n=None,
 ) -> np.ndarray:
     """Finite-block rates of a kernel block in bits per second; 0 where aborted.
 
-    ``ec_mode`` is one of ``_EC_MODES``; ``k_sample`` (scalar or per point)
-    defaults to ``fk.k_sample``.
+    ``ec_mode`` is one of ``_EC_MODES``; ``k_sample`` and the block size
+    ``n`` (each a scalar or one per point) default to ``fk.k_sample`` and
+    ``fk.n``.
     """
     if ec_mode not in _EC_MODES:
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
     if k_sample is None:
         k_sample = fk.k_sample
-    fixed = _fixed_charge(block.chi, fk, k_sample)
+    n = fk.n if n is None else n
+    fixed = _fixed_charge(block.chi, fk, k_sample, n)
     abort = block.empty
     if ec_mode == "block":
         Q = np.divide(block.E, block.P, out=np.zeros_like(block.P), where=~abort)
         abort = abort | (Q + fk.dQ >= 0.5)
-        code_ec = ec_syndrome_length(fk.n, np.where(abort, 0.0, Q), fk.dQ, fk.f_EC)
-        fraction = (1.0 - fixed - code_ec / fk.n)[:, None]
+        code_ec = _syndrome_bits(n, np.where(abort, 0.0, Q) + fk.dQ, fk.f_EC)
+        fraction = (1.0 - fixed - code_ec / n)[:, None]
     else:
         charge = fk.f_EC * binary_entropy(np.minimum(block.e + fk.dQ, 0.5))
         fraction = 1.0 - fixed[:, None] - charge
@@ -237,7 +249,3 @@ def finite_key_rate(
         rate=rate, abort=not rate > 0.0, chi=quantities.chi_dr, stats=stats, n=fk.n
     )
 
-
-def with_observed_error_rate(fk: FiniteKeyParams, Q_est: float) -> FiniteKeyParams:
-    """Copy of the parameter block with the error-rate estimate filled in."""
-    return replace(fk, Q_est=Q_est)

@@ -56,8 +56,11 @@ class ChannelModel:
         return noise_sigma(self.xi)
 
 
-def noise_sigma(xi: float) -> float:
-    """Standard deviation of the readout, sqrt((1 + xi)/4)."""
+def noise_sigma(xi):
+    """Standard deviation of the readout, sqrt((1 + xi)/4): a float, or an
+    array for an array ``xi``."""
+    if isinstance(xi, np.ndarray):
+        return _per_value(noise_sigma, xi)
     if xi < 0.0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     return math.sqrt(0.25 * (1.0 + xi))
@@ -77,26 +80,43 @@ def quadrature_pdf(v, mean_v: float, xi: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_pdf(v, mean_v, xi):
-    return 0.5 * math.log(2.0 / (math.pi * (1.0 + xi))) - 2.0 * (v - mean_v) ** 2 / (
-        1.0 + xi
-    )
+def _per_value(f, values):
+    """``f`` at each entry of ``values`` (a scalar or an array), called once
+    per distinct value, so every entry has the bits of the scalar call."""
+    if not isinstance(values, np.ndarray):
+        return f(values)
+    out = np.empty(values.shape)
+    todo = np.ones(values.shape, dtype=bool)
+    while todo.any():
+        value = float(values.flat[todo.argmax()])
+        same = values == value if value == value else np.isnan(values)
+        out[same] = f(value)
+        todo &= ~same
+    return out
 
 
-def erasure_error_profiles(v, mean_plus: float, mean_minus: float, xi: float):
+def _log_peak(xi: float) -> float:
+    """Log of the readout density's peak, 0.5 log(2 / (pi (1 + xi)))."""
+    if xi < 0.0:
+        raise DomainError(f"xi must be >= 0, got {xi}")
+    return 0.5 * math.log(2.0 / (math.pi * (1.0 + xi)))
+
+
+def erasure_error_profiles(v, mean_plus, mean_minus, xi):
     """Pointwise outcome density and error fraction, (1 - g(v), e(v)).
 
     1 - g is the accepted-outcome density per emitted symbol (equal priors
     on the two symbols); e is the fraction of mass at v belonging to the
     symbol whose bit disagrees with the sign of v.  Likelihood ratios are
     formed in the log domain, so far tails saturate to 0 or 1 instead of
-    producing NaN.  Accepts scalar or array v.
+    producing NaN.  Accepts scalar or array v, and means and ``xi`` that
+    broadcast against it.
     """
-    if xi < 0.0:
-        raise DomainError(f"xi must be >= 0, got {xi}")
     v = np.asarray(v, dtype=float)
-    lp_plus = _log_pdf(v, mean_plus, xi)
-    lp_minus = _log_pdf(v, mean_minus, xi)
+    # math.log per distinct xi: np.log may round differently
+    log_peak = _per_value(_log_peak, xi)
+    lp_plus = log_peak - 2.0 * (v - mean_plus) ** 2 / (1.0 + xi)
+    lp_minus = log_peak - 2.0 * (v - mean_minus) ** 2 / (1.0 + xi)
     one_minus_g = 0.5 * (np.exp(lp_plus) + np.exp(lp_minus))
     # the sign of v picks which symbol would have been decoded incorrectly
     log_ratio = lp_minus - lp_plus
@@ -121,17 +141,11 @@ class DecisionStats:
     mean_minus: float
     xi: float
 
-    def one_minus_g(self, v):
-        return erasure_error_profiles(v, self.mean_plus, self.mean_minus, self.xi)[0]
 
-    def e(self, v):
-        return erasure_error_profiles(v, self.mean_plus, self.mean_minus, self.xi)[1]
-
-
-def integration_ceiling(mean_plus, mean_minus, xi: float):
+def integration_ceiling(mean_plus, mean_minus, xi):
     """Upper readout bound past which the remaining mass is below 1e-40.
 
-    Scalar or array means.
+    Scalar or array means, and one ``xi`` or one per mean.
     """
     widest = np.maximum(np.abs(mean_plus), np.abs(mean_minus))
     return widest + TAIL_SIGMAS * noise_sigma(xi)
@@ -143,11 +157,11 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, flat), float, len(flat)).reshape(z.shape)
 
 
-def decision_masses(v_0, mean_plus, mean_minus, xi: float):
+def decision_masses(v_0, mean_plus, mean_minus, xi):
     """Error and acceptance masses (E, P) through the Gaussian tail function.
 
-    Scalar or array thresholds and means; no validation (see
-    :func:`decision_stats`).
+    Scalar or array thresholds, means and ``xi``; no validation beyond
+    ``xi`` >= 0 (see :func:`decision_stats`).
     """
     # tails beyond +v_0 and below -v_0 under each symbol, in one call
     edges = [mean_plus - v_0, -v_0 - mean_plus, mean_minus - v_0, -v_0 - mean_minus]

@@ -39,13 +39,16 @@ projected gradient is at most 1e-7.
 ``OptimumPoint.evaluations`` counts the kernel points scored.
 
 Kernel calls, not points, set the search's time, so a sweep optimizes
-all losses of one (noise level, block size) pair in lockstep, in one
-process: one kernel call scores every channel's coarse grid, then each
-round stacks every unfinished descent's next block into one call and one
-vectorised step advances every descent, and a last block scores every
-optimum for its report.  A kernel row and a descent's step depend on that
-row or descent alone, to the last bit, so every sweep row equals what
-:func:`optimize_point`, the one-channel case, returns for it.
+all its (noise level, block size, loss) points in lockstep, in one
+process: the kernel takes each row's transmittance, excess noise and
+block size, so one stage scores every point's coarse grid, then each
+round stacks every unfinished descent's next block and one vectorised
+step advances every descent, and a last block scores every optimum for
+its report.  A stack of more than _MAX_ROWS rows is scored in even
+chunks, which bounds a kernel call's memory whatever the sweep's size.
+A kernel row and a descent's step depend on that row or descent alone,
+to the last bit, so every sweep row equals what :func:`optimize_point`,
+the one-point case, returns for it.
 """
 
 from __future__ import annotations
@@ -96,6 +99,14 @@ _GTOL = 1e-7
 _MAX_ITER = 100
 # the decoder's top angle is bisected to this width, in radians
 _ANGLE_TOL = 1e-12
+# a stacked block of more rows is scored in even chunks of at most this
+# many, so a sweep's kernel memory does not grow with its size.  Per row,
+# kernel calls of a few hundred rows are the fastest: against 512, this
+# cap scored the 24-point asymptotic benchmark sweep 4-7% faster (six grid
+# calls of 256 rows for three of 512) and tied on the 9-point finite one
+# (2-core VM, paired passes); it also holds a 24-descent round of 12-row
+# line searches in one call
+_MAX_ROWS = 288
 
 
 @dataclass(frozen=True)
@@ -194,21 +205,24 @@ class KeyRateReport:
     status: str
 
 
-def _threshold(symbols: SymbolBlock, sigma: float, fk, bounds: Bounds):
+def _threshold(symbols: SymbolBlock, sigma, fk, n, bounds: Bounds):
     """The best thresholds of a symbol block in the box: asymptotic, or
-    pointwise finite."""
+    pointwise finite; ``sigma`` and ``n`` are one per row or one for all."""
     v_lo, v_hi = (b * sigma for b in bounds.v_0_sigmas)
     if fk is None:
         return asymptotic_threshold(symbols, v_lo, v_hi)
-    return pointwise_threshold(symbols, fk, v_lo, v_hi)
+    return pointwise_threshold(symbols, fk, v_lo, v_hi, n)
 
 
-def _rate_block(points, delta, eta, xi: float, sys, fk, ec_mode, bounds):
+def _rate_block(points, delta, eta, xi, n, sys, fk, ec_mode, bounds):
     """The kernel block of decision vectors and its rates.
 
-    Every row's angle has the calibration root ``delta``; ``eta`` holds
-    each row's transmittance.  A row without a v_0/sigma entry gets the
-    best threshold of its point (see :func:`_threshold`).
+    Every row's angle has the calibration root ``delta``; ``eta``, ``xi``
+    and ``n`` hold each row's transmittance, excess noise and block size,
+    the last two as an array or as one value for all rows (``fk`` sets
+    every other finite-key setting; ``n`` is None when ``fk`` is).  A row
+    without a v_0/sigma entry gets the best threshold of its point (see
+    :func:`_threshold`).
     """
     mu_0 = np.array([10.0 ** float(m) for m in points[:, 0]])
     symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
@@ -216,22 +230,30 @@ def _rate_block(points, delta, eta, xi: float, sys, fk, ec_mode, bounds):
     if points.shape[1] == 3:
         v_0 = points[:, 2] * sigma
     else:
-        v_0 = _threshold(symbols, sigma, fk, bounds)
+        v_0 = _threshold(symbols, sigma, fk, n, bounds)
     block = symbols.at(v_0)
     if fk is None:
         return block, asymptotic_rates(block)
-    return block, finite_rates(block, fk, ec_mode)
+    return block, finite_rates(block, fk, ec_mode, n=n)
 
 
-def _kernel(points, eta, xi: float, sys, fk, ec_mode, bounds):
+def _at_rows(value, rows):
+    """A per-row array at ``rows``; one value shared by every row (or None)
+    as it is."""
+    return value[rows] if isinstance(value, np.ndarray) else value
+
+
+def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     """Rates and thresholds at decision vectors, as one kernel block.
 
     Rows are (log10 mu_0, beta_A, v_0/sigma), or (log10 mu_0, beta_A) where
-    the threshold is solved for (see :func:`_threshold`); ``eta`` holds
-    each row's transmittance, and every row has the excess noise ``xi``.
-    Returns the rates and each row's v_0/sigma; a row's values do not
-    depend on the other rows.  Each distinct angle is calibrated once and
-    the symbol means and chi are formed once for every row.  A row scores
+    the threshold is solved for (see :func:`_threshold`); ``eta``, ``xi``
+    and ``n`` hold each row's transmittance, excess noise and block size,
+    the last two as one value for all rows where they share it (see
+    :func:`_rate_block`).  Returns the rates and each row's v_0/sigma; a
+    row's values do not depend on the other rows.  Each distinct angle is
+    calibrated once and the symbol means and chi are formed once for every
+    row.  A row scores
     -inf where its angle has no calibration root, where its symbol means
     are degenerate, and where they are not ordered
     (m+ <= m-), since the threshold rule rests on m+ > m-.
@@ -251,8 +273,10 @@ def _kernel(points, eta, xi: float, sys, fk, ec_mode, bounds):
     v_sig = np.full(ok.size, math.nan)
     if not ok.any():
         return rates, v_sig
+    xi = _at_rows(xi, ok)
     block, scored = _rate_block(
-        points[ok], delta[ok], eta[ok], xi, sys, fk, ec_mode, bounds
+        points[ok], delta[ok], eta[ok], xi, _at_rows(n, ok),
+        sys, fk, ec_mode, bounds,
     )
     invalid = block.degenerate | ~(block.mean_plus > block.mean_minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
@@ -544,40 +568,71 @@ def _refine(starts, lo, hi):
     return x, n_eval
 
 
-def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
-    """Maximize the key rate at channels of one excess noise, in lockstep.
+def _shared_or_each(values: list):
+    """The one value every problem shares, else an array of one each.
 
-    Returns one outcome per channel: an :class:`OptimumPoint`, or the
-    :class:`InfeasibleError` of a channel whose coarse grid has no
-    positive rate.  Every channel's grid is scored in one kernel call.
-    Then each round of one batched descent (see :func:`_refine`) stacks
-    the next block of every unfinished descent into one kernel call and
-    advances them all in one vectorised step, and one last block scores
-    every optimum for its report.  Since a kernel row and a descent's step
-    depend on that row or descent alone, each outcome equals the one its
-    channel gets alone.
+    A shared value stays a scalar, so a one-point search, and a sweep of
+    one noise level or block size, does no per-row work for it.
     """
+    return values[0] if len(set(values)) == 1 else np.array(values, dtype=float)
+
+
+def _chunks(size: int):
+    """(start, stop) of the fewest even chunks of ``size`` rows that hold
+    at most _MAX_ROWS rows each."""
+    count = -(-size // _MAX_ROWS)
+    edges = [size * i // count for i in range(count + 1)]
+    return zip(edges, edges[1:])
+
+
+def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
+    """Maximize the key rate at every (channel, finite-key settings) pair
+    of ``problems``, in lockstep.
+
+    The settings are None for every pair (asymptotic) or differ in the
+    block size alone.  Returns one outcome per pair: an
+    :class:`OptimumPoint`, or the :class:`InfeasibleError` of a pair whose
+    coarse grid has no positive rate.  Every pair's grid is scored
+    together; then each round of one batched descent (see :func:`_refine`)
+    stacks the next block of every unfinished descent and advances them
+    all in one vectorised step, and one last block scores every optimum
+    for its report.  Each stack is one kernel call, or one per even chunk
+    where it holds more than _MAX_ROWS rows, which bounds a call's memory.
+    Since a kernel row and a descent's step depend on that row or descent
+    alone, each outcome equals the one its pair gets alone.
+    """
+    fk = problems[0][1]
     v_axis = fk is not None and ec_mode == "block"
     lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
-    xi = channels[0].xi
-    eta = np.array([ch.eta for ch in channels])
+    eta = np.array([ch.eta for ch, _ in problems])
+    xi = _shared_or_each([ch.xi for ch, _ in problems])
+    n = None if fk is None else _shared_or_each([f.n for _, f in problems])
 
-    def score(blocks: dict, etas):
-        """Rates and v_0/sigma of each block of rows, from one kernel call;
-        block i is at transmittance etas[i]."""
+    def channel_rows(of):
+        """Transmittance, excess noise and block size of rows of problems ``of``."""
+        return eta[of], _at_rows(xi, of), _at_rows(n, of)
+
+    def score(blocks: dict, owner):
+        """Rates and v_0/sigma of each block of rows; block k belongs to
+        problem owner[k]."""
         sizes = [len(rows) for rows in blocks.values()]
-        rates, v_sig = _kernel(
-            decode(np.concatenate(list(blocks.values()))),
-            np.repeat(etas[list(blocks)], sizes), xi, sys, fk, ec_mode, bounds,
-        )
+        rows = decode(np.concatenate(list(blocks.values())))
+        of = np.repeat(owner[list(blocks)], sizes)
+        parts = [
+            _kernel(rows[a:b], *channel_rows(of[a:b]), sys, fk, ec_mode, bounds)
+            for a, b in _chunks(len(rows))
+        ]
+        rates = np.concatenate([r for r, _ in parts])
+        v_sig = np.concatenate([v for _, v in parts])
         ends = list(accumulate(sizes))
         starts = [0] + ends[:-1]
         return [(k, rates[a:b], v_sig[a:b]) for k, a, b in zip(blocks, starts, ends)]
 
     points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
-    outcomes = [None] * len(channels)
+    outcomes = [None] * len(problems)
     grid_best, best_rate = {}, {}
-    for k, rates, v_sig in score(dict.fromkeys(range(len(channels)), points), eta):
+    everyone = np.arange(len(problems))
+    for k, rates, v_sig in score(dict.fromkeys(everyone.tolist(), points), everyone):
         # argmax takes the first maximum in axis order: ties go to the
         # smaller m or photon number
         best = np.argmax(rates)
@@ -588,7 +643,7 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
         vector = decode(points[best][None])[0]
         if not v_axis:
             vector = np.append(vector, v_sig[best])
-        ch = channels[k]
+        ch = problems[k][0]
         outcomes[k] = InfeasibleError(
             f"no positive rate on the {rates.size}-point coarse grid at "
             f"loss={ch.loss_db} dB, xi={ch.xi}",
@@ -601,13 +656,13 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
     if not grid_best:
         return outcomes
 
-    # descent i refines channel done[i], in units of its grid best
-    done = list(grid_best)
+    # descent i refines problem done[i], in units of its grid best
+    done = np.array(list(grid_best))
     descent = _refine(np.array(list(grid_best.values())), lo, hi)
     blocks = next(descent)
     try:
         while True:
-            scored = score(blocks, eta[done])
+            scored = score(blocks, done)
             values = {i: -rates / best_rate[done[i]] for i, rates, _ in scored}
             blocks = descent.send(values)
     except StopIteration as stop:
@@ -616,25 +671,28 @@ def _optimize_group(channels, sys, fk, ec_mode: str, bounds: Bounds) -> list:
     # the reported point of each optimum, scored once more for Q, P and chi
     vectors = decode(x)
     delta = np.array([calibrate_delta(float(b), sys) for b in vectors[:, 1]])
-    block, rates = _rate_block(vectors, delta, eta[done], xi, sys, fk, ec_mode, bounds)
-    for i, k in enumerate(done):
-        stats, quantities = block.point(i)
-        # plain floats: an np.float64 would print as np.float64(...) in reports
-        tun = TunableParams(
-            mu_0=10.0 ** float(vectors[i, 0]),
-            beta_A=float(vectors[i, 1]),
-            delta=float(delta[i]),
-            v_0=float(block.v_0[i]),
-            k_sample=fk.k_sample if fk is not None else 0,
+    for a, b in _chunks(len(done)):
+        block, rates = _rate_block(
+            vectors[a:b], delta[a:b], *channel_rows(done[a:b]), sys, fk, ec_mode, bounds
         )
-        outcomes[k] = OptimumPoint(
-            params=tun,
-            rate=float(rates[i]),
-            Q=stats.Q if stats is not None else None,
-            P=stats.P if stats is not None else None,
-            chi=quantities.chi_dr,
-            evaluations=points.shape[0] + n_eval[i],
-        )
+        for i in range(a, b):
+            stats, quantities = block.point(i - a)
+            # plain floats: an np.float64 would print as np.float64(...) in reports
+            tun = TunableParams(
+                mu_0=10.0 ** float(vectors[i, 0]),
+                beta_A=float(vectors[i, 1]),
+                delta=float(delta[i]),
+                v_0=float(block.v_0[i - a]),
+                k_sample=fk.k_sample if fk is not None else 0,
+            )
+            outcomes[done[i]] = OptimumPoint(
+                params=tun,
+                rate=float(rates[i - a]),
+                Q=stats.Q if stats is not None else None,
+                P=stats.P if stats is not None else None,
+                chi=quantities.chi_dr,
+                evaluations=points.shape[0] + n_eval[i],
+            )
     return outcomes
 
 
@@ -663,7 +721,7 @@ def optimize_point(
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.
     """
-    (outcome,) = _optimize_group([ch], sys, fk, ec_mode, bounds)
+    (outcome,) = _optimize_group([(ch, fk)], sys, ec_mode, bounds)
     if isinstance(outcome, InfeasibleError):
         raise outcome
     return outcome
@@ -687,7 +745,7 @@ def _report(ch: ChannelModel, fk, outcome) -> KeyRateReport:
     )
 
 
-def _alone(ch: ChannelModel, sys, fk, ec_mode: str, bounds: Bounds):
+def _alone(ch: ChannelModel, fk, sys, ec_mode: str, bounds: Bounds):
     """What :func:`optimize_point` returns at one channel, or the exception it raises."""
     try:
         return optimize_point(ch, sys, fk, ec_mode, bounds)
@@ -696,23 +754,25 @@ def _alone(ch: ChannelModel, sys, fk, ec_mode: str, bounds: Bounds):
 
 
 def thread_count(n_tasks: int) -> int:
-    """Processes a sweep runs in: always 1, since a sweep scores every
-    channel of a noise level in one kernel call per round."""
-    # kept for perfbench/worker.py, which reports it as the sweep worker count
+    """Processes a sweep runs in: always 1, since a sweep scores all its
+    points together, one kernel call (per chunk of rows) per round."""
+    # kept only for perfbench/worker.py, which imports it and reports it
+    # as the sweep worker count
     return 1
 
 
 def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
     """Optimize every (noise, block-size, loss) grid point.
 
-    The losses of each (noise, block size) pair are optimized together
-    in lockstep (see :func:`_optimize_group`), in one process: a kernel
-    call scores a block for every unfinished point, and each row equals
-    its own :func:`optimize_point`.  When such a shared call raises, that
-    pair's points are optimized again one at a time, so only the point at
-    fault records the error.  The output order follows the grid index
-    (noise level outermost, loss innermost), and per-point failures are
-    recorded in the report status rather than raised.
+    Every point of the sweep is optimized in one lockstep search (see
+    :func:`_optimize_group`), in one process: each round scores a block
+    for every unfinished point, in one kernel call per chunk of at most
+    _MAX_ROWS rows, and each row equals its own :func:`optimize_point`.
+    When a shared call raises, the points are optimized again one at a
+    time, so only the point at fault records the error.  The output order
+    follows the grid index (noise level outermost, loss innermost), and
+    per-point failures are recorded in the report status rather than
+    raised.
     """
     fks = [None]
     if spec.n_values is not None:
@@ -720,14 +780,15 @@ def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
             replace(spec.fk_template or FiniteKeyParams(n=n), n=n)
             for n in spec.n_values
         ]
-    reports = []
-    for xi in spec.noise_levels:
-        channels = [ChannelModel(loss_db=loss, xi=xi) for loss in spec.loss_grid]
-        for fk in fks:
-            args = (sys, fk, spec.ec_mode, spec.bounds)
-            try:
-                outcomes = _optimize_group(channels, *args)
-            except Exception:
-                outcomes = [_alone(ch, *args) for ch in channels]
-            reports.extend(_report(ch, fk, o) for ch, o in zip(channels, outcomes))
-    return reports
+    problems = [
+        (ChannelModel(loss_db=loss, xi=xi), fk)
+        for xi in spec.noise_levels
+        for fk in fks
+        for loss in spec.loss_grid
+    ]
+    args = (sys, spec.ec_mode, spec.bounds)
+    try:
+        outcomes = _optimize_group(problems, *args)
+    except Exception:
+        outcomes = [_alone(ch, fk, *args) for ch, fk in problems]
+    return [_report(ch, fk, o) for (ch, fk), o in zip(problems, outcomes)]

@@ -10,7 +10,7 @@ to bits per second by the basis count and window duration.
 
 Rates are evaluated by one vectorized kernel in two stages:
 :func:`symbol_block` forms the symbol means and chi of N working points,
-each with its own channel loss, at one excess noise, and
+each with its own channel loss and excess noise, and
 :meth:`SymbolBlock.at` adds P and E at given thresholds and the readout
 profiles on an N x ``_GL_ORDER`` Gauss-Legendre grid (:func:`rate_block`
 runs both at one channel).  Each row's result depends on that row alone,
@@ -222,13 +222,14 @@ def _gl_nodes(order: int):
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """The threshold-free part of N rate points at one excess noise.
+    """The threshold-free part of N rate points.
 
-    Every array is over the N points.  ``degenerate`` marks symbol means
+    Every array is over the N points; ``xi`` is one excess noise for all
+    of them or an array of one each.  ``degenerate`` marks symbol means
     the model leaves undefined.
     """
 
-    xi: float
+    xi: float | np.ndarray
     mean_plus: np.ndarray
     mean_minus: np.ndarray
     overlap: np.ndarray
@@ -244,8 +245,9 @@ class SymbolBlock:
         half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
         x, _ = _gl_nodes(_GL_ORDER)
         nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
+        xi = self.xi[:, None] if isinstance(self.xi, np.ndarray) else self.xi
         one_minus_g, e = erasure_error_profiles(
-            nodes, self.mean_plus[:, None], self.mean_minus[:, None], self.xi
+            nodes, self.mean_plus[:, None], self.mean_minus[:, None], xi
         )
         shared = {f.name: getattr(self, f.name) for f in fields(SymbolBlock)}
         return RateBlock(
@@ -256,7 +258,7 @@ class SymbolBlock:
 
 @dataclass(frozen=True)
 class RateBlock(SymbolBlock):
-    """Shared ingredients of N rate points at one excess noise and their thresholds.
+    """Shared ingredients of N rate points and their thresholds.
 
     ``one_minus_g`` and ``e`` are the readout profiles at the
     Gauss-Legendre nodes of each point's accepted region [v_0, ceiling],
@@ -301,22 +303,26 @@ class RateBlock(SymbolBlock):
             v_0=float(self.v_0[i]),
             mean_plus=float(self.mean_plus[i]),
             mean_minus=float(self.mean_minus[i]),
-            xi=self.xi,
+            xi=float(self.xi[i] if isinstance(self.xi, np.ndarray) else self.xi),
         )
         return stats, quantities
 
 
-def symbol_block(mu_0, beta_A, delta, eta, xi: float, sys: SystemParams) -> SymbolBlock:
-    """Symbol means and chi of N working points at one excess noise ``xi``.
+def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock:
+    """Symbol means and chi of N working points.
 
     ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays of values
     already validated as :class:`TunableParams` validates them; ``eta``
-    holds each point's channel transmittance, or one for all.  Every
-    output row depends on its own point alone.  The system's
-    symmetric_doubling flag folds in the mirrored negative readout branch.
+    and ``xi`` hold each point's channel transmittance and excess noise,
+    or one for all.  Every output row depends on its own point alone.  The
+    system's symmetric_doubling flag folds in the mirrored negative readout
+    branch.
     """
     mu_0 = np.asarray(mu_0, dtype=float)
     beta_A = np.asarray(beta_A, dtype=float)
+    if not isinstance(xi, float):
+        xi = np.asarray(xi, dtype=float)
+        xi = float(xi) if xi.ndim == 0 else xi
     mean_plus, mean_minus, degenerate = matched_means_array(
         mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
@@ -346,8 +352,10 @@ def rate_block(
     return symbol_block(mu_0, beta_A, delta, ch.eta, ch.xi, sys).at(v_0)
 
 
-def threshold_at_error(symbols: SymbolBlock, e_star, v_lo: float, v_hi: float):
+def threshold_at_error(symbols: SymbolBlock, e_star, v_lo, v_hi):
     """Thresholds where the error fraction e(v) falls to ``e_star``, in [v_lo, v_hi].
+
+    ``v_lo`` and ``v_hi`` are one bound for all points or one per point.
 
     With sigma^2 = (1 + xi)/4, logit e(v) = (m+ - m-)(m+ + m- - 2v) /
     (2 sigma^2), so v = (m+ + m-)/2 - sigma^2 logit(e*) / (m+ - m-).  An
@@ -363,8 +371,8 @@ def threshold_at_error(symbols: SymbolBlock, e_star, v_lo: float, v_hi: float):
     return np.where(gap > 0.0, np.minimum(np.maximum(v, v_lo), v_hi), v_lo)
 
 
-def asymptotic_threshold(symbols: SymbolBlock, v_lo: float, v_hi: float):
-    """The asymptotic rate's best thresholds in [v_lo, v_hi].
+def asymptotic_threshold(symbols: SymbolBlock, v_lo, v_hi):
+    """The asymptotic rate's best thresholds in [v_lo, v_hi] (scalars or per point).
 
     The secret fraction 1 - h(e(v)) - chi crosses zero at
     e* = h^-1(1 - chi) (see :func:`threshold_at_error`).

@@ -1,6 +1,7 @@
 """Finite-block key length and rate tests."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -14,7 +15,6 @@ from scw_cvqkd.finitekey import (
     finite_key_rate,
     finite_rates,
     smoothing_correction,
-    with_observed_error_rate,
 )
 from scw_cvqkd.noise import ChannelModel
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
@@ -96,7 +96,7 @@ def test_params_validation():
 
 
 def test_key_length_saturated_bound_aborts():
-    fk = with_observed_error_rate(FiniteKeyParams(n=10**6), 0.03)
+    fk = replace(FiniteKeyParams(n=10**6), Q_est=0.03)
     out = finite_key_length(fk, 1.0)
     assert isinstance(out, FiniteKeyLength)
     assert out.l == 0.0 and out.abort
@@ -108,14 +108,14 @@ def test_key_length_large_block_limit():
     target = 1.0 - chi - 1.15 * float(
         -(0.04) * math.log2(0.04) - 0.96 * math.log2(0.96)
     )
-    fk = with_observed_error_rate(FiniteKeyParams(n=10**14), 0.03)
+    fk = replace(FiniteKeyParams(n=10**14), Q_est=0.03)
     out = finite_key_length(fk, chi)
     assert not out.abort
     assert out.l / 10**14 == pytest.approx(target, abs=1e-5)
 
 
 def test_key_length_small_block_aborts():
-    fk = with_observed_error_rate(FiniteKeyParams(n=2000), 0.03)
+    fk = replace(FiniteKeyParams(n=2000), Q_est=0.03)
     out = finite_key_length(fk, 0.3)
     assert out.abort and out.l == 0.0
 
@@ -159,7 +159,7 @@ def test_block_mode_reproduces_key_length():
     out = finite_key_rate(t, SYS, CH, fk, ec_mode="block")
     assert out.rate > 0.0
     chi = holevo_dr(t.mu_0, t.beta_A, SYS.S)
-    l = finite_key_length(with_observed_error_rate(fk, out.stats.Q), chi)
+    l = finite_key_length(replace(fk, Q_est=out.stats.Q), chi)
     recovered = out.rate * N_BASES * SYS.T * fk.n / out.stats.P
     assert recovered == pytest.approx(l.l, rel=1e-9)
 

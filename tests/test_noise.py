@@ -14,7 +14,6 @@ from scw_cvqkd.errors import DomainError, EmptyAcceptanceError
 from scw_cvqkd.noise import (
     V_VAC,
     ChannelModel,
-    DecisionStats,
     decision_masses,
     decision_stats,
     erasure_error_profiles,
@@ -222,14 +221,6 @@ def test_decision_stats_asymmetric_means():
     e_expect = 0.5 * (sf((0.2 + 0.8) / sigma) + sf((0.2 + 0.3) / sigma))
     assert stats.P == pytest.approx(p_expect, rel=1e-12)
     assert stats.E == pytest.approx(e_expect, rel=1e-12)
-
-
-def test_decision_stats_profile_accessors():
-    stats = decision_stats(0.3, 0.5, -0.5, 0.1)
-    assert isinstance(stats, DecisionStats)
-    og, e = erasure_error_profiles(0.7, 0.5, -0.5, 0.1)
-    assert stats.one_minus_g(0.7) == pytest.approx(og, rel=1e-15)
-    assert stats.e(0.7) == pytest.approx(e, rel=1e-15)
 
 
 def test_decision_stats_domain():

@@ -191,8 +191,11 @@ def test_s1_grid_resolves_narrow_pockets(loss_db, xi, n):
     lo, hi, shape, decode = search._search_space(Bounds(), SYS, v_axis=False)
     assert shape == (64,)
     rows = np.linspace(lo[0], hi[0], 24)[:, None]
-    eta = np.full(len(rows), ch.eta)
-    coarse, _ = search._kernel(decode(rows), eta, ch.xi, SYS, fk, "pointwise", Bounds())
+    eta, xi = np.full(len(rows), ch.eta), np.full(len(rows), ch.xi)
+    n_rows = None if n is None else np.full(len(rows), float(n))
+    coarse, _ = search._kernel(
+        decode(rows), eta, xi, n_rows, SYS, fk, "pointwise", Bounds()
+    )
     assert not coarse.max() > 0.0
 
 
@@ -599,13 +602,26 @@ _SWEEPS = {
 
 
 def test_sweep_lockstep_matches_pointwise():
-    # each row, optimized in lockstep with the other losses of its noise
-    # level and block size, equals its own optimize_point field for field
+    # each row, optimized in lockstep with every other (noise level, block
+    # size, loss) point of its sweep, equals its own optimize_point field
+    # for field
     cases = [(kind, spec, SYS) for kind, spec in _SWEEPS.items()]
+    cases.append((
+        "asymptotic, several noise levels",
+        SweepSpec(loss_grid=(2.0, 4.0, 7.0), noise_levels=(0.0, 0.1, 0.2)),
+        SYS,
+    ))
     # S=3 searches two coordinates and calibrates by scan
     cases.append((
         "S=3",
         SweepSpec(loss_grid=(1.0, 3.0, 6.0), noise_levels=(0.1,), n_values=(10**10,)),
+        SystemParams(S=3),
+    ))
+    cases.append((
+        "S=3, several noise levels and block sizes",
+        SweepSpec(
+            loss_grid=(1.0, 4.0), noise_levels=(0.0, 0.2), n_values=(10**9, 10**11)
+        ),
         SystemParams(S=3),
     ))
     for kind, spec, sys in cases:
@@ -614,50 +630,105 @@ def test_sweep_lockstep_matches_pointwise():
         assert sweep(spec, sys) == expected, kind
 
 
-def _count_grid_blocks(monkeypatch, fail_at=None):
-    """Patch ``search.symbol_block`` to log each grid-sized call's losses and size.
+def _log_kernel_calls(monkeypatch, fail=None):
+    """Patch the search to log its stages and the rows of each kernel call.
 
-    A refinement block has at most 26 points per channel and is stacked
-    with at most one other channel's here; a channel's grid has 64 points
-    at S=1.  A call that holds a row at the loss ``fail_at`` raises
-    instead.
+    The log holds "grid" where a search scores its coarse grid, "refine"
+    where its descents start, and for each ``search._kernel`` call the
+    list of its rows as (loss_db, xi, n) labels.  A call for which
+    ``fail(stage, labels)`` is true raises instead.
     """
-    grids = []
-    losses = [2.0, 3.0, 4.0]
-    loss_of = {ChannelModel(loss_db=loss).eta: loss for loss in losses}
+    log = []
+    loss_of = {ChannelModel(loss_db=loss).eta: loss for loss in (2.0, 3.0, 4.0)}
+    kernel, grid_points, refine = search._kernel, search._grid_points, search._refine
 
-    def counted(mu_0, beta_A, delta, eta, xi, sys):
-        rows = [loss_of[float(e)] for e in eta]
-        if len(mu_0) > 52:
-            grids.append((tuple(dict.fromkeys(rows)), len(mu_0)))
-        if fail_at in rows:
+    def logged_kernel(points, eta, xi, n, *rest):
+        size = len(points)
+        labels = list(zip(
+            [loss_of[e] for e in eta.tolist()],
+            np.broadcast_to(xi, size).tolist(),
+            [None] * size if n is None else [int(v) for v in np.broadcast_to(n, size)],
+        ))
+        stage = next(e for e in reversed(log) if isinstance(e, str))
+        log.append(labels)
+        if fail is not None and fail(stage, labels):
             raise ValueError("boom")
-        return symbol_block(mu_0, beta_A, delta, eta, xi, sys)
+        return kernel(points, eta, xi, n, *rest)
 
-    monkeypatch.setattr(search, "symbol_block", counted)
-    return grids
+    def logged_grid(*args):
+        log.append("grid")
+        return grid_points(*args)
+
+    def logged_refine(*args):
+        log.append("refine")
+        return refine(*args)
+
+    monkeypatch.setattr(search, "_kernel", logged_kernel)
+    monkeypatch.setattr(search, "_grid_points", logged_grid)
+    monkeypatch.setattr(search, "_refine", logged_refine)
+    return log
+
+
+def _grid_calls(log):
+    """The kernel calls of each coarse-grid stage in the log, one list per
+    search, each call as its list of row labels."""
+    stages = []
+    for event in log:
+        if event == "grid":
+            stages.append([])
+        elif isinstance(event, str):
+            stages.append(None)
+        elif stages and stages[-1] is not None:
+            stages[-1].append(event)
+    return [stage for stage in stages if stage is not None]
+
+
+def _rows_of(calls):
+    """The row labels of a list of kernel calls, in call order."""
+    return [label for call in calls for label in call]
+
+
+def _grid_rows(spec):
+    """The labels of a whole sweep's grid rows in output order, 64 per point at S=1."""
+    return [
+        (loss, xi, n)
+        for xi in spec.noise_levels
+        for n in spec.n_values or (None,)
+        for loss in spec.loss_grid
+        for _ in range(64)
+    ]
 
 
 def test_sweep_scores_one_grid_per_point(monkeypatch):
     # the threshold, and so the grid's rates, depend on the block size:
-    # each (xi, n) pair scores the 64-point grids of both its losses in
-    # one call, in row order
-    grids = _count_grid_blocks(monkeypatch)
+    # the sweep scores a 64-point grid for every (xi, n, loss) point, all
+    # in one stage, in output order, in even calls of at most _MAX_ROWS
     spec = _SWEEPS["finite-pointwise"]
+    log = _log_kernel_calls(monkeypatch)
     reports = sweep(spec, SYS)
     assert len(reports) == 12 and all(r.status == "ok" for r in reports)
-    assert grids == [((2.0, 4.0), 2 * 64)] * 6
-    assert [r.loss_db for r in reports] == [2.0, 4.0] * 6
+    (grid,) = _grid_calls(log)
+    rows = _grid_rows(spec)
+    calls = -(-len(rows) // search._MAX_ROWS)
+    assert [len(call) for call in grid] == [len(rows) // calls] * calls
+    assert _rows_of(grid) == rows
+    assert [(r.loss_db, r.xi, r.n) for r in reports] == rows[::64]
 
 
 def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
     spec = SweepSpec(loss_grid=(2.0, 4.0), noise_levels=(0.1,), n_values=_BLOCKS)
     expected = _pointwise_reports(spec)
-    grids = _count_grid_blocks(monkeypatch, fail_at=4.0)
+    log = _log_kernel_calls(
+        monkeypatch, fail=lambda stage, rows: any(r[0] == 4.0 for r in rows)
+    )
     reports = sweep(spec, SYS)
-    # at each block size the shared grid failed, then each channel's own
-    # grid was scored alone: 2.0 dB went on, 4.0 dB failed again
-    assert grids == [((2.0, 4.0), 128), ((2.0,), 64), ((4.0,), 64)] * len(_BLOCKS)
+    # the whole sweep's grid failed at its first call, then each point's
+    # own grid was scored alone, in output order: 2.0 dB went on, 4.0 dB
+    # failed again
+    rows = _grid_rows(spec)
+    (shared,), *alone = _grid_calls(log)
+    assert shared == rows[: len(shared)]
+    assert alone == [[rows[i : i + 64]] for i in range(0, len(rows), 64)]
     assert [r.n for r in reports] == [n for n in _BLOCKS for _ in (2.0, 4.0)]
     for got, want in zip(reports, expected):
         if got.loss_db == 4.0:
@@ -668,23 +739,19 @@ def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
 
 
 def test_sweep_refinement_failure_stays_with_its_point(monkeypatch):
-    # a failure in a shared refinement block, after both grids scored: the
-    # pair is run again one point at a time and only 4.0 dB records it
-    spec = SweepSpec(loss_grid=(2.0, 3.0, 4.0), noise_levels=(0.1,))
+    # a failure in a shared refinement block, after every grid scored: the
+    # sweep is run again one point at a time and only (4.0 dB, xi=0.1)
+    # records it
+    spec = SweepSpec(loss_grid=(2.0, 3.0, 4.0), noise_levels=(0.0, 0.1))
     expected = _pointwise_reports(spec)
-    calls = []
-
-    def flaky(mu_0, beta_A, delta, eta, xi, sys):
-        calls.append(len(mu_0))
-        if len(mu_0) < 64 and ChannelModel(loss_db=4.0).eta in eta:
-            raise ValueError("late boom")
-        return symbol_block(mu_0, beta_A, delta, eta, xi, sys)
-
-    monkeypatch.setattr(search, "symbol_block", flaky)
+    log = _log_kernel_calls(
+        monkeypatch,
+        fail=lambda stage, rows: stage == "refine" and (4.0, 0.1, None) in rows,
+    )
     reports = sweep(spec, SYS)
-    assert calls[0] == 3 * 64
-    assert [r.status for r in reports] == ["ok", "ok", "error: ValueError: late boom"]
-    assert reports[:2] == expected[:2]
+    assert _rows_of(_grid_calls(log)[0]) == _grid_rows(spec)
+    assert [r.status for r in reports] == ["ok"] * 5 + ["error: ValueError: boom"]
+    assert reports[:5] == expected[:5]
 
 
 def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
@@ -692,11 +759,35 @@ def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
     # long one does
     spec = SweepSpec(loss_grid=(3.0,), noise_levels=(0.1,), n_values=(10**4, 10**8))
     expected = _pointwise_reports(spec)
-    grids = _count_grid_blocks(monkeypatch)
+    log = _log_kernel_calls(monkeypatch)
     reports = sweep(spec, SYS)
-    assert grids == [((3.0,), 64), ((3.0,), 64)]
+    (grid,) = _grid_calls(log)
+    assert _rows_of(grid) == _grid_rows(spec)
     assert [r.status for r in reports] == ["infeasible", "ok"]
     assert reports == expected
+
+
+def test_sweep_kernel_calls_stay_under_the_row_cap(monkeypatch):
+    # a stack of more than _MAX_ROWS rows is scored in even chunks, so no
+    # kernel block of a sweep, however many points it has, exceeds the cap;
+    # the rows still equal their own uncapped optimize_point
+    spec = SweepSpec(
+        loss_grid=(2.0, 4.0), noise_levels=(0.0, 0.1), n_values=(10**8, 10**10)
+    )
+    expected = _pointwise_reports(spec)
+    monkeypatch.setattr(search, "_MAX_ROWS", 50)
+    sizes = []
+
+    def counted(mu_0, *args):
+        sizes.append(len(mu_0))
+        return symbol_block(mu_0, *args)
+
+    monkeypatch.setattr(search, "symbol_block", counted)
+    assert sweep(spec, SYS) == expected
+    # the 8 points' 512 grid rows as 11 chunks of 46 or 47 rows, then the
+    # refinement's stacks and the optima's last block, all within the cap
+    assert sum(sizes[:11]) == 512 and set(sizes[:11]) == {46, 47}
+    assert max(sizes) <= 50
 
 
 def test_sweep_finite_grid():

@@ -324,43 +324,48 @@ def test_rate_block_equals_single_points():
 
 
 def test_rate_rows_independent_of_block():
-    # a lockstep sweep stacks the points of many channels in one block, so
-    # a row's results must not depend on the rows around it: each point
-    # scored alone equals the same point inside larger blocks of other
-    # channels' points, at several offsets, to the last bit
+    # a lockstep sweep stacks the points of many channels, noise levels and
+    # block sizes in one block, so a row's results must not depend on the
+    # rows around it: each point scored alone, with its noise level and
+    # block size as scalars, equals the same point inside larger blocks of
+    # mixed points, at several offsets, to the last bit
     rng = np.random.default_rng(5)
-    xi, n_rows = 0.1, 119
-    fk = FiniteKeyParams(n=10**10)
-    v_hi = 6.0 * ChannelModel(loss_db=0.0, xi=xi).sigma
+    n_rows = 119
     beta_A = rng.uniform(1.0, 1.45, n_rows)
     delta = np.array([calibrate_delta(float(b), SYS) for b in beta_A])
     mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, n_rows)
     eta = 10.0 ** (-rng.uniform(0.0, 10.0, n_rows) / 10.0)
+    xi = rng.choice([0.0, 0.05, 0.1, 0.2], n_rows)
+    n = rng.choice([1e8, 1e10, 1e12], n_rows)
+    v_hi = 6.0 * np.array([ChannelModel(loss_db=0.0, xi=x).sigma for x in xi])
     v_0 = rng.uniform(0.0, 1.0, n_rows) * v_hi
+    fk = FiniteKeyParams(n=10**10)
 
-    def results(rows):
+    def results(rows, xi_rows, n_rows):
         symbols = security.symbol_block(
-            mu_0[rows], beta_A[rows], delta[rows], eta[rows], xi, SYS
+            mu_0[rows], beta_A[rows], delta[rows], eta[rows], xi_rows, SYS
         )
         block = symbols.at(v_0[rows])
         return np.column_stack([
             asymptotic_rates(block),
-            finite_rates(block, fk, "pointwise"),
-            finite_rates(block, fk, "block"),
+            finite_rates(block, fk, "pointwise", n=n_rows),
+            finite_rates(block, fk, "block", n=n_rows),
             block.P,
             block.E,
             symbols.chi,
-            security.asymptotic_threshold(symbols, 0.0, v_hi),
-            pointwise_threshold(symbols, fk, 0.0, v_hi),
+            security.asymptotic_threshold(symbols, 0.0, v_hi[rows]),
+            pointwise_threshold(symbols, fk, 0.0, v_hi[rows], n_rows),
         ])
 
-    whole = results(np.arange(n_rows))
+    whole = results(np.arange(n_rows), xi, n)
     assert 0 < np.count_nonzero(whole[:, 0]) < n_rows
+    assert 0 < np.count_nonzero(whole[:, 2]) < n_rows
     for i in range(n_rows):
-        np.testing.assert_array_equal(results(np.array([i]))[0], whole[i])
+        alone = results(np.array([i]), float(xi[i]), int(n[i]))
+        np.testing.assert_array_equal(alone[0], whole[i])
     for start, size in ((0, 2), (3, 17), (40, 64), (100, 19)):
         rows = np.arange(start, start + size)
-        np.testing.assert_array_equal(results(rows), whole[rows])
+        np.testing.assert_array_equal(results(rows, xi[rows], n[rows]), whole[rows])
 
 
 def test_rate_doubling_toggle():
