@@ -1,6 +1,6 @@
 """Numerical laboratory for subcarrier-wave CV-QKD key-rate analysis."""
 
-from .angular import DRow, beta_from_index, carrier_weight, wigner_d_row
+from .angular import DRow, carrier_weight, wigner_d_row
 from .config import RunConfig, TunableSpec, load_config
 from .errors import (
     ConfigError,
@@ -42,13 +42,7 @@ from .security import (
     holevo_dr,
     security_quantities,
 )
-from .simulate import (
-    EmpiricalStats,
-    RoundRecord,
-    compare_analytic,
-    round_records,
-    simulate_rounds,
-)
+from .simulate import EmpiricalStats, compare_analytic, simulate_rounds
 
 __version__ = "0.1.0"
 
@@ -71,7 +65,6 @@ __all__ = [
     "MismatchError",
     "NoRootError",
     "OptimumPoint",
-    "RoundRecord",
     "RunConfig",
     "ScwError",
     "SecurityQuantities",
@@ -81,7 +74,6 @@ __all__ = [
     "TunableSpec",
     "__version__",
     "asymptotic_key_rate",
-    "beta_from_index",
     "calibrate_delta",
     "carrier_weight",
     "compare_analytic",
@@ -94,7 +86,6 @@ __all__ = [
     "mean_table",
     "noise_sigma",
     "optimize_point",
-    "round_records",
     "security_quantities",
     "simulate_rounds",
     "sweep",

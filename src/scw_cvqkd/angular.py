@@ -17,8 +17,8 @@ Two evaluation routes are provided and cross-checked by the test suite:
   precision.
 
 The k = 0 element equals the Legendre polynomial P_S(cos beta) and extends
-to any real angle; :func:`carrier_weight` exposes that continuation because
-the security analysis evaluates it at twice the modulation angle.
+to any real angle (:func:`carrier_weight`, :func:`legendre_p`); the security
+analysis evaluates it at twice the modulation angle.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def carrier_weight(S: int, beta: float) -> float:
     """d^S_{00}(beta) = P_S(cos beta), valid for any real angle.
 
     The k = 0 weight is a polynomial in cos(beta), so it continues
-    analytically beyond [0, pi]; the security overlap needs it at twice
-    the modulation angle.
+    analytically beyond [0, pi], where the security overlap evaluates it
+    (at twice the modulation angle, through :func:`legendre_p`).
     """
     S = _validate_spin(S)
     if not math.isfinite(beta):
@@ -186,18 +186,3 @@ def first_sideband_weight(S: int, beta):
         )
     return np.abs(np.sin(beta) * d_cur) / math.sqrt(S * (S + 1))
 
-
-def beta_from_index(m: float, S: int) -> float:
-    """Electro-optic rotation angle for modulation index ``m``.
-
-    Solves cos(beta) = 1 - (m / (S + 1/2))^2 / 2.  The index must satisfy
-    0 <= m <= 2 (S + 1/2) so that the right-hand side stays within [-1, 1].
-    """
-    S = _validate_spin(S)
-    if not math.isfinite(m):
-        raise DomainError(f"modulation index must be finite, got {m!r}")
-    half = S + 0.5
-    if m < 0.0 or m > 2.0 * half:
-        raise DomainError(f"modulation index {m} outside [0, {2.0 * half}]")
-    arg = 1.0 - 0.5 * (m / half) ** 2
-    return math.acos(min(max(arg, -1.0), 1.0))

@@ -30,7 +30,7 @@ from .errors import InfeasibleError, InternalError, MismatchError, NoRootError, 
 from .finitekey import finite_key_rate
 from .noise import ChannelModel, decision_stats
 from .optics import calibrate_delta
-from .search import KeyRateReport, optimize_point, sweep
+from .search import KeyRateReport, _report, optimize_point, sweep
 from .security import asymptotic_key_rate
 from .simulate import compare_analytic, simulate_rounds
 
@@ -225,18 +225,12 @@ def _evaluate_point(cfg: RunConfig, loss_db, xi, mode, n) -> KeyRateReport:
             chi=res.chi, params=tun, status=status,
         )
     try:
-        opt = optimize_point(
+        outcome = optimize_point(
             ch, cfg.system, fk=fk, ec_mode=cfg.ec_mode, bounds=cfg.bounds
         )
-    except InfeasibleError:
-        return KeyRateReport(
-            loss_db=loss_db, xi=xi, n=n_out, rate=0.0,
-            Q=None, P=None, chi=None, params=None, status="infeasible",
-        )
-    return KeyRateReport(
-        loss_db=loss_db, xi=xi, n=n_out, rate=opt.rate,
-        Q=opt.Q, P=opt.P, chi=opt.chi, params=opt.params, status="ok",
-    )
+    except InfeasibleError as exc:
+        outcome = exc
+    return _report(ch, fk, outcome)
 
 
 def cmd_keyrate(cfg: RunConfig, args) -> int:

@@ -90,7 +90,6 @@ def _parse_degree_pair(text: str) -> tuple[float, float]:
 _SCHEMA: dict[str, dict[str, object]] = {
     "system": {
         "T": _parse_float,
-        "eta_B": _parse_float,
         "theta_carrier": _parse_float,
         "S": _parse_int,
         "s": _parse_float,

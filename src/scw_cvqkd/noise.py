@@ -142,13 +142,14 @@ class DecisionStats:
     xi: float
 
 
-def integration_ceiling(mean_plus, mean_minus, xi):
+def integration_ceiling(mean_plus, mean_minus, sigma):
     """Upper readout bound past which the remaining mass is below 1e-40.
 
-    Scalar or array means, and one ``xi`` or one per mean.
+    Scalar or array means, and one readout sigma (:func:`noise_sigma`) or
+    one per mean.
     """
     widest = np.maximum(np.abs(mean_plus), np.abs(mean_minus))
-    return widest + TAIL_SIGMAS * noise_sigma(xi)
+    return widest + TAIL_SIGMAS * sigma
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -157,16 +158,16 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, flat), float, len(flat)).reshape(z.shape)
 
 
-def decision_masses(v_0, mean_plus, mean_minus, xi):
+def decision_masses(v_0, mean_plus, mean_minus, sigma):
     """Error and acceptance masses (E, P) through the Gaussian tail function.
 
-    Scalar or array thresholds, means and ``xi``; no validation beyond
-    ``xi`` >= 0 (see :func:`decision_stats`).
+    Scalar or array thresholds, means and readout sigmas
+    (:func:`noise_sigma`); no validation (see :func:`decision_stats`).
     """
     # tails beyond +v_0 and below -v_0 under each symbol, in one call
     edges = [mean_plus - v_0, -v_0 - mean_plus, mean_minus - v_0, -v_0 - mean_minus]
     plus_up, plus_down, minus_up, minus_down = _normal_cdf(
-        np.array(edges) / noise_sigma(xi)
+        np.array(edges) / sigma
     )
     # acceptance: |v| >= v_0 under either symbol, equal priors
     p = 0.5 * (plus_up + plus_down + minus_up + minus_down)
@@ -179,7 +180,7 @@ def _stats_quadrature(v_0, mean_plus, mean_minus, xi):
     # scipy is imported only by this cross-check, not by the rate path
     from scipy.integrate import quad
 
-    hi = float(integration_ceiling(mean_plus, mean_minus, xi))
+    hi = float(integration_ceiling(mean_plus, mean_minus, noise_sigma(xi)))
     if v_0 >= hi:
         return 0.0, 0.0
 
@@ -217,7 +218,8 @@ def decision_stats(
     if xi < 0.0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     if method == "closed_form":
-        e_mass, p = (float(m) for m in decision_masses(v_0, mean_plus, mean_minus, xi))
+        masses = decision_masses(v_0, mean_plus, mean_minus, noise_sigma(xi))
+        e_mass, p = (float(m) for m in masses)
     elif method == "quadrature":
         e_mass, p = _stats_quadrature(v_0, mean_plus, mean_minus, xi)
     else:

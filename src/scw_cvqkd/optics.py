@@ -40,16 +40,15 @@ _CAL_RESIDUAL_TOL = 1e-10
 class SystemParams:
     """Fixed hardware constants of the link.
 
-    ``T`` is the duration of one transmission window in seconds, ``eta_B``
-    the transmittance of Bob's module, ``theta_carrier`` the residual
-    carrier attenuation of the spectral filter, ``S`` the number of
-    sideband pairs and ``s`` the detector sensitivity scale.
+    ``T`` is the duration of one transmission window in seconds,
+    ``theta_carrier`` the residual carrier attenuation of the spectral
+    filter, ``S`` the number of sideband pairs and ``s`` the detector
+    sensitivity scale.
     ``symmetric_doubling`` folds the mirrored negative readout branch into
     the rate.
     """
 
     T: float = 100e-9
-    eta_B: float = 10.0 ** -0.64
     theta_carrier: float = 1e-6
     S: int = 1
     s: float = 1.0
@@ -58,8 +57,6 @@ class SystemParams:
     def __post_init__(self):
         if not self.T > 0:
             raise DomainError(f"window duration must be positive, got {self.T}")
-        if not 0.0 < self.eta_B <= 1.0:
-            raise DomainError(f"eta_B must be in (0, 1], got {self.eta_B}")
         if not 0.0 <= self.theta_carrier <= 1.0:
             raise DomainError(
                 f"carrier attenuation must be in [0, 1], got {self.theta_carrier}"

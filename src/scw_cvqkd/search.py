@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ScwError
 from .finitekey import _EC_MODES, FiniteKeyParams, finite_rates, pointwise_threshold
-from .noise import ChannelModel, noise_sigma
+from .noise import ChannelModel
 from .optics import SystemParams, TunableParams, calibrate_delta
 from .security import SymbolBlock, asymptotic_rates, asymptotic_threshold, symbol_block
 
@@ -205,10 +205,10 @@ class KeyRateReport:
     status: str
 
 
-def _threshold(symbols: SymbolBlock, sigma, fk, n, bounds: Bounds):
+def _threshold(symbols: SymbolBlock, fk, n, bounds: Bounds):
     """The best thresholds of a symbol block in the box: asymptotic, or
-    pointwise finite; ``sigma`` and ``n`` are one per row or one for all."""
-    v_lo, v_hi = (b * sigma for b in bounds.v_0_sigmas)
+    pointwise finite; ``n`` is one per row or one for all."""
+    v_lo, v_hi = (b * symbols.sigma for b in bounds.v_0_sigmas)
     if fk is None:
         return asymptotic_threshold(symbols, v_lo, v_hi)
     return pointwise_threshold(symbols, fk, v_lo, v_hi, n)
@@ -226,11 +226,10 @@ def _rate_block(points, delta, eta, xi, n, sys, fk, ec_mode, bounds):
     """
     mu_0 = np.array([10.0 ** float(m) for m in points[:, 0]])
     symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
-    sigma = noise_sigma(xi)
     if points.shape[1] == 3:
-        v_0 = points[:, 2] * sigma
+        v_0 = points[:, 2] * symbols.sigma
     else:
-        v_0 = _threshold(symbols, sigma, fk, n, bounds)
+        v_0 = _threshold(symbols, fk, n, bounds)
     block = symbols.at(v_0)
     if fk is None:
         return block, asymptotic_rates(block)
@@ -273,14 +272,13 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     v_sig = np.full(ok.size, math.nan)
     if not ok.any():
         return rates, v_sig
-    xi = _at_rows(xi, ok)
     block, scored = _rate_block(
-        points[ok], delta[ok], eta[ok], xi, _at_rows(n, ok),
+        points[ok], delta[ok], eta[ok], _at_rows(xi, ok), _at_rows(n, ok),
         sys, fk, ec_mode, bounds,
     )
     invalid = block.degenerate | ~(block.mean_plus > block.mean_minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
-    v_sig[ok] = block.v_0 / noise_sigma(xi)
+    v_sig[ok] = block.v_0 / block.sigma
     return rates, v_sig
 
 

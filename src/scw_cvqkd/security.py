@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import carrier_weight, legendre_p
+from .angular import _validate_spin, legendre_p
 from .errors import DegenerateError, DomainError
 from .noise import (
     P_FLOOR,
@@ -46,6 +46,7 @@ from .noise import (
     decision_masses,
     erasure_error_profiles,
     integration_ceiling,
+    noise_sigma,
 )
 from .optics import SystemParams, TunableParams, matched_means_array
 
@@ -76,7 +77,17 @@ class SecurityQuantities:
     lambda_1: float
     lambda_2: float
     chi_dr: float
-    K: float | None = None
+
+    @classmethod
+    def of(cls, overlap, chi) -> SecurityQuantities:
+        """The spectrum (1 +- overlap)/2 of an overlap, with its chi."""
+        overlap = float(overlap)
+        return cls(
+            overlap=overlap,
+            lambda_1=0.5 * (1.0 + overlap),
+            lambda_2=0.5 * (1.0 - overlap),
+            chi_dr=float(chi),
+        )
 
 
 @dataclass(frozen=True)
@@ -160,30 +171,26 @@ def binary_entropy_inverse(y) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 0.5)
 
 
-def state_overlap(mu_0: float, beta_A: float, S: int) -> float:
-    """Overlap of the two same-basis signal states, exp(-mu_0 (1 - d00(2 beta_A))).
+def _overlap_chi(mu_0, beta_A, S: int):
+    """Overlap of the two same-basis signal states,
+    exp(-mu_0 (1 - d00(2 beta_A))), and chi = h((1 - overlap)/2), elementwise.
 
-    The doubled angle can exceed pi; the carrier weight continues
-    analytically there.
+    The doubled angle can exceed pi; P_S(cos) continues analytically there.
     """
+    overlap = np.exp(-mu_0 * (1.0 - legendre_p(S, np.cos(2.0 * beta_A))))
+    return overlap, _entropy_bits(0.5 * (1.0 - overlap))
+
+
+def security_quantities(mu_0: float, beta_A: float, S: int) -> SecurityQuantities:
+    """Spectrum of the intercepted two-state mixture and its chi bound: the
+    one-point case of the rate kernel's rule."""
+    S = _validate_spin(S)
     if not (math.isfinite(mu_0) and mu_0 >= 0.0):
         raise DomainError(f"mu_0 must be finite and >= 0, got {mu_0}")
     if not 0.0 <= beta_A <= math.pi:
         raise DomainError(f"beta_A must be in [0, pi], got {beta_A}")
-    return math.exp(-mu_0 * (1.0 - carrier_weight(S, 2.0 * beta_A)))
-
-
-def security_quantities(mu_0: float, beta_A: float, S: int) -> SecurityQuantities:
-    """Spectrum of the intercepted two-state mixture and its chi bound."""
-    overlap = state_overlap(mu_0, beta_A, S)
-    lambda_1 = 0.5 * (1.0 + overlap)
-    lambda_2 = 0.5 * (1.0 - overlap)
-    return SecurityQuantities(
-        overlap=overlap,
-        lambda_1=lambda_1,
-        lambda_2=lambda_2,
-        chi_dr=binary_entropy(lambda_2),
-    )
+    (overlap,), (chi,) = _overlap_chi(np.array([mu_0]), np.array([beta_A]), S)
+    return SecurityQuantities.of(overlap, chi)
 
 
 def holevo_dr(mu_0: float, beta_A: float, S: int) -> float:
@@ -225,11 +232,13 @@ class SymbolBlock:
     """The threshold-free part of N rate points.
 
     Every array is over the N points; ``xi`` is one excess noise for all
-    of them or an array of one each.  ``degenerate`` marks symbol means
-    the model leaves undefined.
+    of them or an array of one each, and ``sigma`` its readout standard
+    deviation.  ``degenerate`` marks symbol means the model leaves
+    undefined.
     """
 
     xi: float | np.ndarray
+    sigma: float | np.ndarray
     mean_plus: np.ndarray
     mean_minus: np.ndarray
     overlap: np.ndarray
@@ -240,8 +249,8 @@ class SymbolBlock:
     def at(self, v_0) -> RateBlock:
         """The rate block of these points at thresholds ``v_0`` (one per point)."""
         v_0 = np.asarray(v_0, dtype=float)
-        E, P = decision_masses(v_0, self.mean_plus, self.mean_minus, self.xi)
-        hi = integration_ceiling(self.mean_plus, self.mean_minus, self.xi)
+        E, P = decision_masses(v_0, self.mean_plus, self.mean_minus, self.sigma)
+        hi = integration_ceiling(self.mean_plus, self.mean_minus, self.sigma)
         half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
         x, _ = _gl_nodes(_GL_ORDER)
         nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
@@ -286,13 +295,7 @@ class RateBlock(SymbolBlock):
 
     def point(self, i: int) -> tuple[DecisionStats | None, SecurityQuantities]:
         """Post-selection statistics (None when empty) and chi spectrum of point i."""
-        overlap = float(self.overlap[i])
-        quantities = SecurityQuantities(
-            overlap=overlap,
-            lambda_1=0.5 * (1.0 + overlap),
-            lambda_2=0.5 * (1.0 - overlap),
-            chi_dr=float(self.chi[i]),
-        )
+        quantities = SecurityQuantities.of(self.overlap[i], self.chi[i])
         if self.empty[i]:
             return None, quantities
         E, P = float(self.E[i]), float(self.P[i])
@@ -326,14 +329,14 @@ def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock
     mean_plus, mean_minus, degenerate = matched_means_array(
         mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
-    # the doubled angle can exceed pi; P_S(cos) continues analytically there
-    overlap = np.exp(-mu_0 * (1.0 - legendre_p(sys.S, np.cos(2.0 * beta_A))))
+    overlap, chi = _overlap_chi(mu_0, beta_A, sys.S)
     return SymbolBlock(
         xi=xi,
+        sigma=noise_sigma(xi),
         mean_plus=mean_plus,
         mean_minus=mean_minus,
         overlap=overlap,
-        chi=_entropy_bits(0.5 * (1.0 - overlap)),
+        chi=chi,
         degenerate=degenerate,
         scale=(2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T),
     )

@@ -24,22 +24,7 @@ from .noise import ChannelModel, decision_stats, noise_sigma
 from .optics import SystemParams, TunableParams, matched_means, mean_table
 
 _CHUNK = 1_000_000
-_RECORD_CAP = 1_000_000
 _Z95 = NormalDist().inv_cdf(0.975)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Full trace of a single emulated round."""
-
-    index: int
-    alice_symbol: int
-    bob_basis: int
-    value: float
-    matched: bool
-    accepted: bool
-    alice_bit: int
-    bob_bit: int | None
 
 
 @dataclass(frozen=True)
@@ -90,7 +75,7 @@ def _draw_chunk(rng, size, means, sigma, v_0):
     # at the positive center after calibration
     bob_bit = (v < 0.0).astype(np.int64)
     errors = accepted & (bob_bit != alice_bit)
-    return a, b, v, matched, accepted, alice_bit, bob_bit, errors
+    return a, b, v, matched, accepted, errors
 
 
 def simulate_rounds(
@@ -119,7 +104,7 @@ def simulate_rounds(
     resid_sq = 0.0
     for size, child in zip(sizes, children):
         rng = np.random.default_rng(child)
-        a, b, v, matched, accepted, _, _, errors = _draw_chunk(
+        a, b, v, matched, accepted, errors = _draw_chunk(
             rng, size, means, sigma, tun.v_0
         )
         n_matched += int(matched.sum())
@@ -147,42 +132,6 @@ def simulate_rounds(
         qber_ci=wilson_interval(n_errors, n_accepted) if n_accepted else None,
         noise_var_hat=var_hat,
     )
-
-
-def round_records(
-    tun: TunableParams,
-    sys: SystemParams,
-    ch: ChannelModel,
-    rounds: int,
-    seed: int = 0,
-) -> list[RoundRecord]:
-    """Materialize per-round traces; capped because every round is stored."""
-    if rounds < 1:
-        raise DomainError(f"rounds must be >= 1, got {rounds}")
-    if rounds > _RECORD_CAP:
-        raise DomainError(
-            f"round_records is capped at {_RECORD_CAP} rounds, got {rounds}; "
-            "use simulate_rounds for large batches"
-        )
-    means = mean_table(tun, sys, ch.eta)
-    sigma = noise_sigma(ch.xi)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    a, b, v, matched, accepted, alice_bit, bob_bit, _ = _draw_chunk(
-        rng, rounds, means, sigma, tun.v_0
-    )
-    return [
-        RoundRecord(
-            index=i,
-            alice_symbol=int(a[i]),
-            bob_basis=int(b[i]),
-            value=float(v[i]),
-            matched=bool(matched[i]),
-            accepted=bool(accepted[i]),
-            alice_bit=int(alice_bit[i]),
-            bob_bit=int(bob_bit[i]) if accepted[i] else None,
-        )
-        for i in range(rounds)
-    ]
 
 
 def _proportion_z(count: int, trials: int, expected: float) -> float:

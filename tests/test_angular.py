@@ -12,7 +12,6 @@ from scw_cvqkd.angular import (
     DRow,
     _row_by_recurrence,
     _row_by_sum,
-    beta_from_index,
     carrier_weight,
     first_sideband_weight,
     legendre_p,
@@ -162,24 +161,6 @@ def test_carrier_weight_extended_domain():
             assert carrier_weight(S, beta) == pytest.approx(expect, abs=1e-13)
 
 
-def test_beta_from_index_reference_points():
-    # m = S + 1/2 makes cos(beta) = 1/2 for every spin
-    for S in (1, 2, 5, 9):
-        assert beta_from_index(S + 0.5, S) == pytest.approx(math.pi / 3, abs=1e-15)
-    assert beta_from_index(0.0, 3) == 0.0
-    assert beta_from_index(2 * 3.5, 3) == pytest.approx(math.pi, abs=1e-12)
-
-
-def test_beta_from_index_round_trip():
-    # invert the defining relation on interior points
-    for S in (1, 4, 8):
-        half = S + 0.5
-        for m in np.linspace(0.05, 2 * half - 0.05, 9):
-            beta = beta_from_index(m, S)
-            back = half * math.sqrt(2.0 * (1.0 - math.cos(beta)))
-            assert back == pytest.approx(m, rel=1e-12)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         wigner_d_row(-1, 0.5)
@@ -191,10 +172,6 @@ def test_domain_errors():
         wigner_d_row(2, float("nan"))
     with pytest.raises(DomainError):
         wigner_d_row(1, 0.5).value(2)
-    with pytest.raises(DomainError):
-        beta_from_index(-0.1, 2)
-    with pytest.raises(DomainError):
-        beta_from_index(5.1, 2)
     with pytest.raises(DomainError):
         carrier_weight(3, float("inf"))
 

@@ -12,7 +12,6 @@ from scw_cvqkd.optics import SystemParams, calibrate_delta
 FULL = """
 [system]
 T = 100e-9
-eta_B = 0.2290867652767773
 theta_carrier = 1e-6
 S = 2
 s = 1.0
@@ -138,12 +137,14 @@ def test_unknown_key_rejected(tmp_path):
         ("system", "theta_1_deg", "0"),
         ("system", "N", "2"),
         ("system", "mean_convention", "sideband"),
+        ("system", "eta_B", "0.229"),
     ],
 )
 def test_removed_search_knobs_rejected(section, key, value, tmp_path, capsys):
     # the optimizer has no restart count and no parameter-estimation axis,
     # no result depends on the phi_0, theta_2 or theta_1 modulator phases,
-    # the link always has two bases and the sideband mean convention
+    # the link always has two bases and the sideband mean convention, and
+    # no mean or rate reads Bob's module transmittance
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(path)
@@ -164,7 +165,7 @@ def test_bad_values_are_located(tmp_path):
 
 def test_invariants_revalidated_on_load(tmp_path):
     with pytest.raises(ConfigError):
-        load_config(write(tmp_path, "[system]\neta_B = 1.7\n"))
+        load_config(write(tmp_path, "[system]\ntheta_carrier = 1.7\n"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "[finitekey]\nf_EC = 0.5\n"))
     with pytest.raises(ConfigError):

@@ -147,7 +147,7 @@ def test_decision_masses_match_ndtr_oracle():
     z = np.linspace(-38.0, 9.0, 4701)
     v_0 = np.full(z.size, 14.5 * sigma)
     mean_plus, mean_minus = (z + 14.5) * sigma, (z[::-1] + 14.5) * sigma
-    got = decision_masses(v_0, mean_plus, mean_minus, xi)
+    got = decision_masses(v_0, mean_plus, mean_minus, sigma)
     expect = _masses_by_ndtr(v_0, mean_plus, mean_minus, xi)
     for mass, ref in zip(got, expect):
         kept = ref > 1e-300

@@ -225,7 +225,7 @@ def test_mismatched_mean_vanishes_at_small_angle():
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        SystemParams(eta_B=0.0)
+        SystemParams(T=0.0)
     with pytest.raises(DomainError):
         SystemParams(theta_carrier=1.5)
     with pytest.raises(DomainError):

@@ -18,7 +18,12 @@ from scw_cvqkd.finitekey import (
     pointwise_threshold,
     smoothing_correction,
 )
-from scw_cvqkd.noise import ChannelModel, decision_stats, erasure_error_profiles
+from scw_cvqkd.noise import (
+    ChannelModel,
+    decision_stats,
+    erasure_error_profiles,
+    noise_sigma,
+)
 from scw_cvqkd.optics import (
     SystemParams,
     TunableParams,
@@ -36,7 +41,7 @@ from scw_cvqkd.security import (
     integration_ceiling,
     rate_block,
     security_quantities,
-    state_overlap,
+    symbol_block,
 )
 
 SYS = SystemParams()
@@ -99,10 +104,14 @@ def test_binary_entropy_inverse_round_trip():
     ]
 
 
+def overlap(mu_0, beta_A, S):
+    return security_quantities(mu_0, beta_A, S).overlap
+
+
 def test_overlap_trivial_limits():
-    assert state_overlap(0.0, 0.7, 1) == 1.0
-    assert state_overlap(2.0, 0.0, 1) == 1.0
-    assert state_overlap(1.0, 0.25 * math.pi, 1) == pytest.approx(
+    assert overlap(0.0, 0.7, 1) == 1.0
+    assert overlap(2.0, 0.0, 1) == 1.0
+    assert overlap(1.0, 0.25 * math.pi, 1) == pytest.approx(
         math.exp(-1.0), rel=1e-14
     )
 
@@ -120,7 +129,7 @@ def test_overlap_matches_amplitude_oracle():
             a = math.sqrt(mu_0) * wigner_d_row(S, beta_A).values
             b = a * np.exp(-1j * math.pi * k)
             oracle = math.exp(-0.5 * float(np.sum(np.abs(a - b) ** 2)))
-            assert state_overlap(mu_0, beta_A, S) == pytest.approx(oracle, rel=1e-12)
+            assert overlap(mu_0, beta_A, S) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_alternating_sum_identity():
@@ -132,6 +141,21 @@ def test_alternating_sum_identity():
             signs = (-1.0) ** np.arange(-S, S + 1)
             alt = float(np.dot(signs, row.values**2))
             assert alt == pytest.approx(carrier_weight(S, 2.0 * beta), abs=1e-12)
+
+
+def test_security_quantities_are_the_kernel_rule():
+    # the one-point chi equals the rate kernel's rows bit for bit, whatever
+    # the block around them
+    rng = np.random.default_rng(11)
+    mu_0 = np.concatenate([[0.0, 1e-3, 0.3, 2.0, 40.0], rng.uniform(0.0, 5.0, 7)])
+    beta_A = np.concatenate([[0.0, 0.5, 1.4, 2.5, math.pi], rng.uniform(0.0, math.pi, 7)])
+    for S in (1, 2, 3, 5):
+        sys_s = SystemParams(S=S)
+        block = symbol_block(mu_0, beta_A, np.ones(mu_0.size), 0.5, 0.1, sys_s)
+        for i in range(mu_0.size):
+            q = security_quantities(float(mu_0[i]), float(beta_A[i]), S)
+            assert q.overlap == block.overlap[i]
+            assert q.chi_dr == block.chi[i]
 
 
 def test_security_quantities_structure():
@@ -195,7 +219,7 @@ def _quadrature_rate(t, ch, mode):
         og, e = erasure_error_profiles(v, mean_plus, mean_minus, ch.xi)
         return og * fraction(e)
 
-    hi = integration_ceiling(mean_plus, mean_minus, ch.xi)
+    hi = integration_ceiling(mean_plus, mean_minus, noise_sigma(ch.xi))
     # near the cutoff the secret fraction is a small difference of order-one
     # terms and quad reports roundoff short of epsrel; accept only that
     # warning, and only while quad's own error estimate stays far inside
@@ -435,6 +459,8 @@ def test_rate_ordering_in_noise_with_threshold_reoptimized():
 
 def test_overlap_domain():
     with pytest.raises(DomainError):
-        state_overlap(-0.1, 0.5, 1)
+        overlap(-0.1, 0.5, 1)
     with pytest.raises(DomainError):
-        state_overlap(0.5, -0.2, 1)
+        overlap(0.5, -0.2, 1)
+    with pytest.raises(DomainError):
+        overlap(0.5, 0.2, -1)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.special import ndtri
 
@@ -13,11 +14,11 @@ from scw_cvqkd.optics import (
     TunableParams,
     calibrate_delta,
     matched_means,
+    mean_table,
 )
 from scw_cvqkd.simulate import (
     EmpiricalStats,
     compare_analytic,
-    round_records,
     simulate_rounds,
     wilson_interval,
 )
@@ -125,28 +126,22 @@ def test_single_round_edge():
     assert math.isnan(stats.noise_var_hat)
 
 
-def test_round_records_trace():
-    recs = round_records(tun(), SYS, CH, rounds=2000, seed=9)
-    assert len(recs) == 2000
-    assert [r.index for r in recs] == list(range(2000))
-    for r in recs:
-        assert r.alice_symbol in (0, 1, 2, 3)
-        assert r.bob_basis in (0, 1)
-        assert r.matched == ((r.alice_symbol & 1) == r.bob_basis)
-        assert r.alice_bit == r.alice_symbol >> 1
-        assert r.accepted == (r.matched and abs(r.value) >= 1.6)
-        if r.accepted:
-            assert r.bob_bit == (1 if r.value < 0 else 0)
-        else:
-            assert r.bob_bit is None
-    assert any(r.accepted for r in recs)
+def test_draw_chunk_decisions():
+    # every counter of a round follows from its phase, basis and readout
+    means = mean_table(tun(), SYS, CH.eta)
+    rng = np.random.default_rng(9)
+    a, b, v, matched, accepted, errors = simulate._draw_chunk(
+        rng, 2000, means, CH.sigma, 0.2
+    )
+    assert set(a.tolist()) == {0, 1, 2, 3} and set(b.tolist()) == {0, 1}
+    assert (matched == ((a & 1) == b)).all()
+    assert (accepted == (matched & (np.abs(v) >= 0.2))).all()
+    # the readout sign carries the bit: negative decodes to 1
+    assert (errors == (accepted & ((v < 0.0) != (a >> 1 == 1)))).all()
+    assert accepted.any() and errors.any()
 
 
-def test_round_records_cap_and_domains():
-    with pytest.raises(DomainError):
-        round_records(tun(), SYS, CH, rounds=1_000_001)
-    with pytest.raises(DomainError):
-        round_records(tun(), SYS, CH, rounds=0)
+def test_simulate_rounds_domain():
     with pytest.raises(DomainError):
         simulate_rounds(tun(), SYS, CH, rounds=0)
 
