@@ -33,6 +33,7 @@ from .optics import SystemParams, TunableParams
 from .security import (
     RateBlock,
     SymbolBlock,
+    _entropy_bits,
     binary_entropy,
     binary_entropy_inverse,
     point_block,
@@ -175,7 +176,9 @@ def _fixed_charge(chi, fk: FiniteKeyParams, k_sample, n):
     )
 
 
-def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
+def pointwise_threshold(
+    symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None, fixed=None
+):
     """The pointwise finite rate's best thresholds in [v_lo, v_hi].
 
     The per-bit fraction 1 - c_n - f_EC h(min(e(v) + dQ, 1/2)), with c_n
@@ -184,11 +187,12 @@ def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n
     :func:`security.threshold_at_error`); when e* <= 0 it is negative at
     every v and the threshold is v_hi.  Block mode's flat charge has no
     such rule.  The bounds and the block size ``n`` (default ``fk.n``) are
-    one for all points or one per point.
+    one for all points or one per point; ``fixed`` is c_n where the caller
+    has formed it already.
     """
-    n = fk.n if n is None else n
-    budget = (1.0 - _fixed_charge(symbols.chi, fk, fk.k_sample, n)) / fk.f_EC
-    e_star = binary_entropy_inverse(budget) - fk.dQ
+    if fixed is None:
+        fixed = _fixed_charge(symbols.chi, fk, fk.k_sample, fk.n if n is None else n)
+    e_star = binary_entropy_inverse((1.0 - fixed) / fk.f_EC) - fk.dQ
     return threshold_at_error(symbols, e_star, v_lo, v_hi)
 
 
@@ -198,19 +202,23 @@ def finite_rates(
     ec_mode: str = "pointwise",
     k_sample=None,
     n=None,
+    fixed=None,
 ) -> np.ndarray:
     """Finite-block rates of a kernel block in bits per second; 0 where aborted.
 
     ``ec_mode`` is one of ``_EC_MODES``; ``k_sample`` and the block size
     ``n`` (each a scalar or one per point) default to ``fk.k_sample`` and
-    ``fk.n``.
+    ``fk.n``, and ``fixed`` is their :func:`_fixed_charge` where the
+    caller has formed it already.  Only block mode forms the block's E
+    and P.
     """
     if ec_mode not in _EC_MODES:
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
     if k_sample is None:
         k_sample = fk.k_sample
     n = fk.n if n is None else n
-    fixed = _fixed_charge(block.chi, fk, k_sample, n)
+    if fixed is None:
+        fixed = _fixed_charge(block.chi, fk, k_sample, n)
     abort = block.empty
     if ec_mode == "block":
         Q = np.divide(block.E, block.P, out=np.zeros_like(block.P), where=~abort)
@@ -218,7 +226,8 @@ def finite_rates(
         code_ec = _syndrome_bits(n, np.where(abort, 0.0, Q) + fk.dQ, fk.f_EC)
         fraction = (1.0 - fixed - code_ec / n)[:, None]
     else:
-        charge = fk.f_EC * binary_entropy(np.minimum(block.e + fk.dQ, 0.5))
+        # e + dQ >= 0 by construction, so the unchecked entropy is exact
+        charge = fk.f_EC * _entropy_bits(np.minimum(block.e + fk.dQ, 0.5))
         fraction = 1.0 - fixed[:, None] - charge
     raw = block.integrate(fraction)
     return np.where(abort | (raw <= 0.0), 0.0, raw)

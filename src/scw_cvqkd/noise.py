@@ -56,11 +56,8 @@ class ChannelModel:
         return noise_sigma(self.xi)
 
 
-def noise_sigma(xi):
-    """Standard deviation of the readout, sqrt((1 + xi)/4): a float, or an
-    array for an array ``xi``."""
-    if isinstance(xi, np.ndarray):
-        return _per_value(noise_sigma, xi)
+def noise_sigma(xi: float) -> float:
+    """Standard deviation of the readout, sqrt((1 + xi)/4)."""
     if xi < 0.0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     return math.sqrt(0.25 * (1.0 + xi))
@@ -80,19 +77,31 @@ def quadrature_pdf(v, mean_v: float, xi: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _distinct(values: np.ndarray):
+    """The distinct entries of a 1-D array, ascending, and the index of each
+    entry among them, from one sort (the first np.unique in a process
+    imports numpy.ma)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _per_value(f, values):
     """``f`` at each entry of ``values`` (a scalar or an array), called once
-    per distinct value, so every entry has the bits of the scalar call."""
+    per distinct value, so every entry has the bits of the scalar call.  An
+    ``f`` of several outputs gives one array per output."""
     if not isinstance(values, np.ndarray):
         return f(values)
-    out = np.empty(values.shape)
-    todo = np.ones(values.shape, dtype=bool)
-    while todo.any():
-        value = float(values.flat[todo.argmax()])
-        same = values == value if value == value else np.isnan(values)
-        out[same] = f(value)
-        todo &= ~same
-    return out
+    distinct, inverse = _distinct(values.ravel())
+    table = np.array([f(value) for value in distinct.tolist()])
+    if table.ndim == 1:
+        return table[inverse].reshape(values.shape)
+    return tuple(column[inverse].reshape(values.shape) for column in table.T)
 
 
 def _log_peak(xi: float) -> float:
@@ -100,6 +109,12 @@ def _log_peak(xi: float) -> float:
     if xi < 0.0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     return 0.5 * math.log(2.0 / (math.pi * (1.0 + xi)))
+
+
+def readout_scales(xi: float) -> tuple[float, float]:
+    """The readout's standard deviation and the log of its density's peak,
+    (:func:`noise_sigma`, 0.5 log(2 / (pi (1 + xi))))."""
+    return noise_sigma(xi), _log_peak(xi)
 
 
 def erasure_error_profiles(v, mean_plus, mean_minus, xi):

@@ -43,12 +43,15 @@ all its (noise level, block size, loss) points in lockstep, in one
 process: the kernel takes each row's transmittance, excess noise and
 block size, so one stage scores every point's coarse grid, then each
 round stacks every unfinished descent's next block and one vectorised
-step advances every descent, and a last block scores every optimum for
-its report.  A stack of more than _MAX_ROWS rows is scored in even
-chunks, which bounds a kernel call's memory whatever the sweep's size.
-A kernel row and a descent's step depend on that row or descent alone,
-to the last bit, so every sweep row equals what :func:`optimize_point`,
-the one-point case, returns for it.
+step advances every descent.  A descent ends on a row it has scored, so
+each optimum is reported from that row's record: its rate and
+parameters as scored, with Q and P (the only tail masses the asymptotic
+and pointwise searches form) computed for the reported rows alone.  A
+stack of more than _MAX_ROWS rows is scored in even chunks, which bounds
+a kernel call's memory whatever the sweep's size.  A kernel row and a
+descent's step depend on that row or descent alone, to the last bit, so
+every sweep row equals what :func:`optimize_point`, the one-point case,
+returns for it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,22 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import _EC_MODES, FiniteKeyParams, finite_rates, pointwise_threshold
-from .noise import ChannelModel
+from .finitekey import (
+    _EC_MODES,
+    FiniteKeyParams,
+    _fixed_charge,
+    finite_rates,
+    pointwise_threshold,
+)
+from .noise import P_FLOOR, ChannelModel, _distinct, decision_masses
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .security import SymbolBlock, asymptotic_rates, asymptotic_threshold, symbol_block
+from .security import (
+    SymbolBlock,
+    _at_rows,
+    asymptotic_rates,
+    asymptotic_threshold,
+    symbol_block,
+)
 
 # coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma);
 # the last axis is dropped where the threshold is solved for
@@ -148,7 +163,10 @@ class OptimumPoint:
     one stencil for the refinement's start (5, 11 or 19 points in one, two
     or three coordinates), 12, 18 or 26 per line search (8 halvings and the
     stencil at the full step) and another stencil for each step that wins
-    shorter than full.
+    shorter than full.  The rate, parameters and chi are those of the
+    kernel row that scored the optimum, and Q and P are formed from that
+    row's threshold and symbol means; the one-point rate functions at
+    ``params`` reproduce them.
     """
 
     params: TunableParams
@@ -205,81 +223,71 @@ class KeyRateReport:
     status: str
 
 
-def _threshold(symbols: SymbolBlock, fk, n, bounds: Bounds):
+def _threshold(symbols: SymbolBlock, fk, fixed, bounds: Bounds):
     """The best thresholds of a symbol block in the box: asymptotic, or
-    pointwise finite; ``n`` is one per row or one for all."""
+    pointwise finite with the rows' fixed charges ``fixed`` (see
+    :func:`finitekey._fixed_charge`)."""
     v_lo, v_hi = (b * symbols.sigma for b in bounds.v_0_sigmas)
     if fk is None:
         return asymptotic_threshold(symbols, v_lo, v_hi)
-    return pointwise_threshold(symbols, fk, v_lo, v_hi, n)
-
-
-def _rate_block(points, delta, eta, xi, n, sys, fk, ec_mode, bounds):
-    """The kernel block of decision vectors and its rates.
-
-    Every row's angle has the calibration root ``delta``; ``eta``, ``xi``
-    and ``n`` hold each row's transmittance, excess noise and block size,
-    the last two as an array or as one value for all rows (``fk`` sets
-    every other finite-key setting; ``n`` is None when ``fk`` is).  A row
-    without a v_0/sigma entry gets the best threshold of its point (see
-    :func:`_threshold`).
-    """
-    mu_0 = np.array([10.0 ** float(m) for m in points[:, 0]])
-    symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
-    if points.shape[1] == 3:
-        v_0 = points[:, 2] * symbols.sigma
-    else:
-        v_0 = _threshold(symbols, fk, n, bounds)
-    block = symbols.at(v_0)
-    if fk is None:
-        return block, asymptotic_rates(block)
-    return block, finite_rates(block, fk, ec_mode, n=n)
-
-
-def _at_rows(value, rows):
-    """A per-row array at ``rows``; one value shared by every row (or None)
-    as it is."""
-    return value[rows] if isinstance(value, np.ndarray) else value
+    return pointwise_threshold(symbols, fk, v_lo, v_hi, fixed=fixed)
 
 
 def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
-    """Rates and thresholds at decision vectors, as one kernel block.
+    """Rates of decision vectors, as one kernel block, and a record of each row.
 
     Rows are (log10 mu_0, beta_A, v_0/sigma), or (log10 mu_0, beta_A) where
     the threshold is solved for (see :func:`_threshold`); ``eta``, ``xi``
     and ``n`` hold each row's transmittance, excess noise and block size,
-    the last two as one value for all rows where they share it (see
-    :func:`_rate_block`).  Returns the rates and each row's v_0/sigma; a
-    row's values do not depend on the other rows.  Each distinct angle is
-    calibrated once and the symbol means and chi are formed once for every
-    row.  A row scores
-    -inf where its angle has no calibration root, where its symbol means
-    are degenerate, and where they are not ordered
-    (m+ <= m-), since the threshold rule rests on m+ > m-.
+    the last two as an array or as one value for all rows (``fk`` sets
+    every other finite-key setting; ``n`` is None when ``fk`` is).  Returns
+    the rates and a record of each row, an (N, 8) array of its working
+    point, threshold and what its report is formed from: mu_0, beta_A,
+    delta, v_0, sigma, m+, m- and chi.  A row's values do not depend on the
+    other rows.  Each distinct angle is calibrated
+    once and the symbol means and chi are formed once for every row.  A
+    row scores -inf, with a NaN record, where its angle has no calibration
+    root; it scores -inf where its symbol means are degenerate, and where
+    they are not ordered (m+ <= m-), since the threshold rule rests on
+    m+ > m-.
     """
-    angles = points[:, 1].tolist()
-    # dict.fromkeys, not np.unique: the first np.unique in a process
-    # imports numpy.ma
-    roots = dict.fromkeys(angles, math.nan)
-    for beta in roots:
+    angles, inverse = _distinct(points[:, 1])
+    roots = np.full(angles.size, math.nan)
+    for i, beta in enumerate(angles.tolist()):
         try:
-            roots[beta] = calibrate_delta(beta, sys)
+            roots[i] = calibrate_delta(beta, sys)
         except ScwError:
             pass
-    delta = np.array([roots[beta] for beta in angles])
+    delta = roots[inverse]
     ok = ~np.isnan(delta)
     rates = np.full(ok.size, -math.inf)
-    v_sig = np.full(ok.size, math.nan)
+    record = np.full((ok.size, 8), math.nan)
     if not ok.any():
-        return rates, v_sig
-    block, scored = _rate_block(
-        points[ok], delta[ok], eta[ok], _at_rows(xi, ok), _at_rows(n, ok),
-        sys, fk, ec_mode, bounds,
-    )
+        return rates, record
+    if not ok.all():
+        points, delta, eta, xi, n = (
+            points[ok], delta[ok], eta[ok], _at_rows(xi, ok), _at_rows(n, ok)
+        )
+    mu_0 = 10.0 ** points[:, 0]
+    symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
+    # formed once for the threshold and the rates alike
+    fixed = None if fk is None else _fixed_charge(symbols.chi, fk, fk.k_sample, n)
+    if points.shape[1] == 3:
+        v_0 = points[:, 2] * symbols.sigma
+    else:
+        v_0 = _threshold(symbols, fk, fixed, bounds)
+    block = symbols.at(v_0)
+    if fk is None:
+        scored = asymptotic_rates(block)
+    else:
+        scored = finite_rates(block, fk, ec_mode, n=n, fixed=fixed)
     invalid = block.degenerate | ~(block.mean_plus > block.mean_minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
-    v_sig[ok] = block.v_0 / block.sigma
-    return rates, v_sig
+    record[ok] = np.column_stack([
+        mu_0, points[:, 1], delta, v_0, np.broadcast_to(block.sigma, v_0.shape),
+        block.mean_plus, block.mean_minus, block.chi,
+    ])
+    return rates, record
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -495,11 +503,14 @@ def _refine(starts, lo, hi):
 
     Each round it yields a dict from descent index to the next block of
     every unfinished descent and is sent a dict of their objective values,
-    +inf where a point has no rate; it returns (x, points scored), one
-    entry per descent.  One vectorised pass over a round's values advances
-    every descent, using only elementwise operations, einsum and stacked
-    linear algebra, so a descent's bits do not depend on the others.  A
-    descent first scores the stencil at its start; then each line search
+    +inf where a point has no rate; it returns (x, points scored, origin),
+    one entry per descent.  x is always a row the descent scored: its
+    origin is None where x is the start, else (round, row), the row of the
+    block yielded in that round (counted from 0) that x was scored as.
+    One vectorised pass over a round's values advances every descent,
+    using only elementwise operations, einsum and stacked linear algebra,
+    so a descent's bits do not depend on the others.  A descent first
+    scores the stencil at its start; then each line search
     (see :func:`_line_searches`) keeps its longest halving with a
     sufficient decrease, else tries the steepest-descent block, else
     returns x.  A full step that wins brings its stencil to the next
@@ -520,9 +531,12 @@ def _refine(starts, lo, hi):
     searches = np.zeros((count, 2, _TRIALS + size - 1, dim))
     # what each descent's pending block is: 0 its stencil, 1 or 2 a search
     stage, iters, n_eval = [0] * count, [0] * count, [0] * count
+    origin = [None] * count
     blocks = {k: np.clip(x[k] + offsets, lo, hi) for k in range(count)}
+    rounds = 0
     while blocks:
         sent, values = blocks, (yield blocks)
+        rounds += 1
         blocks = {}
         for k in sent:
             n_eval[k] += len(values[k])
@@ -544,6 +558,7 @@ def _refine(starts, lo, hi):
                         stage[k], blocks[k] = 2, searches[k, 1]
                     continue
                 x[k] = trials[i, won[i]]
+                origin[k] = (rounds - 1, won[i])
                 if iters[k] == _MAX_ITER:  # that was its last iteration
                     continue
                 # a full step brings its stencil; a shorter winner is scored anew
@@ -563,7 +578,7 @@ def _refine(starts, lo, hi):
                 grad[at], f_x[at], searches[at] = g, f[go, 0], found
                 for k in at:
                     stage[k], blocks[k] = 1, searches[k, 0]
-    return x, n_eval
+    return x, n_eval, origin
 
 
 def _shared_or_each(values: list):
@@ -593,11 +608,12 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     coarse grid has no positive rate.  Every pair's grid is scored
     together; then each round of one batched descent (see :func:`_refine`)
     stacks the next block of every unfinished descent and advances them
-    all in one vectorised step, and one last block scores every optimum
-    for its report.  Each stack is one kernel call, or one per even chunk
-    where it holds more than _MAX_ROWS rows, which bounds a call's memory.
-    Since a kernel row and a descent's step depend on that row or descent
-    alone, each outcome equals the one its pair gets alone.
+    all in one vectorised step.  Each stack is one kernel call, or one per
+    even chunk where it holds more than _MAX_ROWS rows, which bounds a
+    call's memory.  Each optimum is reported from the kernel row that
+    scored it, with Q and P formed for those rows alone.  Since a kernel
+    row and a descent's step depend on that row or descent alone, each
+    outcome equals the one its pair gets alone.
     """
     fk = problems[0][1]
     v_axis = fk is not None and ec_mode == "block"
@@ -606,47 +622,46 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     xi = _shared_or_each([ch.xi for ch, _ in problems])
     n = None if fk is None else _shared_or_each([f.n for _, f in problems])
 
-    def channel_rows(of):
-        """Transmittance, excess noise and block size of rows of problems ``of``."""
-        return eta[of], _at_rows(xi, of), _at_rows(n, of)
-
     def score(blocks: dict, owner):
-        """Rates and v_0/sigma of each block of rows; block k belongs to
+        """Rates and records of each block of rows; block k belongs to
         problem owner[k]."""
         sizes = [len(rows) for rows in blocks.values()]
         rows = decode(np.concatenate(list(blocks.values())))
         of = np.repeat(owner[list(blocks)], sizes)
         parts = [
-            _kernel(rows[a:b], *channel_rows(of[a:b]), sys, fk, ec_mode, bounds)
+            _kernel(rows[a:b], eta[of[a:b]], _at_rows(xi, of[a:b]),
+                    _at_rows(n, of[a:b]), sys, fk, ec_mode, bounds)
             for a, b in _chunks(len(rows))
         ]
         rates = np.concatenate([r for r, _ in parts])
-        v_sig = np.concatenate([v for _, v in parts])
+        record = np.concatenate([r for _, r in parts])
         ends = list(accumulate(sizes))
         starts = [0] + ends[:-1]
-        return [(k, rates[a:b], v_sig[a:b]) for k, a, b in zip(blocks, starts, ends)]
+        return {k: (rates[a:b], record[a:b]) for k, a, b in zip(blocks, starts, ends)}
 
     points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
     outcomes = [None] * len(problems)
-    grid_best, best_rate = {}, {}
+    # the grid best of each feasible problem, as (point, rate, record)
+    grid_best = {}
     everyone = np.arange(len(problems))
-    for k, rates, v_sig in score(dict.fromkeys(everyone.tolist(), points), everyone):
+    grids = score(dict.fromkeys(everyone.tolist(), points), everyone)
+    for k, (rates, record) in grids.items():
         # argmax takes the first maximum in axis order: ties go to the
         # smaller m or photon number
         best = np.argmax(rates)
-        best_rate[k] = float(rates[best])
-        if best_rate[k] > 0.0:
-            grid_best[k] = points[best]
+        if rates[best] > 0.0:
+            grid_best[k] = points[best], float(rates[best]), record[best]
             continue
         vector = decode(points[best][None])[0]
         if not v_axis:
-            vector = np.append(vector, v_sig[best])
+            _, _, _, v_0, sigma, *_ = record[best]
+            vector = np.append(vector, v_0 / sigma)
         ch = problems[k][0]
         outcomes[k] = InfeasibleError(
             f"no positive rate on the {rates.size}-point coarse grid at "
             f"loss={ch.loss_db} dB, xi={ch.xi}",
             diagnostics={
-                "best_rate": best_rate[k],
+                "best_rate": float(rates[best]),
                 "best_point": tuple(float(v) for v in vector),
                 "grid_points": rates.size,
             },
@@ -656,41 +671,47 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
 
     # descent i refines problem done[i], in units of its grid best
     done = np.array(list(grid_best))
-    descent = _refine(np.array(list(grid_best.values())), lo, hi)
+    descent = _refine(np.array([start for start, _, _ in grid_best.values()]), lo, hi)
     blocks = next(descent)
+    # every round's scored blocks, by descent, to report each optimum from
+    history = []
     try:
         while True:
-            scored = score(blocks, done)
-            values = {i: -rates / best_rate[done[i]] for i, rates, _ in scored}
+            history.append(score(blocks, done))
+            values = {
+                i: -rates / grid_best[done[i]][1]
+                for i, (rates, _) in history[-1].items()
+            }
             blocks = descent.send(values)
     except StopIteration as stop:
-        x, n_eval = stop.value
+        _, n_eval, origin = stop.value
 
-    # the reported point of each optimum, scored once more for Q, P and chi
-    vectors = decode(x)
-    delta = np.array([calibrate_delta(float(b), sys) for b in vectors[:, 1]])
-    for a, b in _chunks(len(done)):
-        block, rates = _rate_block(
-            vectors[a:b], delta[a:b], *channel_rows(done[a:b]), sys, fk, ec_mode, bounds
+    # each optimum's rate and record, from the row that scored it
+    found = []
+    for i, k in enumerate(done.tolist()):
+        if origin[i] is None:
+            found.append(grid_best[k][1:])
+        else:
+            r, row = origin[i]
+            rates, record = history[r][i]
+            found.append((float(rates[row]), record[row]))
+    records = np.array([record for _, record in found])
+    mu_0, beta_A, delta, v_0, sigma, plus, minus, chi = records.T
+    E, P = decision_masses(v_0, plus, minus, sigma)
+    for i, k in enumerate(done.tolist()):
+        # plain floats: an np.float64 would print as np.float64(...) in reports
+        accepted = P[i] >= P_FLOOR
+        outcomes[k] = OptimumPoint(
+            params=TunableParams(
+                mu_0=float(mu_0[i]), beta_A=float(beta_A[i]), delta=float(delta[i]),
+                v_0=float(v_0[i]), k_sample=fk.k_sample if fk is not None else 0,
+            ),
+            rate=found[i][0],
+            Q=float(E[i]) / float(P[i]) if accepted else None,
+            P=float(P[i]) if accepted else None,
+            chi=float(chi[i]),
+            evaluations=points.shape[0] + n_eval[i],
         )
-        for i in range(a, b):
-            stats, quantities = block.point(i - a)
-            # plain floats: an np.float64 would print as np.float64(...) in reports
-            tun = TunableParams(
-                mu_0=10.0 ** float(vectors[i, 0]),
-                beta_A=float(vectors[i, 1]),
-                delta=float(delta[i]),
-                v_0=float(block.v_0[i - a]),
-                k_sample=fk.k_sample if fk is not None else 0,
-            )
-            outcomes[done[i]] = OptimumPoint(
-                params=tun,
-                rate=float(rates[i - a]),
-                Q=stats.Q if stats is not None else None,
-                P=stats.P if stats is not None else None,
-                chi=quantities.chi_dr,
-                evaluations=points.shape[0] + n_eval[i],
-            )
     return outcomes
 
 

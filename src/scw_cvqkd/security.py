@@ -11,19 +11,28 @@ to bits per second by the basis count and window duration.
 Rates are evaluated by one vectorized kernel in two stages:
 :func:`symbol_block` forms the symbol means and chi of N working points,
 each with its own channel loss and excess noise, and
-:meth:`SymbolBlock.at` adds P and E at given thresholds and the readout
-profiles on an N x ``_GL_ORDER`` Gauss-Legendre grid (:func:`rate_block`
-runs both at one channel).  Each row's result depends on that row alone,
-to the last bit, whatever the block around it.
+:meth:`SymbolBlock.at` adds the readout profiles at given thresholds on
+an N x 48 grid of a constant Gauss-Legendre rule (:func:`rate_block` runs
+both at one channel).  Each row's result depends on that row alone, to
+the last bit, whatever the block around it.
 :func:`asymptotic_key_rate` and :func:`finitekey.finite_key_rate` are its
 N=1 case; the optimizer scores many points, and many channels, per
 block.
 
-Between the two stages the optimizer can solve for the threshold instead
-of searching it.  Both readout Gaussians have the variance (1 + xi)/4, so
-e(v) is a logistic in a linear function of v and falls as v rises; the
-secret fraction at v then rises, and the rate, its integral from v_0 up,
-peaks where the fraction crosses zero: post-selection keeps exactly the
+Both readout Gaussians have the variance (1 + xi)/4, so the
+log-likelihood ratio d(v) of the two symbols is linear in v, and
+e = logistic(d), the accepted density 1 - g and h(e) all follow from one
+exponential t = exp(d) per node: every row the search scores takes this
+one-pass node stage, and any other row (unordered means, nodes below
+the means' midpoint) the reference :func:`noise.erasure_error_profiles`.
+The masses E and P are not needed to score a row: they are formed for
+block error correction, for a row's report, and for the rare rows far
+enough past both means to be empty.
+
+The same fact lets the optimizer solve for the threshold between the two
+stages instead of searching it: e(v) falls as v rises, the secret
+fraction at v then rises, and the rate, its integral from v_0 up, peaks
+where the fraction crosses zero: post-selection keeps exactly the
 readouts with a positive advantage (:func:`asymptotic_threshold`,
 :func:`finitekey.pointwise_threshold`).
 """
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,18 +53,49 @@ from .noise import (
     ChannelModel,
     DecisionStats,
     decision_masses,
+    _per_value,
     erasure_error_profiles,
     integration_ceiling,
-    noise_sigma,
+    readout_scales,
 )
 from .optics import SystemParams, TunableParams, matched_means_array
 
 _BOUNDS_SLOP = 1e-12
-# Gauss-Legendre order for the rate integral.  The integrand is entire, so
-# the rule converges geometrically: rates reach the rounding floor (~3e-11
-# relative) at 24 nodes for S=1 and 32 for S=3, and 48 gives 1.5x margin
-# over the S=3 knee (test_rate_kernel_converged_in_order pins this).
-_GL_ORDER = 48
+# The rate integral's Gauss-Legendre rule: the nodes and weights of
+# numpy.polynomial.legendre.leggauss(48), bit for bit, written as the
+# nodes x > 0 and their weights (the rule is odd in x and even in w).  The
+# integrand is entire, so the rule converges geometrically: rates reach
+# the rounding floor (~3e-11 relative) at 24 nodes for S=1 and 32 for S=3,
+# and 48 gives 1.5x margin over the S=3 knee
+# (test_rate_kernel_converged_in_order pins this).
+_GL_X = np.array([
+    0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+    0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+    0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+    0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+    0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+    0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
+    0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+])
+_GL_W = np.array([
+    0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+    0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+    0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+    0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+    0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+    0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+    0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+    0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+])
+_GL_X = np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_W = np.concatenate([_GL_W[::-1], _GL_W])
+# a row whose threshold lies more than this many readout sigmas above both
+# symbol means may accept less than P_FLOOR; any other accepts at least
+# Phi(-37)/2 = 2.9e-300 > P_FLOOR, so only such rows need P to know
+# whether they are empty
+_FAR_SIGMAS = 37.0
+_LN2 = math.log(2.0)
 # Bob's measurement bases; each window is sifted into one of them
 N_BASES = 2
 # start table of binary_entropy_inverse: this many nodes of
@@ -198,33 +238,39 @@ def holevo_dr(mu_0: float, beta_A: float, S: int) -> float:
     return security_quantities(mu_0, beta_A, S).chi_dr
 
 
-def _legendre_series(c, x):
-    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in legval's operation order."""
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
+def _at_rows(value, rows):
+    """A per-row array at ``rows``; one value shared by every row (or None)
+    as it is."""
+    return value[rows] if isinstance(value, np.ndarray) else value
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
-    ``numpy.polynomial.legendre.leggauss`` (companion-matrix eigenvalues,
-    one Newton step), without importing numpy.polynomial."""
-    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
-    off = np.arange(1, order) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
-    c = np.eye(order + 1)[order]
-    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
-    k = np.arange(order)
-    dc = np.where(k % 2 == (order - 1) % 2, 2.0 * k + 1.0, 0.0)
-    df = _legendre_series(dc, x)
-    x -= _legendre_series(c, x) / df
-    fm = _legendre_series(c[1:], x)
-    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    return x, w * (2.0 / w.sum())
+def _column(value):
+    """A per-row array as a column against the nodes; one shared value as it is."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _fused_profiles(centre, half, mean_plus, mean_minus, xi, log_peak):
+    """(1 - g, e, t, d) at the nodes v = centre + half x of rows whose means
+    have m+ > m- and whose nodes lie past 0 and past the means' midpoint.
+
+    Both readout Gaussians have the variance sigma^2 = (1 + xi)/4, so the
+    log-likelihood ratio d = lp- - lp+ = 2 (m+ - m-)(m+ + m- - 2v)/(1 + xi)
+    is linear in x, and d <= 0 on such nodes.  With t = exp(d),
+    1 - g = exp(lp+)(1 + t)/2 and e = t/(1 + t): one pass, and equal to
+    :func:`noise.erasure_error_profiles` at those nodes up to rounding.
+    """
+    kappa = 2.0 / (1.0 + xi)
+    root = np.sqrt(kappa)
+    # sqrt(kappa) (v - m+), so lp+ - log 2 = log_peak - log 2 - u^2
+    u = ((centre - mean_plus) * root)[:, None] + (half * root)[:, None] * _GL_X
+    gap = kappa * (mean_plus - mean_minus)
+    d = (gap * (mean_plus + mean_minus - 2.0 * centre))[:, None] - (
+        (2.0 * gap * half)[:, None] * _GL_X
+    )
+    t = np.exp(d)
+    one_plus_t = 1.0 + t
+    one_minus_g = np.exp(_column(log_peak - _LN2) - u * u) * one_plus_t
+    return one_minus_g, t / one_plus_t, t, d
 
 
 @dataclass(frozen=True)
@@ -232,13 +278,15 @@ class SymbolBlock:
     """The threshold-free part of N rate points.
 
     Every array is over the N points; ``xi`` is one excess noise for all
-    of them or an array of one each, and ``sigma`` its readout standard
-    deviation.  ``degenerate`` marks symbol means the model leaves
-    undefined.
+    of them or an array of one each, ``sigma`` its readout standard
+    deviation and ``log_peak`` the log of the readout density's peak
+    (:func:`noise.readout_scales`).  ``degenerate`` marks symbol means the
+    model leaves undefined.
     """
 
     xi: float | np.ndarray
     sigma: float | np.ndarray
+    log_peak: float | np.ndarray
     mean_plus: np.ndarray
     mean_minus: np.ndarray
     overlap: np.ndarray
@@ -247,21 +295,52 @@ class SymbolBlock:
     scale: float
 
     def at(self, v_0) -> RateBlock:
-        """The rate block of these points at thresholds ``v_0`` (one per point)."""
+        """The rate block of these points at thresholds ``v_0`` (one per point).
+
+        Rows with m+ > m- whose nodes lie past 0 and past the means'
+        midpoint, every row the search scores, take the one-pass
+        :func:`_fused_profiles`; any other row takes
+        :func:`noise.erasure_error_profiles`.  E and P are not formed here
+        (see :attr:`RateBlock.masses`) except for rows whose threshold
+        lies more than _FAR_SIGMAS above both means, the only rows that can
+        be empty.
+        """
         v_0 = np.asarray(v_0, dtype=float)
-        E, P = decision_masses(v_0, self.mean_plus, self.mean_minus, self.sigma)
-        hi = integration_ceiling(self.mean_plus, self.mean_minus, self.sigma)
+        plus, minus = self.mean_plus, self.mean_minus
+        hi = integration_ceiling(plus, minus, self.sigma)
         half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
-        x, _ = _gl_nodes(_GL_ORDER)
-        nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
-        xi = self.xi[:, None] if isinstance(self.xi, np.ndarray) else self.xi
-        one_minus_g, e = erasure_error_profiles(
-            nodes, self.mean_plus[:, None], self.mean_minus[:, None], xi
-        )
+        centre = 0.5 * (hi + v_0)
+        lowest = centre + half * _GL_X[0]
+        fused = (plus > minus) & (lowest > 0.0) & (2.0 * lowest >= plus + minus)
+        if fused.all():
+            profiles = _fused_profiles(
+                centre, half, plus, minus, self.xi, self.log_peak
+            )
+        else:
+            profiles = np.zeros((4, v_0.size, _GL_X.size))
+            if fused.any():
+                profiles[:, fused] = _fused_profiles(
+                    centre[fused], half[fused], plus[fused], minus[fused],
+                    _at_rows(self.xi, fused), _at_rows(self.log_peak, fused),
+                )
+            rest = ~fused
+            nodes = centre[rest][:, None] + half[rest][:, None] * _GL_X
+            profiles[:2, rest] = erasure_error_profiles(
+                nodes, plus[rest][:, None], minus[rest][:, None],
+                _column(_at_rows(self.xi, rest)),
+            )
+        empty = np.zeros(v_0.shape, dtype=bool)
+        far = (np.maximum(plus, minus) - v_0) / self.sigma < -_FAR_SIGMAS
+        if far.any():
+            _, P = decision_masses(
+                v_0[far], plus[far], minus[far], _at_rows(self.sigma, far)
+            )
+            empty[far] = P < P_FLOOR
+        one_minus_g, e, t, d = profiles
         shared = {f.name: getattr(self, f.name) for f in fields(SymbolBlock)}
         return RateBlock(
-            **shared, v_0=v_0, E=E, P=P, empty=P < P_FLOOR,
-            one_minus_g=one_minus_g, e=e, half=half,
+            **shared, v_0=v_0, empty=empty, half=half, fused=fused,
+            one_minus_g=one_minus_g, e=e, ratio=t, log_ratio=d,
         )
 
 
@@ -271,17 +350,42 @@ class RateBlock(SymbolBlock):
 
     ``one_minus_g`` and ``e`` are the readout profiles at the
     Gauss-Legendre nodes of each point's accepted region [v_0, ceiling],
-    shape (N, ``_GL_ORDER``).  ``empty`` marks an acceptance mass below
-    the abort floor.
+    shape (N, 48); on ``fused`` rows ``ratio`` and ``log_ratio`` hold
+    t = e/(1 - e) and d = log t there (0 on other rows).  ``empty`` marks
+    an acceptance mass below the abort floor.
     """
 
     v_0: np.ndarray
-    E: np.ndarray
-    P: np.ndarray
     empty: np.ndarray
+    half: np.ndarray
+    fused: np.ndarray
     one_minus_g: np.ndarray
     e: np.ndarray
-    half: np.ndarray
+    ratio: np.ndarray
+    log_ratio: np.ndarray
+
+    @cached_property
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Error and acceptance masses (E, P) of every row, formed on first use."""
+        return decision_masses(self.v_0, self.mean_plus, self.mean_minus, self.sigma)
+
+    @property
+    def E(self) -> np.ndarray:
+        return self.masses[0]
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.masses[1]
+
+    def entropy(self) -> np.ndarray:
+        """h(e) in bits at the nodes: (log1p t - e d)/ln 2 on fused rows,
+        where e = t/(1 + t) and d = log t; the reference entropy of e on
+        the others."""
+        h = (np.log1p(self.ratio) - self.e * self.log_ratio) / _LN2
+        if not self.fused.all():
+            rest = ~self.fused
+            h[rest] = _entropy_bits(self.e[rest])
+        return h
 
     def integrate(self, fraction) -> np.ndarray:
         """Bits per second from a per-bit secret fraction on the node grid.
@@ -289,8 +393,7 @@ class RateBlock(SymbolBlock):
         einsum, not a BLAS ``@``: the last bits of a BLAS product depend on
         how many rows share the call, and a row's rate must not.
         """
-        _, w = _gl_nodes(_GL_ORDER)
-        weighted = np.einsum("ij,j->i", self.one_minus_g * fraction, w)
+        weighted = np.einsum("ij,j->i", self.one_minus_g * fraction, _GL_W)
         return self.scale * (self.half * weighted)
 
     def point(self, i: int) -> tuple[DecisionStats | None, SecurityQuantities]:
@@ -330,9 +433,11 @@ def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock
         mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
     overlap, chi = _overlap_chi(mu_0, beta_A, sys.S)
+    sigma, log_peak = _per_value(readout_scales, xi)
     return SymbolBlock(
         xi=xi,
-        sigma=noise_sigma(xi),
+        sigma=sigma,
+        log_peak=log_peak,
         mean_plus=mean_plus,
         mean_minus=mean_minus,
         overlap=overlap,
@@ -396,7 +501,7 @@ def point_block(tun: TunableParams, sys: SystemParams, ch: ChannelModel) -> Rate
 
 def asymptotic_rates(block: RateBlock) -> np.ndarray:
     """Asymptotic rates of a block in bits per second; 0 where insecure."""
-    raw = block.integrate(1.0 - _entropy_bits(block.e) - block.chi[:, None])
+    raw = block.integrate(1.0 - block.entropy() - block.chi[:, None])
     return np.where(block.empty | (raw <= 0.0), 0.0, raw)
 
 

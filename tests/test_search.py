@@ -75,6 +75,29 @@ def test_optimizer_deterministic(opt3):
     assert again.params == opt3.params
 
 
+@pytest.mark.parametrize(
+    "S, n, ec_mode",
+    [(1, None, "pointwise"), (1, 10**10, "pointwise"), (1, 10**10, "block"),
+     (3, None, "pointwise"), (3, 10**10, "pointwise")],
+)
+def test_optimum_reported_from_its_scored_row(S, n, ec_mode):
+    # each optimum is reported from the kernel row that scored it, with Q
+    # and P formed for that row alone: the one-point rate functions at the
+    # reported parameters give its rate and statistics
+    sys_s = SystemParams(S=S)
+    if n is None:
+        opt = optimize_point(CH3, sys_s)
+        again = asymptotic_key_rate(opt.params, sys_s, CH3)
+    else:
+        fk = FiniteKeyParams(n=n)
+        opt = optimize_point(CH3, sys_s, fk=fk, ec_mode=ec_mode)
+        again = finite_key_rate(opt.params, sys_s, CH3, fk, ec_mode=ec_mode)
+    assert opt.rate == again.rate > 0.0
+    assert opt.Q == pytest.approx(again.stats.Q, rel=1e-12)
+    assert opt.P == pytest.approx(again.stats.P, rel=1e-12)
+    assert opt.chi == pytest.approx(again.chi, rel=1e-12)
+
+
 def test_optimum_zero_loss_noiseless():
     opt = optimize_point(ChannelModel(loss_db=0.0, xi=0.0), SYS)
     assert opt.rate > 0.0
@@ -405,16 +428,25 @@ def _counted(fn):
 
 def _descend(starts, objectives, lo, hi):
     """Run one ``_refine`` generator over descents from each of ``starts``,
-    scoring each descent's blocks with its own objective; returns what it
-    returns, (x, points scored), one entry per descent."""
+    scoring each descent's blocks with its own objective; returns (x,
+    points scored), one entry per descent, after checking that each x is
+    the row its returned origin names: the start, or a row it scored."""
     descent = search._refine(np.array(starts), lo, hi)
     blocks = next(descent)
+    rounds = []
     while True:
+        # copies: a yielded block may be a view the generator later reuses
+        rounds.append({k: rows.copy() for k, rows in blocks.items()})
         values = {k: objectives[k](rows) for k, rows in blocks.items()}
         try:
             blocks = descent.send(values)
         except StopIteration as stop:
-            return stop.value
+            xs, n_evals, origins = stop.value
+            break
+    for k, (x, origin) in enumerate(zip(xs, origins)):
+        row = starts[k] if origin is None else rounds[origin[0]][k][origin[1]]
+        assert np.array_equal(x, row), k
+    return xs, n_evals
 
 
 _UNIT_LO, _UNIT_HI = np.zeros(2), np.ones(2)
@@ -785,7 +817,7 @@ def test_sweep_kernel_calls_stay_under_the_row_cap(monkeypatch):
     monkeypatch.setattr(search, "symbol_block", counted)
     assert sweep(spec, SYS) == expected
     # the 8 points' 512 grid rows as 11 chunks of 46 or 47 rows, then the
-    # refinement's stacks and the optima's last block, all within the cap
+    # refinement's stacks, all within the cap
     assert sum(sizes[:11]) == 512 and set(sizes[:11]) == {46, 47}
     assert max(sizes) <= 50
 

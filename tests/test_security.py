@@ -276,11 +276,14 @@ def _fixed_threshold_rates(points, ch, sys_s, fk):
 
 @pytest.mark.parametrize("S", [1, 3])
 def test_rate_kernel_converged_in_order(S, monkeypatch):
-    # the fixed Gauss-Legendre rule against one of twice its order, on the
-    # 12 x 8 x 9 grid of (log10 mu_0, beta_A, v_0/sigma), which spans the
-    # search's m range at S=1, from low loss to past the cutoff; both sit on
-    # the ~3e-11 rounding floor once the rule has converged
-    order = security._GL_ORDER
+    # the kernel's 48-node Gauss-Legendre rule against leggauss(96), swapped
+    # in for it, on the 12 x 8 x 9 grid of (log10 mu_0, beta_A, v_0/sigma),
+    # which spans the search's m range at S=1, from low loss to past the
+    # cutoff; both sit on the ~3e-11 rounding floor once the rule has
+    # converged
+    from numpy.polynomial.legendre import leggauss
+
+    nodes_96 = leggauss(96)
     sys_s = SystemParams(S=S)
     bounds = search.Bounds()
     box = zip(
@@ -294,11 +297,13 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
         for xi in (0.0, 0.1, 0.2):
             ch = ChannelModel(loss_db=loss_db, xi=xi)
             for fk in (None, FiniteKeyParams(n=10**8)):
-                rates = []
-                for n_nodes in (order, 2 * order):
-                    monkeypatch.setattr(security, "_GL_ORDER", n_nodes)
-                    rates.append(_fixed_threshold_rates(points, ch, sys_s, fk))
-                low, ref = rates
+                assert security._GL_X.size == 48
+                low = _fixed_threshold_rates(points, ch, sys_s, fk)
+                with monkeypatch.context() as patch:
+                    patch.setattr(security, "_GL_X", nodes_96[0])
+                    patch.setattr(security, "_GL_W", nodes_96[1])
+                    assert security._GL_X.size == security._GL_W.size == 96
+                    ref = _fixed_threshold_rates(points, ch, sys_s, fk)
                 judged = ref > 1e-3 * ref.max()
                 np.testing.assert_allclose(
                     low[judged], ref[judged], rtol=1e-10, atol=0.0
@@ -309,14 +314,13 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
 
 
 def test_gl_nodes_equal_leggauss():
-    # the rule is formed without numpy.polynomial, by the same arithmetic,
-    # so the nodes, the weights and every rate stay bit-identical
+    # the rule is a constant, bit for bit numpy's 48-node rule, so no
+    # process that rates imports numpy.polynomial
     from numpy.polynomial.legendre import leggauss
 
-    for order in (security._GL_ORDER, 2 * security._GL_ORDER):
-        x, w = security._gl_nodes(order)
-        x_ref, w_ref = leggauss(order)
-        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), order
+    x_ref, w_ref = leggauss(48)
+    assert np.array_equal(security._GL_X, x_ref)
+    assert np.array_equal(security._GL_W, w_ref)
 
 
 def test_rate_block_equals_single_points():
@@ -390,6 +394,137 @@ def test_rate_rows_independent_of_block():
     for start, size in ((0, 2), (3, 17), (40, 64), (100, 19)):
         rows = np.arange(start, start + size)
         np.testing.assert_array_equal(results(rows, xi[rows], n[rows]), whole[rows])
+
+
+def _nodes(block):
+    """The Gauss-Legendre nodes of each row's accepted region, formed as the
+    reference node stage forms them."""
+    from numpy.polynomial.legendre import leggauss
+
+    hi = integration_ceiling(block.mean_plus, block.mean_minus, block.sigma)
+    return (0.5 * (hi + block.v_0))[:, None] + block.half[:, None] * leggauss(48)[0]
+
+
+def test_fused_profiles_match_reference():
+    # random blocks of calibrated points, each with its own loss and noise,
+    # at solved and at random thresholds: every row takes the fused node
+    # stage, and its 1 - g, e and h(e) agree with erasure_error_profiles
+    # and the reference entropy at the same nodes
+    rng = np.random.default_rng(21)
+    n_rows = 400
+    beta_A = rng.uniform(1.0, 1.45, n_rows)
+    delta = np.array([calibrate_delta(float(b), SYS) for b in beta_A])
+    mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, n_rows)
+    eta = 10.0 ** (-rng.uniform(0.0, 12.0, n_rows) / 10.0)
+    xi = rng.choice([0.0, 0.05, 0.1, 0.2, 0.3], n_rows)
+    symbols = symbol_block(mu_0, beta_A, delta, eta, xi, SYS)
+    v_hi = 6.0 * symbols.sigma
+    solved = security.asymptotic_threshold(symbols, 0.0, v_hi)
+    random = rng.uniform(size=n_rows) * v_hi
+    v_0 = np.where(rng.uniform(size=n_rows) < 0.5, solved, random)
+    block = symbols.at(v_0)
+    assert block.fused.all()
+    one_minus_g, e = erasure_error_profiles(
+        _nodes(block), block.mean_plus[:, None], block.mean_minus[:, None], xi[:, None]
+    )
+    np.testing.assert_allclose(block.one_minus_g, one_minus_g, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(block.e, e, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        block.entropy(), security._entropy_bits(e), rtol=0.0, atol=1e-13
+    )
+
+
+def _reference_rates(t, ch, fk=None, ec_mode="pointwise"):
+    """The rate of one working point by the reference node stage, written
+    out op for op: explicit nodes, erasure_error_profiles, the entropy of
+    e with its domain checks, and E and P for the abort floor."""
+    from numpy.polynomial.legendre import leggauss
+
+    from scw_cvqkd.finitekey import _fixed_charge, _syndrome_bits
+    from scw_cvqkd.noise import P_FLOOR, decision_masses
+
+    x, w = leggauss(48)
+    plus, minus = (np.array([m]) for m in matched_means(t, SYS, ch.eta))
+    v_0, sigma = np.array([t.v_0]), ch.sigma
+    chi = np.array([security_quantities(t.mu_0, t.beta_A, SYS.S).chi_dr])
+    E, P = decision_masses(v_0, plus, minus, sigma)
+    hi = integration_ceiling(plus, minus, sigma)
+    half = np.where(hi > v_0, 0.5 * (hi - v_0), 0.0)
+    nodes = (0.5 * (hi + v_0))[:, None] + half[:, None] * x
+    one_minus_g, e = erasure_error_profiles(nodes, plus[:, None], minus[:, None], ch.xi)
+    abort = P < P_FLOOR
+    if fk is None:
+        fraction = 1.0 - security._entropy_bits(e) - chi[:, None]
+    elif ec_mode == "block":
+        fixed = _fixed_charge(chi, fk, fk.k_sample, fk.n)
+        Q = np.divide(E, P, out=np.zeros_like(P), where=~abort)
+        abort = abort | (Q + fk.dQ >= 0.5)
+        code_ec = _syndrome_bits(fk.n, np.where(abort, 0.0, Q) + fk.dQ, fk.f_EC)
+        fraction = (1.0 - fixed - code_ec / fk.n)[:, None]
+    else:
+        fixed = _fixed_charge(chi, fk, fk.k_sample, fk.n)
+        charge = fk.f_EC * binary_entropy(np.minimum(e + fk.dQ, 0.5))
+        fraction = 1.0 - fixed[:, None] - charge
+    weighted = np.einsum("ij,j->i", one_minus_g * fraction, w)
+    raw = 2.0 / (N_BASES * SYS.T) * (half * weighted)
+    return float(np.where(abort | (raw <= 0.0), 0.0, raw)[0])
+
+
+def test_unordered_rows_keep_reference_arithmetic():
+    # with m- > m+ the fused node stage does not apply; such a point,
+    # reachable through the N=1 rate functions with an uncalibrated delta,
+    # gets the reference arithmetic bit for bit (its finite rates abort:
+    # e(v) > 1/2 past the midpoint, where the pointwise charge saturates)
+    ch = ChannelModel(loss_db=1.0, xi=0.05)
+    fk = FiniteKeyParams(n=10**10)
+    for beta_A, delta, v_0 in ((0.2, 2.9, 0.3), (0.6, 2.9, 0.0), (0.2, 2.5, 1.1)):
+        t = TunableParams(mu_0=2.0, beta_A=beta_A, delta=delta, v_0=v_0)
+        plus, minus = matched_means(t, SYS, ch.eta)
+        assert minus > plus
+        assert not security.point_block(t, SYS, ch).fused[0]
+        rate = asymptotic_key_rate(t, SYS, ch).rate
+        assert rate > 0.0
+        assert rate == _reference_rates(t, ch)
+        for mode in ("pointwise", "block"):
+            assert finite_key_rate(t, SYS, ch, fk, mode).rate == _reference_rates(
+                t, ch, fk, mode
+            )
+
+
+def test_empty_rows_are_found_without_their_masses():
+    # E and P are formed only for rows whose threshold lies more than
+    # _FAR_SIGMAS above both means, since any other row accepts at least
+    # Phi(-37)/2; a row 40 sigma out reads empty, with rate 0, and every
+    # row equals its one-row result
+    from scw_cvqkd.noise import P_FLOOR
+
+    assert 0.25 * math.erfc(security._FAR_SIGMAS / math.sqrt(2.0)) > P_FLOOR
+    ch = ChannelModel(loss_db=2.0, xi=0.1)
+    beta_A = 1.2
+    delta = calibrate_delta(beta_A, SYS)
+    mu_0 = np.array([0.3, 0.3, 0.5, 0.3, 0.3, 0.8])
+    sigmas_out = np.array([1.0, 36.0, 37.5, 38.0, 40.0, 3.0])
+    symbols = security.symbol_block(
+        mu_0, np.full(6, beta_A), np.full(6, delta), ch.eta, ch.xi, SYS
+    )
+    v_0 = np.maximum(symbols.mean_plus, symbols.mean_minus) + sigmas_out * ch.sigma
+    # the first row at its best threshold, so it has a rate
+    v_0[0] = security.asymptotic_threshold(symbols, 0.0, 6.0 * ch.sigma)[0]
+    block = symbols.at(v_0)
+    assert block.empty.tolist() == (block.P < P_FLOOR).tolist()
+    assert block.empty[4] and not block.empty[[0, 1, 5]].any()
+    fk = FiniteKeyParams(n=10**10)
+    rates = asymptotic_rates(block)
+    assert rates[4] == 0.0 and rates[0] > 0.0
+    for i in range(6):
+        t = TunableParams(mu_0=mu_0[i], beta_A=beta_A, delta=delta, v_0=v_0[i])
+        alone = asymptotic_key_rate(t, SYS, ch)
+        assert rates[i] == alone.rate
+        assert (alone.stats is None) == block.empty[i]
+        for mode in ("pointwise", "block"):
+            assert finite_rates(block, fk, mode)[i] == finite_key_rate(
+                t, SYS, ch, fk, mode
+            ).rate
 
 
 def test_rate_doubling_toggle():

@@ -15,15 +15,24 @@ checkouts.  The points are:
   n = 1e10 (60 points).
 
 Each point records its status (``ok``, ``infeasible`` or the error), the
-rate, ``OptimumPoint.evaluations`` (kernel points scored) and the number
-of kernel calls (``search._kernel`` calls: one for the coarse grid, one
-per refinement block).
+rate, ``OptimumPoint.evaluations`` (kernel points scored), the number of
+kernel calls (``search._kernel`` calls: one for the coarse grid, one per
+refinement block), and the optimum's Q, P, chi and parameters
+(mu_0, beta_A, delta, v_0).
 
 ``compare`` prints the status changes from A to B, the range of the
 relative rate change over points that are ``ok`` in both, and the totals
 of kernel points and kernel calls (the coarse grid's one call included),
 per optimum for each S.  It exits 1 when a status changed or a rate moved
-by more than ``RTOL`` relative, else 0.
+by more than ``RTOL`` relative, else 0.  For information only it also
+prints the largest relative change of Q, P and chi, and for each rate
+that moved by more than ``RTOL`` it recomputes both records' rates at
+their own reported parameters in 30-digit arithmetic (mpmath; the symbol
+means and chi of the package on the import path are taken as exact
+inputs), both as the integral and as the kernel's 48-node rule, and says
+which record lies closer to each: the first includes the rule's own
+truncation error, the second isolates the kernel's rounding.  Records
+written before these fields existed are compared on the rest.
 """
 
 from __future__ import annotations
@@ -81,7 +90,10 @@ def dump(out: str) -> None:
             record.update(status=f"error: {type(exc).__name__}: {exc}", rate=0.0,
                           evaluations=None)
         else:
-            record.update(status="ok", rate=opt.rate, evaluations=opt.evaluations)
+            t = opt.params
+            record.update(status="ok", rate=opt.rate, evaluations=opt.evaluations,
+                          Q=opt.Q, P=opt.P, chi=opt.chi,
+                          params=[t.mu_0, t.beta_A, t.delta, t.v_0])
         record["calls"] = calls
         records.append(record)
     with open(out, "w", encoding="utf-8") as fh:
@@ -97,6 +109,58 @@ def _key(record):
 def _name(key) -> str:
     S, loss_db, xi, n = key
     return f"S={S} {loss_db} dB xi={xi} n={'inf' if n is None else f'{n:.0e}'}"
+
+
+def _oracle_rates(record):
+    """The rate at a record's reported parameters, asymptotic or finite
+    pointwise, in 30-digit arithmetic (mpmath): the integral over the
+    kernel's region [v_0, ceiling], and the kernel's 48-node
+    Gauss-Legendre sum on that region.  The symbol means, chi and the
+    finite charges not set by the readout are the package's floats, taken
+    as exact."""
+    import mpmath as mp
+    from numpy.polynomial.legendre import leggauss
+
+    from scw_cvqkd.finitekey import FiniteKeyParams, _fixed_charge
+    from scw_cvqkd.noise import ChannelModel, integration_ceiling, noise_sigma
+    from scw_cvqkd.optics import SystemParams, TunableParams, matched_means
+    from scw_cvqkd.security import N_BASES, holevo_dr
+
+    mp.mp.dps = 30
+    sys_p = SystemParams(S=record["S"])
+    ch = ChannelModel(loss_db=record["loss_db"], xi=record["xi"])
+    mu_0, beta_A, delta, v_0 = record["params"]
+    tun = TunableParams(mu_0=mu_0, beta_A=beta_A, delta=delta, v_0=v_0)
+    plus, minus = matched_means(tun, sys_p, ch.eta)
+    chi = holevo_dr(mu_0, beta_A, sys_p.S)
+    fk = None if record["n"] is None else FiniteKeyParams(n=record["n"])
+    fixed = mp.mpf(chi if fk is None else _fixed_charge(chi, fk, fk.k_sample, fk.n))
+    var = (1 + mp.mpf(ch.xi)) / 4
+    peak = 1 / mp.sqrt(2 * mp.pi * var)
+
+    def entropy(p):
+        return -p * mp.log(p, 2) - (1 - p) * mp.log(1 - p, 2)
+
+    def integrand(v):
+        p_plus = peak * mp.exp(-(v - mp.mpf(plus)) ** 2 / (2 * var))
+        p_minus = peak * mp.exp(-(v - mp.mpf(minus)) ** 2 / (2 * var))
+        e = p_minus / (p_plus + p_minus)
+        if fk is None:
+            charge = entropy(e)
+        else:
+            charge = fk.f_EC * entropy(min(e + mp.mpf(fk.dQ), mp.mpf(0.5)))
+        return (p_plus + p_minus) / 2 * (1 - fixed - charge)
+
+    lo = mp.mpf(v_0)
+    hi = mp.mpf(float(integration_ceiling(plus, minus, noise_sigma(ch.xi))))
+    scale = (2 if sys_p.symmetric_doubling else 1) / mp.mpf(N_BASES * sys_p.T)
+    exact = mp.quad(integrand, mp.linspace(lo, hi, 5))
+    x, w = leggauss(48)
+    rule = (hi - lo) / 2 * mp.fsum(
+        mp.mpf(wi) * integrand((hi + lo) / 2 + (hi - lo) / 2 * mp.mpf(xi))
+        for xi, wi in zip(x.tolist(), w.tolist())
+    )
+    return scale * exact, scale * rule
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -123,6 +187,27 @@ def compare(a_path: str, b_path: str) -> int:
         print(f"relative rate change over {len(both)} ok points: "
               f"{min(rel):+.2e} ... {max(rel):+.2e} (largest at {_name(worst)})")
         bad += sum(abs(r) > RTOL for r in rel)
+
+    for field in ("Q", "P", "chi"):
+        moves = [abs(b[k][field] - a[k][field]) / abs(a[k][field]) for k in both
+                 if a[k].get(field) and b[k].get(field) is not None]
+        if moves:
+            print(f"largest relative {field} change over {len(moves)} points: "
+                  f"{max(moves):.2e} (information only)")
+    for k in both:
+        moved = abs(b[k]["rate"] - a[k]["rate"]) / a[k]["rate"] > RTOL
+        if moved and "params" in a[k] and "params" in b[k]:
+            print(f"oracle at {_name(k)}, relative error of A and B "
+                  "at their own parameters:")
+            errors = [
+                [float((r[k]["rate"] - ref) / ref) for ref in _oracle_rates(r[k])]
+                for r in (a, b)
+            ]
+            for i, label in enumerate(("the integral", "the 48-node rule")):
+                err_a, err_b = abs(errors[0][i]), abs(errors[1][i])
+                closer = "A" if err_a < err_b else "B" if err_b < err_a else "neither"
+                print(f"  against {label}: A {errors[0][i]:+.2e}, "
+                      f"B {errors[1][i]:+.2e}; {closer} is closer")
 
     for S in sorted({k[0] for k in both}):
         group = [k for k in both if k[0] == S]
