@@ -1,5 +1,23 @@
 """Numerical laboratory for subcarrier-wave CV-QKD key-rate analysis."""
 
+import os as _os
+import sys as _sys
+
+# No rate path gives BLAS work big enough to split across threads, yet
+# numpy's OpenBLAS starts one thread per CPU when it loads, which can cost
+# a fresh process tens of milliseconds.  Unless the user has chosen a
+# thread count, numpy is loaded with one BLAS thread and the environment
+# is then put back as it was.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in _BLAS_THREAD_VARS
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .angular import DRow, carrier_weight, wigner_d_row
 from .config import RunConfig, TunableSpec, load_config
 from .errors import (

@@ -1,6 +1,9 @@
 """Monte Carlo emulator tests."""
 
+import json
 import math
+import os
+import statistics
 
 import numpy as np
 import pytest
@@ -127,18 +130,128 @@ def test_single_round_edge():
 
 
 def test_draw_chunk_decisions():
-    # every counter of a round follows from its phase, basis and readout
+    # every counter of a round follows from its phase, basis and readout;
+    # the phase and basis are the generator's first two draws
     means = mean_table(tun(), SYS, CH.eta)
-    rng = np.random.default_rng(9)
-    a, b, v, matched, accepted, errors = simulate._draw_chunk(
-        rng, 2000, means, CH.sigma, 0.2
+    center, v, matched, accepted, errors = simulate._draw_chunk(
+        np.random.default_rng(9), 2000, means, CH.sigma, 0.2
     )
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 4, size=2000)
+    b = rng.integers(0, 2, size=2000)
     assert set(a.tolist()) == {0, 1, 2, 3} and set(b.tolist()) == {0, 1}
+    assert (center == means[a, b]).all()
     assert (matched == ((a & 1) == b)).all()
     assert (accepted == (matched & (np.abs(v) >= 0.2))).all()
     # the readout sign carries the bit: negative decodes to 1
     assert (errors == (accepted & ((v < 0.0) != (a >> 1 == 1)))).all()
     assert accepted.any() and errors.any()
+
+
+def _reference_chunk(rng, size, means, sigma, v_0):
+    """The chunk as first written: two gathers, int64 bits and a BLAS dot.
+
+    Returns (n_matched, n_accepted, n_errors, resid_sum, resid_sq).
+    """
+    a = rng.integers(0, 4, size=size)
+    b = rng.integers(0, 2, size=size)
+    v = means[a, b] + sigma * rng.standard_normal(size)
+    matched = (a & 1) == b
+    accepted = matched & (np.abs(v) >= v_0)
+    alice_bit = a >> 1
+    bob_bit = (v < 0.0).astype(np.int64)
+    errors = accepted & (bob_bit != alice_bit)
+    resid = v - means[a, b]
+    return (
+        int(matched.sum()),
+        int(accepted.sum()),
+        int(errors.sum()),
+        float(resid.sum()),
+        float(np.dot(resid, resid)),
+    )
+
+
+def _lean_chunk(rng, size, means, sigma, v_0):
+    # the same five numbers from the chunk simulate_rounds draws
+    center, v, matched, accepted, errors = simulate._draw_chunk(
+        rng, size, means, sigma, v_0
+    )
+    resid = v - center
+    return (
+        int(np.count_nonzero(matched)),
+        int(np.count_nonzero(accepted)),
+        int(np.count_nonzero(errors)),
+        float(resid.sum()),
+        float(np.einsum("i,i->", resid, resid)),
+    )
+
+
+def chunk_totals(chunk, rounds, seed):
+    """Sum ``chunk`` over the chunks and seed streams of simulate_rounds."""
+    means = mean_table(tun(), SYS, CH.eta)
+    sizes = simulate._chunk_sizes(rounds)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    totals = [0, 0, 0, 0.0, 0.0]
+    for size, child in zip(sizes, children):
+        parts = chunk(np.random.default_rng(child), size, means, CH.sigma, 1.6)
+        totals = [t + p for t, p in zip(totals, parts)]
+    return totals
+
+
+@pytest.mark.parametrize(
+    "seed, rounds", [(seed, 200_000) for seed in range(16)] + [(4, 1_500_000)]
+)
+def test_lean_chunk_keeps_every_counter(seed, rounds):
+    lean = chunk_totals(_lean_chunk, rounds, seed)
+    ref = chunk_totals(_reference_chunk, rounds, seed)
+    # the counters and the residual sum are the same to the bit
+    assert lean[:4] == ref[:4]
+    # and _lean_chunk is what simulate_rounds sums
+    stats = simulate_rounds(tun(), SYS, CH, rounds=rounds, seed=seed)
+    assert (stats.n_matched, stats.n_accepted, stats.n_errors) == tuple(lean[:3])
+    resid_sum, resid_sq = lean[3:]
+    var_hat = (resid_sq - resid_sum * resid_sum / rounds) / (rounds - 1)
+    assert stats.noise_var_hat == var_hat
+
+
+_RESID_SQ_CHECK = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_simulate as t
+pairs = []
+for seed in range(16):
+    lean = t.chunk_totals(t._lean_chunk, 200_000, seed)
+    ref = t.chunk_totals(t._reference_chunk, 200_000, seed)
+    pairs.append((lean[4], ref[4]))
+print(json.dumps(pairs))
+"""
+
+
+def test_lean_chunk_residual_square_sum_single_thread(fresh_python):
+    # one BLAS thread makes the reference dot reproducible; the BLAS-free
+    # sum may round differently, but only in the last bits
+    out = fresh_python(
+        _RESID_SQ_CHECK, os.path.dirname(__file__), OPENBLAS_NUM_THREADS="1"
+    )
+    for lean, ref in json.loads(out):
+        assert lean == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+_NOISE_VAR_REPR = """
+from scw_cvqkd.noise import ChannelModel
+from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
+from scw_cvqkd.simulate import simulate_rounds
+sys_p = SystemParams()
+tun = TunableParams(mu_0=0.42, beta_A=0.9, delta=calibrate_delta(0.9, sys_p), v_0=1.6)
+stats = simulate_rounds(tun, sys_p, ChannelModel(3.0, 0.1), rounds=10**6, seed=3)
+print(repr(stats.noise_var_hat))
+"""
+
+
+def test_noise_variance_independent_of_blas_threads(fresh_python):
+    one = fresh_python(_NOISE_VAR_REPR, OPENBLAS_NUM_THREADS="1")
+    two = fresh_python(_NOISE_VAR_REPR, OPENBLAS_NUM_THREADS="2")
+    assert one == two and float(one) > 0.0
 
 
 def test_simulate_rounds_domain():
@@ -148,6 +261,10 @@ def test_simulate_rounds_domain():
 
 def test_z95_matches_ndtri_oracle():
     assert simulate._Z95 == pytest.approx(ndtri(0.975), rel=1e-15, abs=0.0)
+
+
+def test_z95_literal_matches_statistics():
+    assert simulate._Z95 == statistics.NormalDist().inv_cdf(0.975)
 
 
 def test_wilson_interval_values():
