@@ -1,111 +1,84 @@
-"""Numerical laboratory for subcarrier-wave CV-QKD key-rate analysis."""
+"""Numerical laboratory for subcarrier-wave CV-QKD key-rate analysis.
 
+``import scw_cvqkd`` loads numpy alone.  A public name is read from the
+module that defines it when it is accessed, and that module is imported
+the first time (PEP 562); a module name (``scw_cvqkd.search``) imports
+that module.  A program loads only the layers it uses.
+"""
+
+import importlib as _importlib
 import os as _os
 import sys as _sys
 
 # No rate path gives BLAS work big enough to split across threads, yet
-# numpy's OpenBLAS starts one thread per CPU when it loads, which can cost
-# a fresh process tens of milliseconds.  Unless the user has chosen a
-# thread count, numpy is loaded with one BLAS thread and the environment
-# is then put back as it was.
+# OpenBLAS starts one thread per CPU when it loads, which can cost a fresh
+# process tens of milliseconds.  numpy and scipy each bundle their own.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in _sys.modules and not any(
-    name in _os.environ for name in _BLAS_THREAD_VARS
-):
+
+
+def _import_one_blas_thread(name: str):
+    """Import module ``name`` so that a BLAS it loads starts one thread.
+
+    Unless the user has chosen a thread count, the module is already
+    loaded, or numpy was loaded before this package (and so with its own
+    default), ``OPENBLAS_NUM_THREADS=1`` is set for the import alone and
+    the environment is then put back as it was.
+    """
+    if (
+        not _ONE_BLAS_THREAD
+        or name in _sys.modules
+        or any(var in _os.environ for var in _BLAS_THREAD_VARS)
+    ):
+        return _importlib.import_module(name)
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as _numpy  # noqa: F401
+        return _importlib.import_module(name)
     finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
+        _os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
-from .angular import DRow, carrier_weight, wigner_d_row
-from .config import RunConfig, TunableSpec, load_config
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    DomainError,
-    EmptyAcceptanceError,
-    InfeasibleError,
-    InternalError,
-    MismatchError,
-    NoRootError,
-    ScwError,
-)
-from .finitekey import (
-    FiniteKeyParams,
-    FiniteKeyResult,
-    finite_key_length,
-    finite_key_rate,
-)
-from .noise import ChannelModel, DecisionStats, decision_stats, noise_sigma
-from .optics import (
-    SystemParams,
-    TunableParams,
-    calibrate_delta,
-    matched_means,
-    mean_table,
-)
-from .search import (
-    Bounds,
-    KeyRateReport,
-    OptimumPoint,
-    SweepSpec,
-    optimize_point,
-    sweep,
-)
-from .security import (
-    KeyRateResult,
-    SecurityQuantities,
-    asymptotic_key_rate,
-    holevo_dr,
-    security_quantities,
-)
-from .simulate import EmpiricalStats, compare_analytic, simulate_rounds
+
+# a user who loads numpy first keeps OpenBLAS's default in scipy as well
+_ONE_BLAS_THREAD = "numpy" not in _sys.modules
+_import_one_blas_thread("numpy")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bounds",
-    "ChannelModel",
-    "ConfigError",
-    "DRow",
-    "DecisionStats",
-    "DegenerateError",
-    "DomainError",
-    "EmpiricalStats",
-    "EmptyAcceptanceError",
-    "FiniteKeyParams",
-    "FiniteKeyResult",
-    "InfeasibleError",
-    "InternalError",
-    "KeyRateReport",
-    "KeyRateResult",
-    "MismatchError",
-    "NoRootError",
-    "OptimumPoint",
-    "RunConfig",
-    "ScwError",
-    "SecurityQuantities",
-    "SweepSpec",
-    "SystemParams",
-    "TunableParams",
-    "TunableSpec",
-    "__version__",
-    "asymptotic_key_rate",
-    "calibrate_delta",
-    "carrier_weight",
-    "compare_analytic",
-    "decision_stats",
-    "finite_key_length",
-    "finite_key_rate",
-    "holevo_dr",
-    "load_config",
-    "matched_means",
-    "mean_table",
-    "noise_sigma",
-    "optimize_point",
-    "security_quantities",
-    "simulate_rounds",
-    "sweep",
-    "wigner_d_row",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "angular": ("DRow", "carrier_weight", "wigner_d_row"),
+    "config": ("Bounds", "FiniteKeyParams", "RunConfig", "TunableSpec", "load_config"),
+    "errors": (
+        "ConfigError", "DegenerateError", "DomainError", "EmptyAcceptanceError",
+        "InfeasibleError", "InternalError", "MismatchError", "NoRootError", "ScwError",
+    ),
+    "finitekey": ("FiniteKeyResult", "finite_key_length", "finite_key_rate"),
+    "noise": ("ChannelModel", "DecisionStats", "decision_stats", "noise_sigma"),
+    "optics": (
+        "SystemParams", "TunableParams", "calibrate_delta", "matched_means", "mean_table",
+    ),
+    "search": ("KeyRateReport", "OptimumPoint", "SweepSpec", "optimize_point", "sweep"),
+    "security": (
+        "KeyRateResult", "SecurityQuantities", "asymptotic_key_rate", "holevo_dr",
+        "security_quantities",
+    ),
+    "simulate": ("EmpiricalStats", "compare_analytic", "simulate_rounds"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # not cached here: a name always reads what its defining module holds
+    # now, a patched or wrapped function included
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})
+
+
+__all__ = sorted([*_MODULE_OF, "__version__"])

@@ -9,6 +9,10 @@ Four commands share one config file and a small set of override flags:
 
 Exit codes: 0 success, 1 usage or configuration error, 2 no key at the
 requested point, 3 failed statistical or numerical check.
+
+Importing this module loads every layer of the package: the benchmark's
+tracer (``perfbench/tracer.py``) wraps functions only in modules that are
+loaded when it starts.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .angular import wigner_d_row
-from .config import RunConfig, load_config
+from .config import RunConfig, _parse_seed, load_config
 from .errors import InfeasibleError, InternalError, MismatchError, NoRootError, ScwError
 from .finitekey import finite_key_rate
 from .noise import ChannelModel, decision_stats
@@ -56,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed_flag(text: str) -> int:
+    # the config file's rule, with argparse's error type
+    try:
+        return _parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _n_flag(text: str):
     if text.strip().lower() == "inf":
         return "inf"
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--loss-db", type=float, help="channel loss in dB")
         p.add_argument("--xi", type=float, help="excess noise")
-        p.add_argument("--seed", type=int, help="RNG seed")
+        p.add_argument("--seed", type=_seed_flag, help="non-negative RNG seed")
         p.add_argument("--out", metavar="PATH", help="output file")
 
     p_key = sub.add_parser("keyrate", help="key rate at one channel point")
@@ -95,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rounds", type=int, help="number of emulated rounds")
 
     p_self = sub.add_parser("selftest", help="numerical identity checks")
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--seed", type=_seed_flag, default=0)
     return parser
 
 

@@ -6,19 +6,104 @@ are grouped in sections, every key is optional (defaults mirror the
 dataclass defaults), and unknown sections or keys are rejected with
 their location.  Angles are written in degrees in the file and
 converted to radians on load.
+
+The finite-key and search-box parameter sets are defined here, where the
+file builds them, so reading a config loads neither ``finitekey`` nor
+``search``.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import ConfigError, ScwError
-from .finitekey import _EC_MODES, FiniteKeyParams
+from .errors import ConfigError, DomainError, ScwError
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .search import Bounds, SweepSpec
+
+if TYPE_CHECKING:
+    from .search import SweepSpec
+
+_EC_MODES = ("pointwise", "block")
+
+
+@dataclass(frozen=True)
+class FiniteKeyParams:
+    """Block size, security parameters and error-correction overheads."""
+
+    n: int
+    eps_s: float = 1e-10
+    eps_PA: float = 1e-10
+    check_EC: int = 256
+    f_EC: float = 1.15
+    dQ: float = 0.01
+    k_sample: int = 0
+    Q_est: float | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise DomainError(f"block size must be a positive int, got {self.n!r}")
+        for name in ("eps_s", "eps_PA"):
+            val = getattr(self, name)
+            if not 0.0 < val < 1.0:
+                raise DomainError(f"{name} must be in (0, 1), got {val}")
+        if not (isinstance(self.check_EC, int) and self.check_EC >= 1):
+            raise DomainError(
+                f"verification hash length must be a positive int, got {self.check_EC!r}"
+            )
+        if not self.f_EC >= 1.0:
+            raise DomainError(f"f_EC must be >= 1, got {self.f_EC}")
+        if not 0.0 <= self.dQ < 0.5:
+            raise DomainError(f"dQ must be in [0, 1/2), got {self.dQ}")
+        if not 0 <= self.k_sample < self.n:
+            raise DomainError(
+                f"k_sample must be in [0, n), got {self.k_sample} with n={self.n}"
+            )
+        if self.Q_est is not None and not 0.0 <= self.Q_est <= 0.5:
+            raise DomainError(f"Q_est must be in [0, 1/2], got {self.Q_est}")
+
+    @property
+    def eps_EC(self) -> float:
+        return 2.0 ** -self.check_EC
+
+    @property
+    def loss_PA(self) -> float:
+        return math.log2(1.0 / self.eps_PA) - 2.0
+
+    @property
+    def eps_QKD(self) -> float:
+        return self.eps_EC + self.eps_s + self.eps_PA
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Box bounds for the decision variables.
+
+    The threshold bound is expressed in units of the readout standard
+    deviation so one box serves every noise level.
+    """
+
+    mu_0: tuple[float, float] = (1e-3, 10.0)
+    beta_A: tuple[float, float] = (0.1, 1.45)
+    v_0_sigmas: tuple[float, float] = (0.0, 6.0)
+
+    def __post_init__(self):
+        for name in ("mu_0", "beta_A", "v_0_sigmas"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise DomainError(f"bounds for {name} must be ordered, got ({lo}, {hi})")
+        if self.mu_0[0] <= 0.0:
+            raise DomainError(f"mu_0 lower bound must be positive, got {self.mu_0[0]}")
+        if not 0.0 < self.beta_A[0] < self.beta_A[1] < 0.5 * math.pi:
+            raise DomainError(
+                f"beta_A bounds must sit inside (0, pi/2), got {self.beta_A}"
+            )
+        if self.v_0_sigmas[0] < 0.0:
+            raise DomainError(
+                f"threshold lower bound must be >= 0, got {self.v_0_sigmas[0]}"
+            )
+
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -47,6 +132,14 @@ def _parse_int(text: str) -> int:
     if not val.is_integer():
         raise ValueError(f"expected an integer, got {text!r}")
     return int(val)
+
+
+def _parse_seed(text: str) -> int:
+    # numpy's SeedSequence takes non-negative integers only
+    val = _parse_int(text)
+    if val < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return val
 
 
 def _parse_str(text: str) -> str:
@@ -128,7 +221,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     },
     "run": {
         "mode": _parse_choice("asymptotic", "finite"),
-        "seed": _parse_int,
+        "seed": _parse_seed,
         "out": _parse_str,
     },
 }
@@ -177,6 +270,8 @@ class RunConfig:
     out: str | None = None
 
     def sweep_spec(self, finite: bool) -> SweepSpec:
+        from .search import SweepSpec
+
         if not self.loss_grid:
             raise ConfigError("sweep requires a non-empty [sweep] loss_grid")
         noise = self.noise_levels if self.noise_levels else (self.xi,)
@@ -210,6 +305,8 @@ def load_config(path: str | None) -> RunConfig:
     """Parse and validate a config file; ``None`` yields pure defaults."""
     if path is None:
         return RunConfig()
+    import configparser
+
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
@@ -221,6 +318,9 @@ def load_config(path: str | None) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, a file without read permission, or one not in UTF-8
+        raise ConfigError(f"could not read {path}: {exc}")
 
     for section in parser.sections():
         if section not in _SCHEMA:

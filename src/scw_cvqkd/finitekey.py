@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _EC_MODES, FiniteKeyParams
 from .errors import DomainError
 from .noise import ChannelModel, DecisionStats
 from .optics import SystemParams, TunableParams
@@ -39,57 +40,6 @@ from .security import (
     point_block,
     threshold_at_error,
 )
-
-_EC_MODES = ("pointwise", "block")
-
-
-@dataclass(frozen=True)
-class FiniteKeyParams:
-    """Block size, security parameters and error-correction overheads."""
-
-    n: int
-    eps_s: float = 1e-10
-    eps_PA: float = 1e-10
-    check_EC: int = 256
-    f_EC: float = 1.15
-    dQ: float = 0.01
-    k_sample: int = 0
-    Q_est: float | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"block size must be a positive int, got {self.n!r}")
-        for name in ("eps_s", "eps_PA"):
-            val = getattr(self, name)
-            if not 0.0 < val < 1.0:
-                raise DomainError(f"{name} must be in (0, 1), got {val}")
-        if not (isinstance(self.check_EC, int) and self.check_EC >= 1):
-            raise DomainError(
-                f"verification hash length must be a positive int, got {self.check_EC!r}"
-            )
-        if not self.f_EC >= 1.0:
-            raise DomainError(f"f_EC must be >= 1, got {self.f_EC}")
-        if not 0.0 <= self.dQ < 0.5:
-            raise DomainError(f"dQ must be in [0, 1/2), got {self.dQ}")
-        if not 0 <= self.k_sample < self.n:
-            raise DomainError(
-                f"k_sample must be in [0, n), got {self.k_sample} with n={self.n}"
-            )
-        if self.Q_est is not None and not 0.0 <= self.Q_est <= 0.5:
-            raise DomainError(f"Q_est must be in [0, 1/2], got {self.Q_est}")
-
-    @property
-    def eps_EC(self) -> float:
-        return 2.0 ** -self.check_EC
-
-    @property
-    def loss_PA(self) -> float:
-        return math.log2(1.0 / self.eps_PA) - 2.0
-
-    @property
-    def eps_QKD(self) -> float:
-        return self.eps_EC + self.eps_s + self.eps_PA
-
 
 @dataclass(frozen=True)
 class FiniteKeyLength:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _import_one_blas_thread
 from .errors import DomainError, EmptyAcceptanceError
 
 # vacuum quadrature variance in the chosen normalization
@@ -192,8 +193,9 @@ def decision_masses(v_0, mean_plus, mean_minus, sigma):
 
 
 def _stats_quadrature(v_0, mean_plus, mean_minus, xi):
-    # scipy is imported only by this cross-check, not by the rate path
-    from scipy.integrate import quad
+    # scipy is imported only by this cross-check, not by the rate path;
+    # its own OpenBLAS gets the package's one-thread default
+    quad = _import_one_blas_thread("scipy.integrate").quad
 
     hi = float(integration_ceiling(mean_plus, mean_minus, noise_sigma(xi)))
     if v_0 >= hi:

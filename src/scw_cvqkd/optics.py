@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _import_one_blas_thread
 from .angular import first_sideband_weight, legendre_p
 from .errors import DegenerateError, DomainError, InternalError, NoRootError
 
@@ -203,8 +204,9 @@ def _calibrate_closed_form(beta_A: float, theta_carrier: float) -> float | None:
 
 def _calibrate_by_scan(beta_A: float, theta_carrier: float, S: int) -> float | None:
     """First balance root with positive matched contrast, by scan plus brentq."""
-    # scipy is imported only by this S > 1 route, not by the S = 1 rate path
-    from scipy.optimize import brentq
+    # scipy is imported only by this S > 1 route, not by the S = 1 rate path;
+    # its own OpenBLAS gets the package's one-thread default
+    brentq = _import_one_blas_thread("scipy.optimize").brentq
 
     def balance(d):
         # zero when the two matched-basis contrasts are symmetric about 0

@@ -63,10 +63,9 @@ from itertools import accumulate
 
 import numpy as np
 
+from .config import _EC_MODES, Bounds, FiniteKeyParams
 from .errors import DomainError, InfeasibleError, ScwError
 from .finitekey import (
-    _EC_MODES,
-    FiniteKeyParams,
     _fixed_charge,
     finite_rates,
     pointwise_threshold,
@@ -122,35 +121,6 @@ _ANGLE_TOL = 1e-12
 # (2-core VM, paired passes); it also holds a 24-descent round of 12-row
 # line searches in one call
 _MAX_ROWS = 288
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Box bounds for the decision variables.
-
-    The threshold bound is expressed in units of the readout standard
-    deviation so one box serves every noise level.
-    """
-
-    mu_0: tuple[float, float] = (1e-3, 10.0)
-    beta_A: tuple[float, float] = (0.1, 1.45)
-    v_0_sigmas: tuple[float, float] = (0.0, 6.0)
-
-    def __post_init__(self):
-        for name in ("mu_0", "beta_A", "v_0_sigmas"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise DomainError(f"bounds for {name} must be ordered, got ({lo}, {hi})")
-        if self.mu_0[0] <= 0.0:
-            raise DomainError(f"mu_0 lower bound must be positive, got {self.mu_0[0]}")
-        if not 0.0 < self.beta_A[0] < self.beta_A[1] < 0.5 * math.pi:
-            raise DomainError(
-                f"beta_A bounds must sit inside (0, pi/2), got {self.beta_A}"
-            )
-        if self.v_0_sigmas[0] < 0.0:
-            raise DomainError(
-                f"threshold lower bound must be >= 0, got {self.v_0_sigmas[0]}"
-            )
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,8 @@ def simulate_rounds(
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     means = mean_table(tun, sys, ch.eta)
     sigma = noise_sigma(ch.xi)
     sizes = _chunk_sizes(rounds)

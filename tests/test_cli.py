@@ -347,6 +347,38 @@ def test_rate_paths_never_import_scipy(tmp_path):
     assert result["on_demand"]
 
 
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["simulate", "--rounds", "1000", "--seed", "-1"], POINT_CFG),
+        (["simulate", "--rounds", "1000"], POINT_CFG + "\n[run]\nseed = -3\n"),
+        (["keyrate", "--seed", "-2"], POINT_CFG),
+    ],
+)
+def test_negative_seed_exit_1(argv, cfg_text, tmp_path, capsys):
+    assert main(argv + ["--config", write(tmp_path, cfg_text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "non-negative" in captured.err
+
+
+def test_selftest_negative_seed_exit_1(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "non-negative" in captured.err
+
+
+def test_unreadable_config_exit_1(tmp_path, capsys):
+    # a directory passes the existence check but cannot be read
+    assert main(["keyrate", "--config", str(tmp_path)]) == 1
+    assert f"error: could not read {tmp_path}" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("[channel]\n# d\xe9faut\nxi = 0.1\n".encode("latin-1"))
+    assert main(["simulate", "--config", str(latin1)]) == 1
+    assert f"error: could not read {latin1}" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

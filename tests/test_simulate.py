@@ -259,6 +259,12 @@ def test_simulate_rounds_domain():
         simulate_rounds(tun(), SYS, CH, rounds=0)
 
 
+def test_simulate_rounds_rejects_negative_seed():
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        simulate_rounds(tun(), SYS, CH, rounds=10, seed=-1)
+
+
 def test_z95_matches_ndtri_oracle():
     assert simulate._Z95 == pytest.approx(ndtri(0.975), rel=1e-15, abs=0.0)
 
