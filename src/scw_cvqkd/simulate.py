@@ -22,7 +22,11 @@ from .errors import DomainError, EmptyAcceptanceError, MismatchError
 from .noise import ChannelModel, decision_stats, noise_sigma
 from .optics import SystemParams, TunableParams, matched_means, mean_table
 
+# a chunk fixes the random stream: it draws from its own SeedSequence child
 _CHUNK = 1_000_000
+# rounds per block: the readouts of a chunk are drawn and tallied a block
+# at a time, so memory does not grow with the chunk or the run
+_BLOCK = 1 << 16
 # the two-sided 95% normal quantile, statistics.NormalDist().inv_cdf(0.975)
 _Z95 = 1.9599639845400536
 
@@ -65,18 +69,31 @@ def _chunk_sizes(rounds: int) -> list[int]:
 
 
 def _draw_chunk(rng, size, means, sigma, v_0):
-    a = rng.integers(0, 4, size=size)
-    b = rng.integers(0, 2, size=size)
-    # (a << 1) | b is the flat index of means[a, b] in the 4x2 table
-    center = means.ravel().take((a << 1) | b)
-    v = center + sigma * rng.standard_normal(size)
-    matched = (a & 1) == b
-    accepted = matched & (np.abs(v) >= v_0)
-    # readout sign carries the bit: the zero-relative-phase symbol sits
-    # at the positive center after calibration, and phases 2 and 3
-    # encode bit 1
-    errors = accepted & ((v < 0.0) != (a >= 2))
-    return center, v, matched, accepted, errors
+    """Yield ``(center, v, matched, accepted, errors)`` per block of a chunk.
+
+    The phases and bases of the whole chunk come first in the stream, as
+    one uint8 index ``(a << 1) | b`` into the flat 4x2 mean table; the
+    readouts follow a block at a time from the same generator, which
+    consumes the stream exactly as one draw of ``size`` normals would.
+    """
+    # uint32 draws the same values as the default int64: one 32-bit word
+    # per round, and ranges 4 and 2 never reject
+    idx = rng.integers(0, 4, size=size, dtype=np.uint32).astype(np.uint8)
+    idx <<= 1
+    idx |= rng.integers(0, 2, size=size, dtype=np.uint32)
+    flat = means.ravel()
+    for start in range(0, size, _BLOCK):
+        ix = idx[start:start + _BLOCK]
+        center = flat.take(ix)
+        v = center + sigma * rng.standard_normal(ix.size)
+        # the basis is b = ix & 1, and it matches the pair when a & 1 == b
+        matched = ((ix >> 1) & 1) == (ix & 1)
+        accepted = matched & (np.abs(v) >= v_0)
+        # readout sign carries the bit: the zero-relative-phase symbol sits
+        # at the positive center after calibration, and phases 2 and 3
+        # (ix >= 4) encode bit 1
+        errors = accepted & ((v < 0.0) != (ix >= 4))
+        yield center, v, matched, accepted, errors
 
 
 def simulate_rounds(
@@ -90,8 +107,10 @@ def simulate_rounds(
 
     Rounds are drawn in fixed-size chunks, each from its own child of
     ``SeedSequence(seed)``, so results are reproducible for a given
-    (rounds, seed) pair. The residual of every readout against its
-    analytic center also yields an estimate of the readout variance.
+    (rounds, seed) pair; each chunk is tallied in blocks, so memory does
+    not grow with ``rounds``. The residual of every readout
+    against its analytic center also yields an estimate of the readout
+    variance.
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
@@ -106,17 +125,17 @@ def simulate_rounds(
     resid_sum = 0.0
     resid_sq = 0.0
     for size, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
-        center, v, matched, accepted, errors = _draw_chunk(
-            rng, size, means, sigma, tun.v_0
+        blocks = _draw_chunk(
+            np.random.default_rng(child), size, means, sigma, tun.v_0
         )
-        n_matched += int(np.count_nonzero(matched))
-        n_accepted += int(np.count_nonzero(accepted))
-        n_errors += int(np.count_nonzero(errors))
-        resid = v - center
-        resid_sum += float(resid.sum())
-        # einsum, not BLAS dot: its sum does not depend on the thread count
-        resid_sq += float(np.einsum("i,i->", resid, resid))
+        for center, v, matched, accepted, errors in blocks:
+            n_matched += int(np.count_nonzero(matched))
+            n_accepted += int(np.count_nonzero(accepted))
+            n_errors += int(np.count_nonzero(errors))
+            resid = v - center
+            resid_sum += float(resid.sum())
+            # einsum, not BLAS dot: its sum does not depend on the thread count
+            resid_sq += float(np.einsum("i,i->", resid, resid))
 
     if rounds > 1:
         var_hat = (resid_sq - resid_sum * resid_sum / rounds) / (rounds - 1)
@@ -172,14 +191,16 @@ def compare_analytic(
         "sift": _proportion_z(stats.n_matched, stats.rounds, 0.5)
     }
     analytic = {"sift": 0.5, "noise_var": (1.0 + ch.xi) / 4.0}
-    if empty:
-        analytic["P"] = 0.0
-        analytic["Q"] = None
+    analytic["P"] = 0.0 if empty else ds.P
+    analytic["Q"] = None if empty else ds.Q
+    if not stats.n_matched:
+        # no sifted round: nothing to grade acceptance or errors against
+        z["accept"] = None
+        z["qber"] = None
+    elif empty:
         z["accept"] = 0.0 if stats.n_accepted == 0 else math.inf
         z["qber"] = None
     else:
-        analytic["P"] = ds.P
-        analytic["Q"] = ds.Q
         z["accept"] = _proportion_z(stats.n_accepted, stats.n_matched, ds.P)
         if stats.n_accepted:
             z["qber"] = _proportion_z(stats.n_errors, stats.n_accepted, ds.Q)

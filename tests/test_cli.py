@@ -229,6 +229,19 @@ def test_simulate_zero_rounds_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_without_sifted_round_exit_0(tmp_path, capsys):
+    # two rounds at seed 0 match no basis: nothing to grade, no traceback
+    cfg = write(tmp_path, POINT_CFG)
+    out = tmp_path / "two.json"
+    code = main(["simulate", "--config", cfg, "--rounds", "2", "--seed", "0",
+                 "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["counters"]["n_matched"] == 0
+    assert payload["report"]["z"]["accept"] is None
+    capsys.readouterr()
+
+
 def test_simulate_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     import scw_cvqkd.cli as cli_mod
 

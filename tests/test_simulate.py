@@ -4,6 +4,7 @@ import json
 import math
 import os
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ def test_empty_acceptance_region():
     assert report["z"]["qber"] is None
 
 
+@pytest.mark.parametrize("v_0", [1.6, 60.0])
+def test_no_sifted_round_leaves_acceptance_ungraded(v_0):
+    # what two rounds may give: neither basis matched its pair
+    stats = EmpiricalStats(
+        rounds=2, seed=0, n_matched=0, n_accepted=0, n_errors=0,
+        sift_rate=0.0, accept_rate=None, qber=None,
+        sift_ci=wilson_interval(0, 2), accept_ci=None, qber_ci=None,
+        noise_var_hat=0.3,
+    )
+    report = compare_analytic(stats, tun(v_0=v_0), SYS, CH)
+    assert report["z"]["accept"] is None and report["z"]["qber"] is None
+    assert report["empirical"]["P"] is None
+    assert report["pass"]
+
+
 def test_chunked_run_spans_boundaries():
     stats = simulate_rounds(tun(), SYS, CH, rounds=2_500_000, seed=11)
     assert stats.rounds == 2_500_000
@@ -131,16 +147,21 @@ def test_single_round_edge():
 
 def test_draw_chunk_decisions():
     # every counter of a round follows from its phase, basis and readout;
-    # the phase and basis are the generator's first two draws
+    # the phase and basis are the generator's first two draws, then one
+    # stream of normals however the chunk is cut into blocks
+    size = simulate._BLOCK + 2000
     means = mean_table(tun(), SYS, CH.eta)
-    center, v, matched, accepted, errors = simulate._draw_chunk(
-        np.random.default_rng(9), 2000, means, CH.sigma, 0.2
+    blocks = list(
+        simulate._draw_chunk(np.random.default_rng(9), size, means, CH.sigma, 0.2)
     )
+    assert len(blocks) == 2
+    center, v, matched, accepted, errors = map(np.concatenate, zip(*blocks))
     rng = np.random.default_rng(9)
-    a = rng.integers(0, 4, size=2000)
-    b = rng.integers(0, 2, size=2000)
+    a = rng.integers(0, 4, size=size)
+    b = rng.integers(0, 2, size=size)
     assert set(a.tolist()) == {0, 1, 2, 3} and set(b.tolist()) == {0, 1}
     assert (center == means[a, b]).all()
+    assert (v == center + CH.sigma * rng.standard_normal(size)).all()
     assert (matched == ((a & 1) == b)).all()
     assert (accepted == (matched & (np.abs(v) >= 0.2))).all()
     # the readout sign carries the bit: negative decodes to 1
@@ -172,18 +193,21 @@ def _reference_chunk(rng, size, means, sigma, v_0):
 
 
 def _lean_chunk(rng, size, means, sigma, v_0):
-    # the same five numbers from the chunk simulate_rounds draws
-    center, v, matched, accepted, errors = simulate._draw_chunk(
+    # the same five numbers, summed over the blocks simulate_rounds tallies
+    totals = [0, 0, 0, 0.0, 0.0]
+    for center, v, matched, accepted, errors in simulate._draw_chunk(
         rng, size, means, sigma, v_0
-    )
-    resid = v - center
-    return (
-        int(np.count_nonzero(matched)),
-        int(np.count_nonzero(accepted)),
-        int(np.count_nonzero(errors)),
-        float(resid.sum()),
-        float(np.einsum("i,i->", resid, resid)),
-    )
+    ):
+        resid = v - center
+        parts = (
+            int(np.count_nonzero(matched)),
+            int(np.count_nonzero(accepted)),
+            int(np.count_nonzero(errors)),
+            float(resid.sum()),
+            float(np.einsum("i,i->", resid, resid)),
+        )
+        totals = [t + p for t, p in zip(totals, parts)]
+    return totals
 
 
 def chunk_totals(chunk, rounds, seed):
@@ -199,19 +223,44 @@ def chunk_totals(chunk, rounds, seed):
 
 
 @pytest.mark.parametrize(
-    "seed, rounds", [(seed, 200_000) for seed in range(16)] + [(4, 1_500_000)]
+    "seed, rounds",
+    [(seed, 200_000) for seed in range(16)]
+    + [(4, 1_500_000), (0, 1), (1, 65_537), (3, 200_001)],
 )
 def test_lean_chunk_keeps_every_counter(seed, rounds):
     lean = chunk_totals(_lean_chunk, rounds, seed)
     ref = chunk_totals(_reference_chunk, rounds, seed)
-    # the counters and the residual sum are the same to the bit
-    assert lean[:4] == ref[:4]
-    # and _lean_chunk is what simulate_rounds sums
+    # the counters are the same to the bit
+    assert lean[:3] == ref[:3]
+    # and they are what simulate_rounds counts
     stats = simulate_rounds(tun(), SYS, CH, rounds=rounds, seed=seed)
-    assert (stats.n_matched, stats.n_accepted, stats.n_errors) == tuple(lean[:3])
-    resid_sum, resid_sq = lean[3:]
-    var_hat = (resid_sq - resid_sum * resid_sum / rounds) / (rounds - 1)
-    assert stats.noise_var_hat == var_hat
+    assert (stats.n_matched, stats.n_accepted, stats.n_errors) == tuple(ref[:3])
+    if rounds > 1:
+        # the residual sums are taken block by block, so the variance may
+        # round differently from the reference's, but only in the last bits
+        resid_sum, resid_sq = ref[3:]
+        var_hat = (resid_sq - resid_sum * resid_sum / rounds) / (rounds - 1)
+        assert stats.noise_var_hat == pytest.approx(var_hat, rel=1e-14, abs=0.0)
+    if 1 < rounds <= simulate._CHUNK:
+        # in one chunk simulate_rounds adds the same block sums in the same
+        # order as _lean_chunk, so its variance is the lean one to the bit
+        resid_sum, resid_sq = lean[3:]
+        var_hat = (resid_sq - resid_sum * resid_sum / rounds) / (rounds - 1)
+        assert stats.noise_var_hat == var_hat
+
+
+def test_simulate_rounds_memory_is_bounded():
+    # a chunk is tallied in blocks, and no chunk outlives the next one's draw
+    peaks = {}
+    for rounds in (10**6, 3 * 10**6):
+        tracemalloc.start()
+        try:
+            simulate_rounds(tun(), SYS, CH, rounds=rounds, seed=1)
+            peaks[rounds] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**6] <= 12.0
+    assert peaks[3 * 10**6] <= peaks[10**6] + 1.0
 
 
 _RESID_SQ_CHECK = """
