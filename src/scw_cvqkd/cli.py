@@ -22,6 +22,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys as _sys
 from dataclasses import replace
 
@@ -310,6 +311,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                 tun = optimize_point(ch, cfg.system, bounds=cfg.bounds).params
             except InfeasibleError as exc:
                 print(f"no key at loss={loss_db} dB, xi={xi}: {exc}", file=_sys.stderr)
+                if fh is not None:
+                    # no report to write: leave no empty file behind
+                    fh.close()
+                    os.remove(out)
                 return EXIT_NO_KEY
 
         stats = simulate_rounds(tun, cfg.system, ch, rounds=rounds, seed=seed)

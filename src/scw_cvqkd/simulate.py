@@ -24,9 +24,11 @@ from .optics import SystemParams, TunableParams, matched_means, mean_table
 
 # a chunk fixes the random stream: it draws from its own SeedSequence child
 _CHUNK = 1_000_000
-# rounds per block: the readouts of a chunk are drawn and tallied a block
-# at a time, so memory does not grow with the chunk or the run
-_BLOCK = 1 << 16
+# rounds per block: the phases, bases and readouts of a chunk are read and
+# tallied a block at a time, so memory does not grow with the chunk or the run
+_BLOCK = 1 << 14
+# per flat index (a << 1) | b: whether the basis b matches the pair a & 1
+_MATCHED = np.array([(i >> 1 & 1) == (i & 1) for i in range(8)])
 # the two-sided 95% normal quantile, statistics.NormalDist().inv_cdf(0.975)
 _Z95 = 1.9599639845400536
 
@@ -63,36 +65,89 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _chunk_sizes(rounds: int) -> list[int]:
-    full, rest = divmod(rounds, _CHUNK)
-    return [_CHUNK] * full + ([rest] if rest else [])
+def _twin(bit_generator, outputs: int):
+    """A copy of ``bit_generator`` moved ``outputs`` 64-bit draws on."""
+    twin = type(bit_generator)()
+    twin.state = bit_generator.state
+    # PCG's jump-ahead costs O(log outputs), and it drops any buffered half-word
+    return twin.advance(outputs)
+
+
+def _halves(raw):
+    # the two 32-bit words of each 64-bit output, low half first, as a
+    # 32-bit draw reads them
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def _word_blocks(bit_generator, skip: int, size: int):
+    """Yield words ``skip`` to ``skip + size`` of the 32-bit stream in blocks.
+
+    The words come from a copy of ``bit_generator``, which does not move;
+    a block is ``_BLOCK`` words, the last one the rest.
+    """
+    twin = _twin(bit_generator, skip // 2)
+    # an odd skip starts in the high half of an output
+    left = _halves(twin.random_raw(skip % 2))[skip % 2:]
+    for start in range(0, size, _BLOCK):
+        k = min(_BLOCK, size - start)
+        words = _halves(twin.random_raw((k - left.size + 1) // 2))
+        if left.size:
+            words = np.concatenate((left, words))
+        left = words[k:]
+        yield words[:k]
 
 
 def _draw_chunk(rng, size, means, sigma, v_0):
     """Yield ``(center, v, matched, accepted, errors)`` per block of a chunk.
 
-    The phases and bases of the whole chunk come first in the stream, as
-    one uint8 index ``(a << 1) | b`` into the flat 4x2 mean table; the
-    readouts follow a block at a time from the same generator, which
-    consumes the stream exactly as one draw of ``size`` normals would.
+    ``rng`` is a fresh PCG64 generator, and the chunk reads its stream as
+    three whole draws would: ``integers(0, 4, size)`` phases,
+    ``integers(0, 2, size)`` bases, then ``size`` normals.  Each of the
+    three is read a block at a time from its own place in the stream.  A
+    bounded draw takes one 32-bit word w per round, and numpy's Lemire
+    method gives w >> 30 for range 4 and w >> 31 for range 2, never
+    rejecting, so round j's phase is word j and its basis word
+    ``size + j``.  The normals begin after those ``2 * size`` words, at
+    64-bit output ``size``.  ``rng`` itself is not moved.  The yielded
+    arrays are buffers of the chunk, valid only until the next block is
+    drawn.
     """
-    # uint32 draws the same values as the default int64: one 32-bit word
-    # per round, and ranges 4 and 2 never reject
-    idx = rng.integers(0, 4, size=size, dtype=np.uint32).astype(np.uint8)
-    idx <<= 1
-    idx |= rng.integers(0, 2, size=size, dtype=np.uint32)
+    bit_generator = rng.bit_generator
+    normals = np.random.Generator(_twin(bit_generator, size))
+    n = min(size, _BLOCK)
+    idx = np.empty(n, dtype=np.intp)
+    center, v, scratch = np.empty(n), np.empty(n), np.empty(n)
+    matched, accepted, errors, bit = (np.empty(n, dtype=bool) for _ in range(4))
     flat = means.ravel()
-    for start in range(0, size, _BLOCK):
-        ix = idx[start:start + _BLOCK]
-        center = flat.take(ix)
-        v = center + sigma * rng.standard_normal(ix.size)
-        # the basis is b = ix & 1, and it matches the pair when a & 1 == b
-        matched = ((ix >> 1) & 1) == (ix & 1)
-        accepted = matched & (np.abs(v) >= v_0)
+    blocks = zip(_word_blocks(bit_generator, 0, size),
+                 _word_blocks(bit_generator, size, size))
+    for phase_words, basis_words in blocks:
+        k = phase_words.size
+        if k < n:
+            idx, center, v, scratch = idx[:k], center[:k], v[:k], scratch[:k]
+            matched, accepted, errors, bit = (
+                matched[:k], accepted[:k], errors[:k], bit[:k])
+        # the flat index (a << 1) | b into the 4x2 mean table
+        np.right_shift(phase_words, 30, out=idx)
+        idx <<= 1
+        idx |= np.right_shift(basis_words, 31, out=basis_words)
+        # every index is in range; "wrap" spares take a buffered copy of out
+        flat.take(idx, out=center, mode="wrap")
+        # the basis is b = idx & 1, and it matches the pair when a & 1 == b
+        _MATCHED.take(idx, out=matched, mode="wrap")
+        normals.standard_normal(out=v)
+        v *= sigma
+        v += center
+        np.abs(v, out=scratch)
+        np.greater_equal(scratch, v_0, out=accepted)
+        accepted &= matched
         # readout sign carries the bit: the zero-relative-phase symbol sits
         # at the positive center after calibration, and phases 2 and 3
-        # (ix >= 4) encode bit 1
-        errors = accepted & ((v < 0.0) != (ix >= 4))
+        # (idx >= 4) encode bit 1
+        np.less(v, 0.0, out=errors)
+        np.greater_equal(idx, 4, out=bit)
+        errors ^= bit
+        errors &= accepted
         yield center, v, matched, accepted, errors
 
 
@@ -118,15 +173,18 @@ def simulate_rounds(
         raise DomainError(f"seed must be >= 0, got {seed}")
     means = mean_table(tun, sys, ch.eta)
     sigma = noise_sigma(ch.xi)
-    sizes = _chunk_sizes(rounds)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    root = np.random.SeedSequence(seed)
 
     n_matched = n_accepted = n_errors = 0
     resid_sum = 0.0
     resid_sq = 0.0
-    for size, child in zip(sizes, children):
+    for start in range(0, rounds, _CHUNK):
+        # each chunk's child is spawned as the chunk starts: spawn(1) over
+        # and over gives the children of one spawn(n), none held for long
+        (child,) = root.spawn(1)
         blocks = _draw_chunk(
-            np.random.default_rng(child), size, means, sigma, tun.v_0
+            np.random.default_rng(child), min(_CHUNK, rounds - start),
+            means, sigma, tun.v_0,
         )
         for center, v, matched, accepted, errors in blocks:
             n_matched += int(np.count_nonzero(matched))

@@ -16,14 +16,17 @@ METRICS = [
     {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
 ]
 
-# a stand-in for perfbench/run.py: its metrics are its seed and a constant
+# a stand-in for perfbench/run.py: its metrics are its seed and a constant,
+# and a traced run reports a per-layer count instead
 FAKE_RUN = """
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+metrics = {"ops_per_s": {"value": seed * OPS, "unit": "1/s"},
+           "peak_rss_mb": {"value": RSS, "unit": "MiB"}}
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    metrics = {"simulate.simulate_rounds.calls": {"value": seed, "unit": "count"}}
 print("detail " + json.dumps({"src_sha256": "SIDE"}))
-print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
-    "ops_per_s": {"value": seed * OPS, "unit": "1/s"},
-    "peak_rss_mb": {"value": RSS, "unit": "MiB"}}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 """
 
 
@@ -93,6 +96,25 @@ def test_main_writes_paired_record(tmp_path):
     assert w["runs_correct"] == {"parent": 3, "change": 3}
     assert w["summary"]["ops_per_s"]["change"]["median"] == 22.0
     assert w["summary"]["peak_rss_mb"]["change_better"] == 3
+
+
+def test_main_records_one_traced_run_per_side(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 1.0, 80.0)
+    change = fake_checkout(tmp_path / "change", 2.0, 40.0)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--workload", "w",
+        "--workload", "v", "--pairs", "2", "--seed-base", "5", "--out", str(out),
+    ])
+    assert code == 0
+    for w in json.loads(out.read_text())["workloads"].values():
+        # the pairs stay untraced, and each side gets one traced run
+        assert w["summary"]["ops_per_s"]["pairs"] == 2
+        assert w["runs_correct"] == {"parent": 2, "change": 2}
+        for side in ("parent", "change"):
+            traced = w["traced"][side]
+            assert traced["correct"] is True and traced["src_sha256"] == side
+            assert traced["metrics"] == {"simulate.simulate_rounds.calls": 5}
 
 
 def test_main_rejects_a_directory_without_the_benchmark(tmp_path, capsys):

@@ -242,6 +242,16 @@ def test_simulate_without_sifted_round_exit_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_no_key_leaves_no_output(tmp_path, capsys):
+    # the optimizer finds no key at 30 dB: exit 2 and no empty JSON file
+    out = tmp_path / "x.json"
+    code = main(["simulate", "--loss-db", "30", "--xi", "0.1", "--rounds", "1000",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "no key" in capsys.readouterr().err
+
+
 def test_simulate_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     import scw_cvqkd.cli as cli_mod
 

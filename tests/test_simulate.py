@@ -148,25 +148,30 @@ def test_single_round_edge():
 def test_draw_chunk_decisions():
     # every counter of a round follows from its phase, basis and readout;
     # the phase and basis are the generator's first two draws, then one
-    # stream of normals however the chunk is cut into blocks
-    size = simulate._BLOCK + 2000
+    # stream of normals however the chunk is cut into blocks; an odd size
+    # starts the bases in the high half of a 64-bit output
     means = mean_table(tun(), SYS, CH.eta)
-    blocks = list(
-        simulate._draw_chunk(np.random.default_rng(9), size, means, CH.sigma, 0.2)
-    )
-    assert len(blocks) == 2
-    center, v, matched, accepted, errors = map(np.concatenate, zip(*blocks))
-    rng = np.random.default_rng(9)
-    a = rng.integers(0, 4, size=size)
-    b = rng.integers(0, 2, size=size)
-    assert set(a.tolist()) == {0, 1, 2, 3} and set(b.tolist()) == {0, 1}
-    assert (center == means[a, b]).all()
-    assert (v == center + CH.sigma * rng.standard_normal(size)).all()
-    assert (matched == ((a & 1) == b)).all()
-    assert (accepted == (matched & (np.abs(v) >= 0.2))).all()
-    # the readout sign carries the bit: negative decodes to 1
-    assert (errors == (accepted & ((v < 0.0) != (a >> 1 == 1)))).all()
-    assert accepted.any() and errors.any()
+    for size, n_blocks in ((simulate._BLOCK + 2000, 2), (2 * simulate._BLOCK + 3, 3)):
+        # a block is valid until the next one is drawn, so keep a copy of each
+        blocks = [
+            [arr.copy() for arr in block]
+            for block in simulate._draw_chunk(
+                np.random.default_rng(9), size, means, CH.sigma, 0.2
+            )
+        ]
+        assert len(blocks) == n_blocks
+        center, v, matched, accepted, errors = map(np.concatenate, zip(*blocks))
+        rng = np.random.default_rng(9)
+        a = rng.integers(0, 4, size=size)
+        b = rng.integers(0, 2, size=size)
+        assert set(a.tolist()) == {0, 1, 2, 3} and set(b.tolist()) == {0, 1}
+        assert (center == means[a, b]).all()
+        assert (v == center + CH.sigma * rng.standard_normal(size)).all()
+        assert (matched == ((a & 1) == b)).all()
+        assert (accepted == (matched & (np.abs(v) >= 0.2))).all()
+        # the readout sign carries the bit: negative decodes to 1
+        assert (errors == (accepted & ((v < 0.0) != (a >> 1 == 1)))).all()
+        assert accepted.any() and errors.any()
 
 
 def _reference_chunk(rng, size, means, sigma, v_0):
@@ -213,7 +218,8 @@ def _lean_chunk(rng, size, means, sigma, v_0):
 def chunk_totals(chunk, rounds, seed):
     """Sum ``chunk`` over the chunks and seed streams of simulate_rounds."""
     means = mean_table(tun(), SYS, CH.eta)
-    sizes = simulate._chunk_sizes(rounds)
+    full, rest = divmod(rounds, simulate._CHUNK)
+    sizes = [simulate._CHUNK] * full + ([rest] if rest else [])
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     totals = [0, 0, 0, 0.0, 0.0]
     for size, child in zip(sizes, children):
@@ -225,7 +231,8 @@ def chunk_totals(chunk, rounds, seed):
 @pytest.mark.parametrize(
     "seed, rounds",
     [(seed, 200_000) for seed in range(16)]
-    + [(4, 1_500_000), (0, 1), (1, 65_537), (3, 200_001)],
+    + [(4, 1_500_000), (0, 1), (1, 65_537), (3, 200_001)]
+    + [(2, 16_383), (5, 16_385), (6, 1_000_003)],
 )
 def test_lean_chunk_keeps_every_counter(seed, rounds):
     lean = chunk_totals(_lean_chunk, rounds, seed)
@@ -259,8 +266,23 @@ def test_simulate_rounds_memory_is_bounded():
             peaks[rounds] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    assert peaks[10**6] <= 12.0
+    assert peaks[10**6] <= 2.5
     assert peaks[3 * 10**6] <= peaks[10**6] + 1.0
+
+
+def test_chunk_seeds_are_spawned_as_chunks_start(monkeypatch):
+    # a run holds one chunk's seed at a time, however many chunks it has
+    monkeypatch.setattr(simulate, "_CHUNK", 50)
+    simulate_rounds(tun(), SYS, CH, rounds=1000, seed=1)
+    peaks = {}
+    for chunks in (20, 2000):
+        tracemalloc.start()
+        try:
+            simulate_rounds(tun(), SYS, CH, rounds=chunks * 50, seed=1)
+            peaks[chunks] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= peaks[20] + 0.2
 
 
 _RESID_SQ_CHECK = """

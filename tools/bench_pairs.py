@@ -7,18 +7,21 @@ Each pair runs ``perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0`` once from each checkout, one after the other, both with the
 same seed; ``T`` is the ``run_seconds`` of the change's ``BENCHMARK.json``.
 Pair 0 runs the parent first, pair 1 the change first, and so on, so a
-drift of the machine's speed does not favour one side.  Each run
-is the checkout's own copy of ``perfbench/run.py``, started with this
-interpreter from the checkout's root; nothing under ``perfbench/`` is
-edited.  ``--workload`` may be given more than once; the pairs of one
-workload finish before the next workload starts.
+drift of the machine's speed does not favour one side.  After its pairs,
+each workload gets one ``--trace 1`` run per side, seed ``S``, for the
+per-layer metrics.  Each run is the checkout's own copy of
+``perfbench/run.py``, started with this interpreter from the checkout's
+root; nothing under ``perfbench/`` is edited.  ``--workload`` may be given
+more than once; the pairs of one workload finish before the next
+workload starts.
 
 ``FILE`` is rewritten after every pair, so an interrupted session keeps
 the pairs it finished.  It holds, per workload, every run's metrics and
 verdict, the number of each side's runs that were ``correct``, and, per
 end-to-end metric of the change's ``BENCHMARK.json``, each side's first
 quartile, median and third quartile, the number of pairs in which the
-change is better, and the median per-pair ratio change / parent.  It also
+change is better, and the median per-pair ratio change / parent; and
+each side's traced run, with its verdict and per-layer metrics.  It also
 records both checkouts' git shas (and whether their trees differ from
 them), the source digest each run reports, and the Python and numpy
 versions and CPU count of the machine.
@@ -84,10 +87,11 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run from ``root``; its verdict and metrics."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                           timeout=seconds + 300)
     lines = proc.stdout.strip().splitlines()
@@ -175,6 +179,13 @@ def main(argv=None) -> int:
             record["workloads"][workload]["runs_correct"] = {
                 side: sum(p[side].get("correct") is True for p in pairs)
                 for side in SIDES}
+            args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        traced = record["workloads"][workload]["traced"] = {}
+        for side in SIDES:
+            traced[side] = run_once(roots[side], workload, args.seed_base, seconds,
+                                    trace=1)
+            print(f"{workload} traced {side}: correct={traced[side].get('correct')}",
+                  file=sys.stderr)
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
