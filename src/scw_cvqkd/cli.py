@@ -156,18 +156,27 @@ def _report_row(report: KeyRateReport) -> list[str]:
     ]
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
     """Open an output file for writing; an unwritable path is a usage error.
 
     Commands open ``--out`` before computing, so a bad path costs nothing;
-    no path (no file) yields a context that produces ``None``.
+    no path (no file) yields ``None``.  When the block raises, the file
+    is removed: a command that fails leaves no empty or partial output.
     """
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
+            yield fh
+    except Exception:
+        os.remove(path)
+        raise
 
 
 def _write_csv(fh, reports: list[KeyRateReport]) -> None:
@@ -307,16 +316,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         if cfg.tunables is not None:
             tun = cfg.tunables.resolve(cfg.system)
         else:
-            try:
-                tun = optimize_point(ch, cfg.system, bounds=cfg.bounds).params
-            except InfeasibleError as exc:
-                print(f"no key at loss={loss_db} dB, xi={xi}: {exc}", file=_sys.stderr)
-                if fh is not None:
-                    # no report to write: leave no empty file behind
-                    fh.close()
-                    os.remove(out)
-                return EXIT_NO_KEY
-
+            # no key raises InfeasibleError: exit 2, and _open_out removes the file
+            tun = optimize_point(ch, cfg.system, bounds=cfg.bounds).params
         stats = simulate_rounds(tun, cfg.system, ch, rounds=rounds, seed=seed)
         report = compare_analytic(stats, tun, cfg.system, ch)
         payload = {
@@ -451,6 +452,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
+    except InfeasibleError as exc:
+        # only simulate lets it through, with no report to write
+        print(f"no key: {exc}", file=_sys.stderr)
+        return EXIT_NO_KEY
     except (InternalError, NoRootError, MismatchError) as exc:
         # a numerical or statistical check failed, not the user's input
         print(f"error: {exc}", file=_sys.stderr)

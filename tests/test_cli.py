@@ -252,6 +252,28 @@ def test_simulate_no_key_leaves_no_output(tmp_path, capsys):
     assert "no key" in capsys.readouterr().err
 
 
+FAILING_FK_CFG = "[finitekey]\nk_sample = 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text, code",
+    [
+        # k_sample above the block size: a configuration error
+        (["keyrate", "--n", "100"], FAILING_FK_CFG, 1),
+        (["sweep", "--n", "100"], FAILING_FK_CFG + "\n[sweep]\nloss_grid = 1 2\n", 1),
+        # 45 degrees has no calibration root: a failed numerical check
+        (["keyrate"], "[tunables]\nmu_0 = 1\nbeta_A_deg = 45\nv_0 = 0.1\n", 3),
+    ],
+    ids=["keyrate-k-sample", "sweep-k-sample", "keyrate-no-root"],
+)
+def test_failed_command_leaves_no_output(argv, cfg_text, code, tmp_path, capsys):
+    # the command fails after opening --out: the file it created is removed
+    cfg = write(tmp_path, cfg_text)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_simulate_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     import scw_cvqkd.cli as cli_mod
 

@@ -2,8 +2,11 @@
 
 perfbench/ reaches the package by name: its tracer wraps the functions
 listed in ``TARGETS`` with ``getattr``, and its scripts import names from
-the package.  A name deleted here would fail only in a benchmark run, so
-this test reads those names from the harness's source and resolves each.
+the package.  Its own tests also assert that the tracer patches some
+modules' bindings of those functions, so each such binding must hold the
+very function its defining module defines.  A name deleted here would
+fail only in a benchmark run, so this test reads those names from the
+harness's source and resolves each.
 
 The package imports a public name's module on first access, so each name
 is also checked against the module that defines it.
@@ -42,9 +45,34 @@ def _imported_names():
     return sorted(found)
 
 
+def _patched_bindings():
+    """(module, name) of every ``(module, name) in replaced`` that
+    perfbench/test_perfbench.py asserts: bindings the tracer must patch."""
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], ast.In)
+            and isinstance(node.comparators[0], ast.Name)
+            and node.comparators[0].id == "replaced"
+        ):
+            found.add(ast.literal_eval(node.left))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("module, name", _tracer_targets())
 def test_tracer_targets_resolve(module, name):
     assert callable(getattr(importlib.import_module(f"scw_cvqkd.{module}"), name))
+
+
+@pytest.mark.parametrize("module, name", _patched_bindings())
+def test_patched_binding_is_its_defining_modules(module, name):
+    # the tracer patches a module attribute only if it holds the very
+    # function that a TARGETS entry names in its defining module
+    (defining,) = [mod for mod, fn in _tracer_targets() if fn == name]
+    original = getattr(importlib.import_module(f"scw_cvqkd.{defining}"), name)
+    assert getattr(importlib.import_module(module), name) is original
 
 
 @pytest.mark.parametrize("module, name", _imported_names())

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,25 +406,43 @@ def _nodes(block):
     return (0.5 * (hi + block.v_0))[:, None] + block.half[:, None] * leggauss(48)[0]
 
 
-def test_fused_profiles_match_reference():
-    # random blocks of calibrated points, each with its own loss and noise,
-    # at solved and at random thresholds: every row takes the fused node
-    # stage, and its 1 - g, e and h(e) agree with erasure_error_profiles
-    # and the reference entropy at the same nodes
-    rng = np.random.default_rng(21)
-    n_rows = 400
+# the channel of the uncalibrated rows below
+_REF_CH = ChannelModel(loss_db=1.0, xi=0.05)
+
+
+def _calibrated_symbols(rng, n_rows):
+    """Symbols of random calibrated points, each with its own loss and noise."""
     beta_A = rng.uniform(1.0, 1.45, n_rows)
     delta = np.array([calibrate_delta(float(b), SYS) for b in beta_A])
     mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, n_rows)
     eta = 10.0 ** (-rng.uniform(0.0, 12.0, n_rows) / 10.0)
     xi = rng.choice([0.0, 0.05, 0.1, 0.2, 0.3], n_rows)
-    symbols = symbol_block(mu_0, beta_A, delta, eta, xi, SYS)
-    v_hi = 6.0 * symbols.sigma
-    solved = security.asymptotic_threshold(symbols, 0.0, v_hi)
-    random = rng.uniform(size=n_rows) * v_hi
-    v_0 = np.where(rng.uniform(size=n_rows) < 0.5, solved, random)
-    block = symbols.at(v_0)
-    assert block.fused.all()
+    return symbol_block(mu_0, beta_A, delta, eta, xi, SYS)
+
+
+def _straddling_points():
+    """Uncalibrated points (delta 0.5-2x its root) at v_0 = 0.05, many of whose
+    accepted regions straddle the means' midpoint."""
+    return [
+        TunableParams(
+            mu_0=1.0, beta_A=beta_A, delta=factor * calibrate_delta(beta_A, SYS),
+            v_0=0.05,
+        )
+        for beta_A in (0.3, 0.8, 1.2)
+        for factor in (0.5, 0.7, 0.9, 1.2, 1.5, 2.0)
+    ]
+
+
+def _take(symbols, rows):
+    """The symbol block of ``rows`` alone."""
+    return replace(symbols, **{
+        name: value[rows] for name, value in vars(symbols).items()
+        if isinstance(value, np.ndarray)
+    })
+
+
+def _assert_matches_reference(block):
+    xi = np.broadcast_to(block.xi, block.v_0.shape)
     one_minus_g, e = erasure_error_profiles(
         _nodes(block), block.mean_plus[:, None], block.mean_minus[:, None], xi[:, None]
     )
@@ -431,6 +450,78 @@ def test_fused_profiles_match_reference():
     np.testing.assert_allclose(block.e, e, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
         block.entropy(), security._entropy_bits(e), rtol=0.0, atol=1e-13
+    )
+
+
+def test_node_profiles_match_reference():
+    # 1 - g, e and h(e) of the one node stage agree with
+    # erasure_error_profiles and the reference entropy at the same nodes:
+    # on random calibrated rows at solved and at random thresholds, on the
+    # same rows with their means swapped, on one row with d > 700, and on
+    # uncalibrated rows whose accepted regions straddle the means' midpoint
+    rng = np.random.default_rng(21)
+    n_rows = 400
+    symbols = _calibrated_symbols(rng, n_rows)
+    v_hi = 6.0 * symbols.sigma
+    solved = security.asymptotic_threshold(symbols, 0.0, v_hi)
+    random = rng.uniform(size=n_rows) * v_hi
+    v_0 = np.where(rng.uniform(size=n_rows) < 0.5, solved, random)
+    _assert_matches_reference(symbols.at(v_0))
+
+    swapped = replace(
+        symbols, mean_plus=symbols.mean_minus, mean_minus=symbols.mean_plus
+    )
+    block = swapped.at(v_0)
+    assert (block.e > 0.5).any()
+    _assert_matches_reference(block)
+    # ordered means far above the threshold: d > 700 at the lowest nodes,
+    # where exp(d) would overflow
+    block = replace(
+        _take(symbols, [0]), mean_plus=np.array([30.0]), mean_minus=np.array([20.0])
+    ).at(np.zeros(1))
+    assert block.e[0, 0] > 0.5 > block.e[0, -1]
+    _assert_matches_reference(block)
+
+    points = _straddling_points()
+    straddling = symbol_block(
+        *([getattr(t, name) for t in points] for name in ("mu_0", "beta_A", "delta")),
+        _REF_CH.eta, _REF_CH.xi, SYS,
+    )
+    v_0 = np.array([t.v_0 for t in points])
+    block = straddling.at(v_0)
+    midpoint = 0.5 * (block.mean_plus + block.mean_minus)
+    assert np.count_nonzero(_nodes(block)[:, 0] < midpoint) >= 6
+    assert (block.e > 0.5).any()
+    _assert_matches_reference(block)
+    # each row alone, as the N=1 rate functions form it
+    for i in range(v_0.size):
+        _assert_matches_reference(_take(straddling, [i]).at(v_0[[i]]))
+
+
+def test_general_node_formula_keeps_the_bits_of_rows_it_may_skip():
+    # where no node of a block has d > 0 the node stage skips its d > 0
+    # branches; beside a row that needs them (here the first row with its
+    # means swapped) the other rows take the general formula, and it gives
+    # them the same bits
+    rng = np.random.default_rng(5)
+    symbols = _calibrated_symbols(rng, 64)
+    v_0 = security.asymptotic_threshold(symbols, 0.0, 6.0 * symbols.sigma)
+    rows = np.r_[np.arange(64), 0]
+    together = replace(
+        _take(symbols, rows),
+        mean_plus=np.r_[symbols.mean_plus, symbols.mean_minus[0]],
+        mean_minus=np.r_[symbols.mean_minus, symbols.mean_plus[0]],
+    ).at(v_0[rows])
+    alone = symbols.at(v_0)
+    assert (alone.e <= 0.5).all()
+    assert (together.e[-1] > 0.5).all()
+    for name in ("one_minus_g", "e", "minor", "ratio", "log_ratio"):
+        np.testing.assert_array_equal(
+            getattr(together, name)[:-1], getattr(alone, name)
+        )
+    np.testing.assert_array_equal(together.entropy()[:-1], alone.entropy())
+    np.testing.assert_array_equal(
+        asymptotic_rates(together)[:-1], asymptotic_rates(alone)
     )
 
 
@@ -470,25 +561,36 @@ def _reference_rates(t, ch, fk=None, ec_mode="pointwise"):
     return float(np.where(abort | (raw <= 0.0), 0.0, raw)[0])
 
 
-def test_unordered_rows_keep_reference_arithmetic():
-    # with m- > m+ the fused node stage does not apply; such a point,
-    # reachable through the N=1 rate functions with an uncalibrated delta,
-    # gets the reference arithmetic bit for bit (its finite rates abort:
-    # e(v) > 1/2 past the midpoint, where the pointwise charge saturates)
-    ch = ChannelModel(loss_db=1.0, xi=0.05)
+def _assert_reference_rates(t):
+    """N=1 asymptotic, pointwise and block rates of ``t`` at _REF_CH within
+    1e-13 relative of the reference route; returns the asymptotic rate."""
     fk = FiniteKeyParams(n=10**10)
+    rate = asymptotic_key_rate(t, SYS, _REF_CH).rate
+    assert rate == pytest.approx(_reference_rates(t, _REF_CH), rel=1e-13, abs=0.0)
+    for mode in ("pointwise", "block"):
+        assert finite_key_rate(t, SYS, _REF_CH, fk, mode).rate == pytest.approx(
+            _reference_rates(t, _REF_CH, fk, mode), rel=1e-13, abs=0.0
+        )
+    return rate
+
+
+def test_unordered_rows_keep_reference_arithmetic():
+    # a point with m- > m+, reachable through the N=1 rate functions with an
+    # uncalibrated delta, gets the reference rate up to rounding (its
+    # finite rates abort: e(v) > 1/2 past the midpoint, where the
+    # pointwise charge saturates)
     for beta_A, delta, v_0 in ((0.2, 2.9, 0.3), (0.6, 2.9, 0.0), (0.2, 2.5, 1.1)):
         t = TunableParams(mu_0=2.0, beta_A=beta_A, delta=delta, v_0=v_0)
-        plus, minus = matched_means(t, SYS, ch.eta)
+        plus, minus = matched_means(t, SYS, _REF_CH.eta)
         assert minus > plus
-        assert not security.point_block(t, SYS, ch).fused[0]
-        rate = asymptotic_key_rate(t, SYS, ch).rate
-        assert rate > 0.0
-        assert rate == _reference_rates(t, ch)
-        for mode in ("pointwise", "block"):
-            assert finite_key_rate(t, SYS, ch, fk, mode).rate == _reference_rates(
-                t, ch, fk, mode
-            )
+        assert _assert_reference_rates(t) > 0.0
+
+
+def test_straddling_rows_keep_reference_rates():
+    # uncalibrated points whose accepted regions straddle the means'
+    # midpoint: their N=1 rates match the reference route up to rounding
+    rates = [_assert_reference_rates(t) for t in _straddling_points()]
+    assert max(rates) > 0.0
 
 
 def test_empty_rows_are_found_without_their_masses():
