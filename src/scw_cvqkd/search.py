@@ -1,36 +1,36 @@
 """Key-rate maximization over protocol knobs, and loss-grid sweeps.
 
 The decision variables are the carrier photon number (searched in log
-space), Alice's modulation angle, and the post-selection threshold in
-readout-sigma units.  The modulation-depth ratio delta is never free: it
+space), Alice's modulation angle, and the post-selection threshold, boxed
+in readout-sigma units.  The modulation-depth ratio delta is never free: it
 is re-derived from the calibration condition at every angle, and
 finite-block searches charge the configured parameter-estimation count.
 
-The threshold is not searched in asymptotic and pointwise finite mode:
-the rate's derivative in v_0 is minus the secret fraction at v_0, so the
-kernel sets v_0 where that fraction crosses zero, clipped to the box
+The threshold is never searched: the kernel solves for it.  The
+asymptotic and pointwise finite rates' derivative in v_0 is minus the
+secret fraction at v_0, so v_0 sits where that fraction crosses zero
 (:func:`security.asymptotic_threshold`,
 :func:`finitekey.pointwise_threshold`).  Block ``ec_mode`` charges a flat
-h(Q + dQ) that moves with v_0, so there the threshold stays the last
-search coordinate.
+ceil(n f_EC h(Q + dQ))/n that moves with v_0; its threshold is the left
+end of the syndrome step that holds the peak of the rate without the ceil
+(:func:`finitekey.block_threshold`), all clipped to the box.
 
 At S=1 the rate depends on photon number and angle only through
-m = mu_0 sin^2(beta_A), so the search runs over log10 m (and v_0/sigma
-in block mode) and decodes every point to the canonical point of its
-ridge: the largest in-box angle that has a calibration root, lowered
-where the photon number m / sin^2(beta_A) would fall below its bound.
-For S>1 it runs over (log10 mu_0, beta_A[, v_0/sigma]) itself.
+m = mu_0 sin^2(beta_A), so the search runs over log10 m and decodes
+every point to the canonical point of its ridge: the largest in-box
+angle that has a calibration root, lowered where the photon number
+m / sin^2(beta_A) would fall below its bound.  For S>1 it runs over
+(log10 mu_0, beta_A) itself.
 
 The search is a deterministic two-stage scheme: a fixed coarse grid, 64
-points in one coordinate or 12 x 8 in two (64 x 9 and 12 x 8 x 9 with
-the threshold axis), scored as one kernel block, picks a start; grid ties
-go to the first point in axis order, so the smaller m or photon number
-wins.  A bounded Newton descent then refines the start.  The stencil of
-a point is 5, 11 or 19 points in one, two or three coordinates: the
-point, a central-difference pair on each axis for the gradient, and a
-curvature stencil of axis and diagonal pairs, whose axis pairs also
-cancel the gradient's h^2 error.  The start's stencil is one kernel
-block.  Each line search is one block of 12, 18 or 26 points: 8
+points in one coordinate or 12 x 8 in two, scored as one kernel block,
+picks a start; grid ties go to the first point in axis order, so the
+smaller m or photon number wins.  A bounded Newton descent then refines
+the start.  The stencil of a point is 5 or 11 points in one or two
+coordinates: the point, a central-difference pair on each axis for the
+gradient, and a curvature stencil of axis and diagonal pairs, whose axis
+pairs also cancel the gradient's h^2 error.  The start's stencil is one
+kernel block.  Each line search is one block of 12 or 18 points: 8
 halvings of the step and the stencil at the full step, so a full step
 that wins needs no further call; a shorter winner has its stencil scored
 in a block of its own.  When no Newton trial decreases, a steepest-descent
@@ -67,6 +67,7 @@ from .config import _EC_MODES, Bounds, FiniteKeyParams
 from .errors import DomainError, InfeasibleError, ScwError
 from .finitekey import (
     _fixed_charge,
+    block_threshold,
     finite_rates,
     pointwise_threshold,
 )
@@ -80,14 +81,12 @@ from .security import (
     symbol_block,
 )
 
-# coarse-grid resolution per axis over (log10 mu_0, beta_A, v_0/sigma);
-# the last axis is dropped where the threshold is solved for
-_GRID_SHAPE = (12, 8, 9)
-# coarse-grid resolution per axis over (log10 m, v_0/sigma) at S=1, the
-# last axis again dropped where the threshold is solved for: 0.095
-# decades in m on the default box; 24 rows miss feasible pockets near the
-# cutoff (0.085 decades wide at 9 dB, xi=0.1) that 64 rows find
-_RIDGE_GRID_SHAPE = (64, 9)
+# coarse-grid resolution per axis over (log10 mu_0, beta_A)
+_GRID_SHAPE = (12, 8)
+# coarse-grid resolution over log10 m at S=1: 0.095 decades in m on the
+# default box; 24 rows miss feasible pockets near the cutoff (0.085
+# decades wide at 9 dB, xi=0.1) that 64 rows find
+_RIDGE_GRID_SHAPE = (64,)
 # central-difference step of the refinement gradient, as a fraction of
 # each box width
 _STEP = 1e-5
@@ -128,12 +127,11 @@ class OptimumPoint:
     """Best parameters found for one channel point and the rate there.
 
     ``evaluations`` counts kernel points scored: the coarse grid (64
-    points over log10 m at S=1, 96 over (log10 mu_0, beta_A) otherwise;
-    576 and 864 in block ``ec_mode``, which adds the v_0/sigma axis), then
-    one stencil for the refinement's start (5, 11 or 19 points in one, two
-    or three coordinates), 12, 18 or 26 per line search (8 halvings and the
-    stencil at the full step) and another stencil for each step that wins
-    shorter than full.  The rate, parameters and chi are those of the
+    points over log10 m at S=1, 96 over (log10 mu_0, beta_A) otherwise),
+    then one stencil for the refinement's start (5 or 11 points in one or
+    two coordinates), 12 or 18 per line search (8 halvings and the stencil
+    at the full step) and another stencil for each step that wins shorter
+    than full.  The rate, parameters and chi are those of the
     kernel row that scored the optimum, and Q and P are formed from that
     row's threshold and symbol means; the one-point rate functions at
     ``params`` reproduce them.
@@ -193,33 +191,34 @@ class KeyRateReport:
     status: str
 
 
-def _threshold(symbols: SymbolBlock, fk, fixed, bounds: Bounds):
+def _threshold(symbols: SymbolBlock, fk, ec_mode, n, fixed, bounds: Bounds):
     """The best thresholds of a symbol block in the box: asymptotic, or
-    pointwise finite with the rows' fixed charges ``fixed`` (see
-    :func:`finitekey._fixed_charge`)."""
+    finite in ``ec_mode`` with the rows' block sizes ``n`` and fixed
+    charges ``fixed`` (see :func:`finitekey._fixed_charge`)."""
     v_lo, v_hi = (b * symbols.sigma for b in bounds.v_0_sigmas)
     if fk is None:
         return asymptotic_threshold(symbols, v_lo, v_hi)
+    if ec_mode == "block":
+        return block_threshold(symbols, fk, v_lo, v_hi, n=n, fixed=fixed)
     return pointwise_threshold(symbols, fk, v_lo, v_hi, fixed=fixed)
 
 
 def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     """Rates of decision vectors, as one kernel block, and a record of each row.
 
-    Rows are (log10 mu_0, beta_A, v_0/sigma), or (log10 mu_0, beta_A) where
-    the threshold is solved for (see :func:`_threshold`); ``eta``, ``xi``
-    and ``n`` hold each row's transmittance, excess noise and block size,
-    the last two as an array or as one value for all rows (``fk`` sets
-    every other finite-key setting; ``n`` is None when ``fk`` is).  Returns
-    the rates and a record of each row, an (N, 8) array of its working
-    point, threshold and what its report is formed from: mu_0, beta_A,
-    delta, v_0, sigma, m+, m- and chi.  A row's values do not depend on the
-    other rows.  Each distinct angle is calibrated
-    once and the symbol means and chi are formed once for every row.  A
-    row scores -inf, with a NaN record, where its angle has no calibration
-    root; it scores -inf where its symbol means are degenerate, and where
-    they are not ordered (m+ <= m-), since the threshold rule rests on
-    m+ > m-.
+    Rows are (log10 mu_0, beta_A), and the kernel sets each row's
+    threshold (see :func:`_threshold`); ``eta``, ``xi`` and ``n`` hold
+    each row's transmittance, excess noise and block size, the last two as
+    an array or as one value for all rows (``fk`` sets every other
+    finite-key setting; ``n`` is None when ``fk`` is).  Returns the rates
+    and a record of each row, an (N, 8) array of its working point,
+    threshold and what its report is formed from: mu_0, beta_A, delta, v_0,
+    sigma, m+, m- and chi.  A row's values do not depend on the other rows.
+    Each distinct angle is calibrated once and the symbol means and chi
+    are formed once for every row.  A row scores -inf, with a NaN record,
+    where its angle has no calibration root; it scores -inf where its
+    symbol means are degenerate, and where they are not ordered
+    (m+ <= m-), since the threshold rules rest on m+ > m-.
     """
     angles, inverse = _distinct(points[:, 1])
     roots = np.full(angles.size, math.nan)
@@ -242,10 +241,7 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
     # formed once for the threshold and the rates alike
     fixed = None if fk is None else _fixed_charge(symbols.chi, fk, fk.k_sample, n)
-    if points.shape[1] == 3:
-        v_0 = points[:, 2] * symbols.sigma
-    else:
-        v_0 = _threshold(symbols, fk, fixed, bounds)
+    v_0 = _threshold(symbols, fk, ec_mode, n, fixed, bounds)
     block = symbols.at(v_0)
     if fk is None:
         scored = asymptotic_rates(block)
@@ -289,7 +285,7 @@ def _top_angle(bounds: Bounds, sys: SystemParams) -> float:
     return lo
 
 
-def _search_space(bounds: Bounds, sys: SystemParams, v_axis: bool):
+def _search_space(bounds: Bounds, sys: SystemParams):
     """Search box (lo, hi), grid shape and decoder to decision vectors.
 
     At S=1 the search runs over log10 m with m = mu_0 sin^2(beta_A), the
@@ -299,8 +295,7 @@ def _search_space(bounds: Bounds, sys: SystemParams, v_axis: bool):
     mu_0 = m / sin^2(beta_A), both clipped to the box, with beta_top from
     :func:`_top_angle`.
     Otherwise the search runs over (log10 mu_0, beta_A) and the decoder is
-    the identity.  With ``v_axis`` a last coordinate v_0/sigma is searched
-    too and passed through as the decision vector's third entry.
+    the identity.
     """
     if sys.S != 1:
         lo = [math.log10(bounds.mu_0[0]), bounds.beta_A[0]]
@@ -322,13 +317,8 @@ def _search_space(bounds: Bounds, sys: SystemParams, v_axis: bool):
             beta = np.arcsin(np.sqrt(np.minimum(1.0, m / mu_lo)))
             beta = np.clip(beta, beta_lo, beta_top)
             mu_0 = np.clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
-            return np.column_stack([np.log10(mu_0), beta, points[:, 1:]])
+            return np.column_stack([np.log10(mu_0), beta])
 
-    if v_axis:
-        lo.append(bounds.v_0_sigmas[0])
-        hi.append(bounds.v_0_sigmas[1])
-    else:
-        shape = shape[:-1]
     return np.array(lo), np.array(hi), shape, decode
 
 
@@ -337,7 +327,7 @@ def _stencil(dim: int) -> np.ndarray:
     """Curvature stencil in units of _CURVE_STEP.
 
     An axis pair per coordinate (all + rows, then all - rows), then a pair
-    along each diagonal of two coordinates: 6 rows in 2-D, 12 in 3-D.
+    along each diagonal of two coordinates: 2 rows in 1-D, 6 in 2-D.
     """
     i, j = np.triu_indices(dim, 1)
     diagonals = np.eye(dim)[i] + np.eye(dim)[j]
@@ -586,8 +576,7 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     outcome equals the one its pair gets alone.
     """
     fk = problems[0][1]
-    v_axis = fk is not None and ec_mode == "block"
-    lo, hi, shape, decode = _search_space(bounds, sys, v_axis)
+    lo, hi, shape, decode = _search_space(bounds, sys)
     eta = np.array([ch.eta for ch, _ in problems])
     xi = _shared_or_each([ch.xi for ch, _ in problems])
     n = None if fk is None else _shared_or_each([f.n for _, f in problems])
@@ -622,10 +611,8 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
         if rates[best] > 0.0:
             grid_best[k] = points[best], float(rates[best]), record[best]
             continue
-        vector = decode(points[best][None])[0]
-        if not v_axis:
-            _, _, _, v_0, sigma, *_ = record[best]
-            vector = np.append(vector, v_0 / sigma)
+        _, _, _, v_0, sigma, *_ = record[best]
+        vector = np.append(decode(points[best][None])[0], v_0 / sigma)
         ch = problems[k][0]
         outcomes[k] = InfeasibleError(
             f"no positive rate on the {rates.size}-point coarse grid at "
@@ -698,14 +685,13 @@ def optimize_point(
     descent (see :func:`_refine`).  At S=1 both run over log10 m and every
     point decodes to the canonical (mu_0, beta_A) of its equal-rate curve;
     otherwise they run over (log10 mu_0, beta_A) (see
-    :func:`_search_space`).  The kernel sets each point's threshold (see
-    :func:`_kernel`), except in block ``ec_mode``, where v_0/sigma is a
-    last search coordinate.  Each line search scores one kernel block: the
-    halvings of the step and the gradient and curvature stencil at the
-    full step, with central differences that turn one-sided where a pair
-    meets a face or a point without a calibration root.  Deterministic: no
-    randomness enters at any stage.  This is the one-channel case of a
-    sweep's lockstep search (:func:`_optimize_group`).
+    :func:`_search_space`).  The kernel sets each point's threshold in
+    every mode (see :func:`_threshold`).  Each line search scores one
+    kernel block: the halvings of the step and the gradient and curvature
+    stencil at the full step, with central differences that turn one-sided
+    where a pair meets a face or a point without a calibration root.
+    Deterministic: no randomness enters at any stage.  This is the
+    one-channel case of a sweep's lockstep search (:func:`_optimize_group`).
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.

@@ -32,7 +32,8 @@ stages instead of searching it: e(v) falls as v rises, the secret
 fraction at v then rises, and the rate, its integral from v_0 up, peaks
 where the fraction crosses zero: post-selection keeps exactly the
 readouts with a positive advantage (:func:`asymptotic_threshold`,
-:func:`finitekey.pointwise_threshold`).
+:func:`finitekey.pointwise_threshold`).  Block error correction's flat
+charge has a rule of its own (:func:`finitekey.block_threshold`).
 """
 
 from __future__ import annotations

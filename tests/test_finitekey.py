@@ -4,21 +4,32 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from scw_cvqkd import finitekey
 from scw_cvqkd.errors import DomainError
 from scw_cvqkd.finitekey import (
     FiniteKeyLength,
     FiniteKeyParams,
+    _increasing_root,
+    _syndrome_bits,
+    block_threshold,
     ec_syndrome_length,
     finite_key_length,
     finite_key_rate,
     finite_rates,
     smoothing_correction,
 )
-from scw_cvqkd.noise import ChannelModel
+from scw_cvqkd.noise import ChannelModel, decision_masses
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
-from scw_cvqkd.security import N_BASES, asymptotic_key_rate, holevo_dr, point_block
+from scw_cvqkd.security import (
+    N_BASES,
+    asymptotic_key_rate,
+    holevo_dr,
+    point_block,
+    symbol_block,
+)
 
 SYS = SystemParams()
 CH = ChannelModel(loss_db=3.0, xi=0.1)
@@ -199,3 +210,67 @@ def test_rate_rejects_bad_mode():
     block = point_block(tun(), SYS, CH)
     with pytest.raises(DomainError, match="ec_mode"):
         finite_rates(block, FiniteKeyParams(n=10**8), "blok")
+
+
+def test_increasing_root_brackets_and_faces():
+    # roots inside, below and above the box [0, 1]: the last two end
+    # exactly on the face they lie past; the arctan row's plain Newton
+    # steps from 0 would diverge, so its bracket has to catch them
+    roots = np.array([0.3, -0.5, 1.7, 0.6])
+
+    def fn(v, rows):
+        d = v - roots[rows]
+        steep = rows == 3
+        value = np.where(steep, np.arctan(50.0 * d), d * (1.0 + d * d))
+        slope = np.where(steep, 50.0 / (1.0 + 2500.0 * d * d), 1.0 + 3.0 * d * d)
+        return value, slope
+
+    x = _increasing_root(fn, 0.0, 1.0, np.zeros(4))
+    assert x[1] == 0.0 and x[2] == 1.0
+    assert x[[0, 3]] == pytest.approx([0.3, 0.6], abs=1e-12)
+
+
+def _ridge_symbols():
+    """Symbol block of 24 S=1 points at 3 dB on the ridge's top angle,
+    m = mu_0 sin^2(beta_A) from 0.025 to 0.25 around the block optimum."""
+    m = np.logspace(-1.6, -0.6, 24)
+    beta = np.full(m.size, 1.45)
+    delta = np.full(m.size, calibrate_delta(1.45, SYS))
+    return symbol_block(m / np.sin(beta) ** 2, beta, delta, CH.eta, CH.xi, SYS)
+
+
+def test_block_threshold_opens_its_syndrome_step():
+    # on S=1 rows at 3 dB with a positive block rate, the threshold is the
+    # left end of a step of ceil(n f_EC h(Q + dQ)): 1e-10 sigma lower the
+    # syndrome takes one more bit, and no rate on a fine scan around it,
+    # within the step or past it, beats its own
+    fk = FiniteKeyParams(n=10**8)
+    symbols = _ridge_symbols()
+    sigma = CH.sigma
+    v = block_threshold(symbols, fk, 0.0, 6.0 * sigma)
+    rates = finite_rates(symbols.at(v), fk, "block")
+    assert np.count_nonzero(rates > 0.0) >= 12
+
+    def syndrome(at):
+        E, P = decision_masses(at, symbols.mean_plus, symbols.mean_minus, sigma)
+        return _syndrome_bits(fk.n, E / P + fk.dQ, fk.f_EC)
+
+    live = rates > 0.0
+    assert np.all(syndrome(v - 1e-10 * sigma)[live] == syndrome(v)[live] + 1.0)
+    for offset in np.linspace(-1e-4, 1e-4, 41) * sigma:
+        scan = finite_rates(symbols.at(v + offset), fk, "block")
+        assert np.all(scan[live] <= rates[live] * (1.0 + 1e-12))
+
+
+def test_block_threshold_checks_the_step_it_lands_on(monkeypatch):
+    # aimed 1e-9 outside its step, the Newton stage lands where the
+    # syndrome takes one more bit; the check then keeps the relaxation's
+    # peak, the threshold the stage starts from (no Newton steps at all)
+    fk = FiniteKeyParams(n=10**8)
+    symbols = _ridge_symbols()
+    v_hi = 6.0 * CH.sigma
+    monkeypatch.setattr(finitekey, "_STEP_NEWTON", 0)
+    peak = block_threshold(symbols, fk, 0.0, v_hi)
+    monkeypatch.setattr(finitekey, "_STEP_NEWTON", 2)
+    monkeypatch.setattr(finitekey, "_STEP_MARGIN", -1e-9)
+    assert np.array_equal(block_threshold(symbols, fk, 0.0, v_hi), peak)

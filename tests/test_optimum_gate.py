@@ -1,0 +1,45 @@
+"""tools/optimum_gate.py: its point sets and how compare matches records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "optimum_gate.py"
+spec = importlib.util.spec_from_file_location("optimum_gate", TOOL)
+optimum_gate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(optimum_gate)
+
+
+def test_block_points_are_a_separate_finite_set():
+    block = list(optimum_gate.points("block"))
+    assert len(block) == 90 and len(set(block)) == 90
+    assert all(n is not None for *_, n in block)
+    assert len(list(optimum_gate.points())) == 540
+
+
+def _record(rate, **extra):
+    return {"S": 1, "loss_db": 3.0, "xi": 0.1, "n": 10**8, "status": "ok",
+            "rate": rate, "evaluations": 105, "calls": 5,
+            "params": [0.2, 1.45, 0.54, 1.9], **extra}
+
+
+def _compare(tmp_path, a, b):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, records in zip(paths, (a, b)):
+        path.write_text(json.dumps(records))
+    return optimum_gate.compare(*map(str, paths))
+
+
+def test_compare_matches_records_by_ec_mode(tmp_path, capsys):
+    # a record without ec_mode is a pointwise one, kept apart from the
+    # block record at the same point; a moved block rate gets no oracle,
+    # which integrates the pointwise charge
+    pointwise, block = _record(1.0), _record(0.9, ec_mode="block")
+    moved = dict(block, rate=0.9 * (1.0 + 1e-6))
+    assert _compare(tmp_path, [pointwise, block], [pointwise, moved]) == 1
+    out = capsys.readouterr().out
+    assert "2 points, 0 status changes" in out
+    assert "(largest at S=1 3.0 dB xi=0.1 n=1e+08 block)" in out
+    assert "oracle" not in out
+    assert _compare(tmp_path, [block], [pointwise]) == 1
+    assert "point sets differ: 2 points in one record only" in capsys.readouterr().out

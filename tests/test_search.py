@@ -78,7 +78,7 @@ def test_optimizer_deterministic(opt3):
 @pytest.mark.parametrize(
     "S, n, ec_mode",
     [(1, None, "pointwise"), (1, 10**10, "pointwise"), (1, 10**10, "block"),
-     (3, None, "pointwise"), (3, 10**10, "pointwise")],
+     (3, None, "pointwise"), (3, 10**10, "pointwise"), (3, 10**10, "block")],
 )
 def test_optimum_reported_from_its_scored_row(S, n, ec_mode):
     # each optimum is reported from the kernel row that scored it, with Q
@@ -105,26 +105,26 @@ def test_optimum_zero_loss_noiseless():
 
 
 def test_infeasible_beyond_cutoff():
-    # log10 m at S=1; (log10 mu_0, beta_A) above
+    # log10 m at S=1; (log10 mu_0, beta_A) above; every mode solves its
+    # threshold, so the grid is the same size in each
     for S, grid_points in ((1, 64), (3, 12 * 8)):
-        with pytest.raises(InfeasibleError) as exc:
-            optimize_point(ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S))
-        diag = exc.value.diagnostics
-        assert diag["best_rate"] <= 0.0
-        assert diag["grid_points"] == grid_points
-        # reported as a decision vector in either case, with the threshold
-        # the kernel gave the point
-        assert len(diag["best_point"]) == 3
-        assert 0.0 <= diag["best_point"][2] <= Bounds().v_0_sigmas[1]
-    # block ec_mode searches the threshold on a last grid axis of 9
-    for S, grid_points in ((1, 64 * 9), (3, 12 * 8 * 9)):
-        with pytest.raises(InfeasibleError) as exc:
-            optimize_point(
-                ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S),
-                fk=FiniteKeyParams(n=10**8), ec_mode="block",
-            )
-        assert exc.value.diagnostics["grid_points"] == grid_points
-        assert len(exc.value.diagnostics["best_point"]) == 3
+        for fk, ec_mode in (
+            (None, "pointwise"),
+            (FiniteKeyParams(n=10**8), "pointwise"),
+            (FiniteKeyParams(n=10**8), "block"),
+        ):
+            with pytest.raises(InfeasibleError) as exc:
+                optimize_point(
+                    ChannelModel(loss_db=15.0, xi=0.1), SystemParams(S=S),
+                    fk=fk, ec_mode=ec_mode,
+                )
+            diag = exc.value.diagnostics
+            assert diag["best_rate"] <= 0.0
+            assert diag["grid_points"] == grid_points
+            # reported as a decision vector in either case, with the
+            # threshold the kernel gave the point
+            assert len(diag["best_point"]) == 3
+            assert 0.0 <= diag["best_point"][2] <= Bounds().v_0_sigmas[1]
 
 
 @pytest.mark.parametrize("S", [1, 3])
@@ -132,7 +132,7 @@ def test_grid_means_are_ordered_and_antisymmetric(S):
     # the threshold rule needs m+ > m- and e(v) <= 1/2 for v >= 0; the
     # calibration makes the means antisymmetric, so e(0) = 1/2 to rounding
     sys_s = SystemParams(S=S)
-    lo, hi, shape, decode = search._search_space(Bounds(), sys_s, v_axis=False)
+    lo, hi, shape, decode = search._search_space(Bounds(), sys_s)
     rows = decode(search._grid_points(
         [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
     ))
@@ -162,24 +162,37 @@ def test_unordered_means_score_no_rate(monkeypatch):
 
 
 _EXACT_CASES = [
-    (3.0, 0.1, 1, None, False),
-    (3.0, 0.1, 1, 10**8, False),
-    (3.0, 0.1, 3, None, False),
-    (3.0, 0.1, 3, 10**8, False),
+    (3.0, 0.1, 1, None, "pointwise", False),
+    (3.0, 0.1, 1, 10**8, "pointwise", False),
+    (3.0, 0.1, 3, None, "pointwise", False),
+    (3.0, 0.1, 3, 10**8, "pointwise", False),
     # near the cutoff the best threshold lies past the box: clipped to 6 sigma
-    (9.0, 0.1, 1, None, True),
+    (9.0, 0.1, 1, None, "pointwise", True),
+    # block ec_mode's rate is a staircase in v_0; n = 1e8 has the widest
+    # steps
+    (3.0, 0.1, 1, 10**8, "block", False),
+    (3.0, 0.1, 3, 10**8, "block", False),
+    (6.0, 0.1, 1, 10**8, "block", False),
 ]
 
 
-@pytest.mark.parametrize("loss_db, xi, S, n, on_face", _EXACT_CASES)
-def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, on_face):
+@pytest.mark.parametrize(
+    "loss_db, xi, S, n, ec_mode, on_face",
+    _EXACT_CASES,
+    # pointwise adds nothing to a case's name
+    ids=[
+        f"{loss}-{xi}-{S}-{n}{'-block' if mode == 'block' else ''}-{face}"
+        for loss, xi, S, n, mode, face in _EXACT_CASES
+    ],
+)
+def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, ec_mode, on_face):
     # at the reported (mu_0, beta_A), no threshold in the box gives a rate
     # above the reported one: a 1201-point scan over [0, 6] sigma and 201
     # points within 1e-3 sigma of the reported threshold
     ch = ChannelModel(loss_db=loss_db, xi=xi)
     sys_s = SystemParams(S=S)
     fk = FiniteKeyParams(n=n) if n is not None else None
-    opt = optimize_point(ch, sys_s, fk=fk)
+    opt = optimize_point(ch, sys_s, fk=fk, ec_mode=ec_mode)
     t = opt.params
     v_hi = Bounds().v_0_sigmas[1]
     if on_face:
@@ -195,8 +208,25 @@ def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, on_face):
     block = rate_block(
         t.mu_0 * ones, t.beta_A * ones, t.delta * ones, v_0, sys_s, ch
     )
-    rates = asymptotic_rates(block) if fk is None else finite_rates(block, fk)
+    if fk is None:
+        rates = asymptotic_rates(block)
+    else:
+        rates = finite_rates(block, fk, ec_mode)
     assert rates.max() <= opt.rate * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("loss_db", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("n", [10**8, 10**12])
+def test_block_optimum_below_pointwise(loss_db, n):
+    # h is concave, so by Jensen's inequality the flat charge
+    # f_EC h(Q + dQ) is never below the accepted average of
+    # f_EC h(e(v) + dQ): block mode's optimum is at most the pointwise one,
+    # and with these overheads it stays within 5% of it
+    ch = ChannelModel(loss_db=loss_db, xi=0.1)
+    fk = FiniteKeyParams(n=n)
+    block = optimize_point(ch, SYS, fk=fk, ec_mode="block").rate
+    pointwise = optimize_point(ch, SYS, fk=fk).rate
+    assert 0.95 * pointwise < block <= pointwise
 
 
 @pytest.mark.parametrize(
@@ -207,11 +237,11 @@ def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, on_face):
 def test_s1_grid_resolves_narrow_pockets(loss_db, xi, n):
     ch = ChannelModel(loss_db=loss_db, xi=xi)
     fk = FiniteKeyParams(n=n) if n is not None else None
-    assert search._RIDGE_GRID_SHAPE == (64, 9)
+    assert search._RIDGE_GRID_SHAPE == (64,)
     opt = optimize_point(ch, SYS, fk=fk)
     assert opt.rate > 0.0
     # a 24-row grid over the same box finds no positive rate
-    lo, hi, shape, decode = search._search_space(Bounds(), SYS, v_axis=False)
+    lo, hi, shape, decode = search._search_space(Bounds(), SYS)
     assert shape == (64,)
     rows = np.linspace(lo[0], hi[0], 24)[:, None]
     eta, xi = np.full(len(rows), ch.eta), np.full(len(rows), ch.xi)

@@ -278,10 +278,10 @@ def _fixed_threshold_rates(points, ch, sys_s, fk):
 @pytest.mark.parametrize("S", [1, 3])
 def test_rate_kernel_converged_in_order(S, monkeypatch):
     # the kernel's 48-node Gauss-Legendre rule against leggauss(96), swapped
-    # in for it, on the 12 x 8 x 9 grid of (log10 mu_0, beta_A, v_0/sigma),
-    # which spans the search's m range at S=1, from low loss to past the
-    # cutoff; both sit on the ~3e-11 rounding floor once the rule has
-    # converged
+    # in for it, on the search's 12 x 8 grid of (log10 mu_0, beta_A) times
+    # 9 thresholds v_0/sigma, which spans the search's m range at S=1, from
+    # low loss to past the cutoff; both sit on the ~3e-11 rounding floor
+    # once the rule has converged
     from numpy.polynomial.legendre import leggauss
 
     nodes_96 = leggauss(96)
@@ -290,7 +290,7 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
     box = zip(
         (math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]),
         (math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]),
-        search._GRID_SHAPE,
+        (*search._GRID_SHAPE, 9),
     )
     points = search._grid_points([np.linspace(lo, hi, size) for lo, hi, size in box])
     compared = 0

@@ -1,18 +1,26 @@
 """Optimum gate: record optimizer results on a fixed point set, compare two records.
 
-    PYTHONPATH=src python3 tools/optimum_gate.py dump OUT.json
+    PYTHONPATH=src python3 tools/optimum_gate.py dump [--block] OUT.json
     PYTHONPATH=src python3 tools/optimum_gate.py compare A.json B.json
 
 ``dump`` runs ``optimize_point`` on 540 channel points with the package
 found on the import path.  To record another checkout, run that
 checkout's own copy of this tool with ``PYTHONPATH`` at its ``src``: the
 function that counts kernel calls is private and may differ between
-checkouts.  The points are:
+checkouts (``search._kernel`` has kept its name since the lockstep
+search, so a checkout without ``--block`` can be recorded with this
+copy).  The points are:
 
 - S=1: losses 0.25-10 dB in 0.25 dB steps x xi 0/0.1/0.2 x asymptotic and
   finite pointwise n = 1e8, 1e10, 1e12 (480 points);
 - S=3: losses 1-10 dB in 1 dB steps x xi 0/0.1/0.2 x asymptotic and
   n = 1e10 (60 points).
+
+``dump --block`` writes a separate record of 90 finite points in block
+``ec_mode``: S=1 and S=3 x losses 0.5/1/3/6/8 dB x xi 0/0.1/0.2 x
+n = 1e8, 1e10, 1e12.  Its records carry ``"ec_mode": "block"``, which is
+part of the key ``compare`` matches records by; a record without it is a
+pointwise (or asymptotic) one.
 
 Each point records its status (``ok``, ``infeasible`` or the error), the
 rate, ``OptimumPoint.evaluations`` (kernel points scored), the number of
@@ -31,7 +39,8 @@ their own reported parameters in 30-digit arithmetic (mpmath; the symbol
 means and chi of the package on the import path are taken as exact
 inputs), both as the integral and as the kernel's 48-node rule, and says
 which record lies closer to each: the first includes the rule's own
-truncation error, the second isolates the kernel's rounding.  Records
+truncation error, the second isolates the kernel's rounding.  The oracle
+integrates the pointwise charge, so block records get none.  Records
 written before these fields existed are compared on the rest.
 """
 
@@ -43,23 +52,30 @@ import sys
 
 LOSSES_S1 = [round(0.25 * i, 2) for i in range(1, 41)]
 LOSSES_S3 = [float(i) for i in range(1, 11)]
+LOSSES_BLOCK = [0.5, 1.0, 3.0, 6.0, 8.0]
+N_BLOCK = (10**8, 10**10, 10**12)
 NOISE = (0.0, 0.1, 0.2)
 RTOL = 1e-12
 
 
-def points():
-    """(S, loss_db, xi, n) of every gated point; n is None for asymptotic."""
-    for S, losses, n_values in (
-        (1, LOSSES_S1, (None, 10**8, 10**10, 10**12)),
-        (3, LOSSES_S3, (None, 10**10)),
-    ):
+def points(ec_mode: str = "pointwise"):
+    """(S, loss_db, xi, n) of every gated point of ``ec_mode``; n is None
+    for asymptotic."""
+    if ec_mode == "block":
+        sets = ((1, LOSSES_BLOCK, N_BLOCK), (3, LOSSES_BLOCK, N_BLOCK))
+    else:
+        sets = (
+            (1, LOSSES_S1, (None, 10**8, 10**10, 10**12)),
+            (3, LOSSES_S3, (None, 10**10)),
+        )
+    for S, losses, n_values in sets:
         for n in n_values:
             for xi in NOISE:
                 for loss_db in losses:
                     yield S, loss_db, xi, n
 
 
-def dump(out: str) -> None:
+def dump(out: str, ec_mode: str = "pointwise") -> None:
     from scw_cvqkd import search
     from scw_cvqkd.errors import InfeasibleError
     from scw_cvqkd.finitekey import FiniteKeyParams
@@ -76,13 +92,16 @@ def dump(out: str) -> None:
 
     search._kernel = counted
     records = []
-    for S, loss_db, xi, n in points():
+    for S, loss_db, xi, n in points(ec_mode):
         calls = 0
         record = {"S": S, "loss_db": loss_db, "xi": xi, "n": n}
+        if ec_mode != "pointwise":
+            record["ec_mode"] = ec_mode
         fk = FiniteKeyParams(n=n) if n is not None else None
         try:
             opt = search.optimize_point(
-                ChannelModel(loss_db=loss_db, xi=xi), SystemParams(S=S), fk=fk
+                ChannelModel(loss_db=loss_db, xi=xi), SystemParams(S=S), fk=fk,
+                ec_mode=ec_mode,
             )
         except InfeasibleError:
             record.update(status="infeasible", rate=0.0, evaluations=None)
@@ -103,12 +122,14 @@ def dump(out: str) -> None:
 
 
 def _key(record):
-    return record["S"], record["loss_db"], record["xi"], record["n"]
+    return (record["S"], record["loss_db"], record["xi"], record["n"],
+            record.get("ec_mode", "pointwise"))
 
 
 def _name(key) -> str:
-    S, loss_db, xi, n = key
-    return f"S={S} {loss_db} dB xi={xi} n={'inf' if n is None else f'{n:.0e}'}"
+    S, loss_db, xi, n, ec_mode = key
+    mode = " block" if ec_mode == "block" else ""
+    return f"S={S} {loss_db} dB xi={xi} n={'inf' if n is None else f'{n:.0e}'}{mode}"
 
 
 def _oracle_rates(record):
@@ -196,7 +217,7 @@ def compare(a_path: str, b_path: str) -> int:
                   f"{max(moves):.2e} (information only)")
     for k in both:
         moved = abs(b[k]["rate"] - a[k]["rate"]) / a[k]["rate"] > RTOL
-        if moved and "params" in a[k] and "params" in b[k]:
+        if moved and "params" in a[k] and "params" in b[k] and k[4] != "block":
             print(f"oracle at {_name(k)}, relative error of A and B "
                   "at their own parameters:")
             errors = [
@@ -225,13 +246,16 @@ def compare(a_path: str, b_path: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    sub.add_parser("dump").add_argument("out")
+    dump_cmd = sub.add_parser("dump")
+    dump_cmd.add_argument("--block", action="store_true",
+                          help="record the block ec_mode points instead")
+    dump_cmd.add_argument("out")
     cmp = sub.add_parser("compare")
     cmp.add_argument("a")
     cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.mode == "dump":
-        dump(args.out)
+        dump(args.out, "block" if args.block else "pointwise")
         return 0
     return compare(args.a, args.b)
 
