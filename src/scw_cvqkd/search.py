@@ -29,8 +29,13 @@ smaller m or photon number wins.  A bounded Newton descent then refines
 the start.  The stencil of a point is 5 or 11 points in one or two
 coordinates: the point, a central-difference pair on each axis for the
 gradient, and a curvature stencil of axis and diagonal pairs, whose axis
-pairs also cancel the gradient's h^2 error.  The start's stencil is one
-kernel block.  Each line search is one block of 12 or 18 points: 8
+pairs also cancel the gradient's h^2 error.  In one coordinate the two
+axis pairs also measure the third derivative, and the Newton step takes
+Chebyshev's third-order correction (Traub, Iterative Methods for the
+Solution of Equations, 1964), which saves about one iteration per S=1
+optimum; in two, the stencil does not fix the mixed third derivatives,
+so the step stays Newton's.  The start's stencil is one kernel block.
+Each line search is one block of 12 or 18 points: 8
 halvings of the step and the stencil at the full step, so a full step
 that wins needs no further call; a shorter winner has its stencil scored
 in a block of its own.  When no Newton trial decreases, a steepest-descent
@@ -41,17 +46,18 @@ projected gradient is at most 1e-7.
 Kernel calls, not points, set the search's time, so a sweep optimizes
 all its (noise level, block size, loss) points in lockstep, in one
 process: the kernel takes each row's transmittance, excess noise and
-block size, so one stage scores every point's coarse grid, then each
-round stacks every unfinished descent's next block and one vectorised
-step advances every descent.  A descent ends on a row it has scored, so
-each optimum is reported from that row's record: its rate and
-parameters as scored, with Q and P (the only tail masses the asymptotic
-and pointwise searches form) computed for the reported rows alone.  A
-stack of more than _MAX_ROWS rows is scored in even chunks, which bounds
-a kernel call's memory whatever the sweep's size.  A kernel row and a
-descent's step depend on that row or descent alone, to the last bit, so
-every sweep row equals what :func:`optimize_point`, the one-point case,
-returns for it.
+block size, so one kernel call scores every point's coarse grid, then
+each round stacks every unfinished descent's next block into one array,
+scores it in one call and advances every descent in one vectorised step.
+A descent ends on a row it has scored, so each optimum is reported from
+that row's record: its rate and parameters as scored, with Q and P (the
+only tail masses the asymptotic and pointwise searches form) computed
+for the reported rows alone.  A call forms its (rows, 48) node arrays in
+blocks of at most _MAX_ROWS rows, and a stack of more than
+_MAX_CALL_ROWS rows is scored in even calls, which bounds a call's memory
+whatever the sweep's size.  A kernel row and a descent's step depend on
+that row or descent alone, to the last bit, so every sweep row equals
+what :func:`optimize_point`, the one-point case, returns for it.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -112,14 +117,22 @@ _GTOL = 1e-7
 _MAX_ITER = 100
 # the decoder's top angle is bisected to this width, in radians
 _ANGLE_TOL = 1e-12
-# a stacked block of more rows is scored in even chunks of at most this
-# many, so a sweep's kernel memory does not grow with its size.  Per row,
-# kernel calls of a few hundred rows are the fastest: against 512, this
-# cap scored the 24-point asymptotic benchmark sweep 4-7% faster (six grid
-# calls of 256 rows for three of 512) and tied on the 9-point finite one
-# (2-core VM, paired passes); it also holds a 24-descent round of 12-row
-# line searches in one call
+# a kernel call forms its node stage (the (rows, 48) readout profiles and
+# their integral) in even blocks of at most this many rows; its per-row
+# stages (calibration, symbol means, threshold, record) run once for the
+# whole call.  Per row, node stages of a few hundred rows are the fastest:
+# when each block was its own call, this cap scored the 24-point
+# asymptotic benchmark sweep 4-7% faster than 512 (2-core VM, paired
+# passes).  That sweep's 1536 grid rows are now one call of six blocks of
+# 256
 _MAX_ROWS = 288
+# a stack of more rows is scored in even kernel calls of at most this many,
+# since a call holds its per-row stages for all its rows at once: a
+# 360-point S=3 block-mode sweep (34,560 grid rows) peaked at 99.0 MiB
+# with no cap and at 87.8 MiB with this one (parent, 288-row calls:
+# 88.5 MiB; fresh interpreters, 2-core VM); every round of the benchmark
+# sweeps, their grids included, is one call
+_MAX_CALL_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -131,7 +144,8 @@ class OptimumPoint:
     then one stencil for the refinement's start (5 or 11 points in one or
     two coordinates), 12 or 18 per line search (8 halvings and the stencil
     at the full step) and another stencil for each step that wins shorter
-    than full.  The rate, parameters and chi are those of the
+    than full: about 93 in all at S=1, where most optima take two line
+    searches, and 205 at S=3 (the optimum gate's points).  The rate, parameters and chi are those of the
     kernel row that scored the optimum, and Q and P are formed from that
     row's threshold and symbol means; the one-point rate functions at
     ``params`` reproduce them.
@@ -204,7 +218,7 @@ def _threshold(symbols: SymbolBlock, fk, ec_mode, n, fixed, bounds: Bounds):
 
 
 def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
-    """Rates of decision vectors, as one kernel block, and a record of each row.
+    """Rates of decision vectors, in one kernel call, and a record of each row.
 
     Rows are (log10 mu_0, beta_A), and the kernel sets each row's
     threshold (see :func:`_threshold`); ``eta``, ``xi`` and ``n`` hold
@@ -214,8 +228,9 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     and a record of each row, an (N, 8) array of its working point,
     threshold and what its report is formed from: mu_0, beta_A, delta, v_0,
     sigma, m+, m- and chi.  A row's values do not depend on the other rows.
-    Each distinct angle is calibrated once and the symbol means and chi
-    are formed once for every row.  A row scores -inf, with a NaN record,
+    Each distinct angle is calibrated once, and the symbol means, chi,
+    thresholds and fixed charges are formed once for every row; only the
+    node stage and the rates run in even blocks of at most _MAX_ROWS rows.  A row scores -inf, with a NaN record,
     where its angle has no calibration root; it scores -inf where its
     symbol means are degenerate, and where they are not ordered
     (m+ <= m-), since the threshold rules rest on m+ > m-.
@@ -242,23 +257,44 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     # formed once for the threshold and the rates alike
     fixed = None if fk is None else _fixed_charge(symbols.chi, fk, fk.k_sample, n)
     v_0 = _threshold(symbols, fk, ec_mode, n, fixed, bounds)
-    block = symbols.at(v_0)
-    if fk is None:
-        scored = asymptotic_rates(block)
-    else:
-        scored = finite_rates(block, fk, ec_mode, n=n, fixed=fixed)
-    invalid = block.degenerate | ~(block.mean_plus > block.mean_minus)
+    scored = np.empty(v_0.shape)
+    for a, b in _chunks(v_0.size, _MAX_ROWS):
+        rows = slice(a, b)
+        part = symbols if b - a == v_0.size else SymbolBlock(
+            **{name: _at_rows(value, rows) for name, value in vars(symbols).items()}
+        )
+        block = part.at(v_0[rows])
+        if fk is None:
+            scored[rows] = asymptotic_rates(block)
+        else:
+            scored[rows] = finite_rates(
+                block, fk, ec_mode, n=_at_rows(n, rows), fixed=fixed[rows]
+            )
+    plus, minus = symbols.mean_plus, symbols.mean_minus
+    invalid = symbols.degenerate | ~(plus > minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
     record[ok] = np.column_stack([
-        mu_0, points[:, 1], delta, v_0, np.broadcast_to(block.sigma, v_0.shape),
-        block.mean_plus, block.mean_minus, block.chi,
+        mu_0, points[:, 1], delta, v_0, np.broadcast_to(symbols.sigma, v_0.shape),
+        plus, minus, symbols.chi,
     ])
     return rates, record
 
 
-def _grid_points(axes) -> np.ndarray:
-    """Rows of every point of the grid on ``axes``, the last axis fastest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _clip(a, lo, hi):
+    """np.clip(a, lo, hi), the same values at a third of its cost on the
+    few-row arrays of a descent."""
+    return np.minimum(np.maximum(a, lo), hi)
+
+
+@lru_cache(maxsize=16)
+def _grid_points(lo: tuple, hi: tuple, shape: tuple) -> np.ndarray:
+    """Rows of every point of the evenly spaced grid of ``shape`` points
+    over the box (lo, hi), the last axis fastest; read-only, since it is
+    cached."""
+    axes = [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    points.flags.writeable = False
+    return points
 
 
 def _has_root(beta_A: float, sys: SystemParams) -> bool:
@@ -315,23 +351,31 @@ def _search_space(bounds: Bounds, sys: SystemParams):
         def decode(points):
             m = 10.0 ** points[:, 0]
             beta = np.arcsin(np.sqrt(np.minimum(1.0, m / mu_lo)))
-            beta = np.clip(beta, beta_lo, beta_top)
-            mu_0 = np.clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
+            beta = _clip(beta, beta_lo, beta_top)
+            mu_0 = _clip(m / np.sin(beta) ** 2, mu_lo, mu_hi)
             return np.column_stack([np.log10(mu_0), beta])
 
     return np.array(lo), np.array(hi), shape, decode
 
 
 @lru_cache(maxsize=None)
-def _stencil(dim: int) -> np.ndarray:
-    """Curvature stencil in units of _CURVE_STEP.
+def _stencil(dim: int):
+    """The stencil of a point in box-width units, as offsets from it, and
+    the rows of a search block that form the stencil at its full step.
 
-    An axis pair per coordinate (all + rows, then all - rows), then a pair
-    along each diagonal of two coordinates: 2 rows in 1-D, 6 in 2-D.
+    The point itself, the near pair on each axis (_STEP), then the
+    curvature stencil (_CURVE_STEP): an axis pair per coordinate (all +
+    rows, then all - rows), then a pair along each diagonal of two
+    coordinates.  5 rows in 1-D, 11 in 2-D.
     """
     i, j = np.triu_indices(dim, 1)
-    diagonals = np.eye(dim)[i] + np.eye(dim)[j]
-    return np.vstack([np.eye(dim), -np.eye(dim), diagonals, -diagonals])
+    axes = np.eye(dim)
+    diagonals = axes[i] + axes[j]
+    curvature = np.vstack([axes, -axes, diagonals, -diagonals])
+    offsets = np.vstack(
+        [np.zeros(dim), _STEP * axes, -_STEP * axes, _CURVE_STEP * curvature]
+    )
+    return offsets, np.r_[0, _TRIALS : _TRIALS + len(offsets) - 1]
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +390,7 @@ def _hessian_terms(dim: int):
 
 def _gradient(f, rows, inside):
     """Gradients of K points from the values ``f`` (K, n) at their stencils
-    ``rows`` (K, n, dim).
+    ``rows`` (K, n, dim), and in one coordinate the spread D(H) - D(h).
 
     A stencil holds x, x + h e_i, x - h e_i and the curvature stencil,
     whose first rows are x + H e_i and x - H e_i with H = r h, all clipped
@@ -354,7 +398,10 @@ def _gradient(f, rows, inside):
     is unclipped (``inside``), the central differences D(h) and D(H) cancel
     their h^2 error: (r^2 D(h) - D(H)) / (r^2 - 1).  Elsewhere a near side
     that was clipped onto x or scored no rate falls back to x, so the
-    difference turns one-sided; with both sides gone the slope is 0.
+    difference turns one-sided; with both sides gone the slope is 0.  The
+    spread, which is the third derivative times (H^2 - h^2) / 6 up to
+    rounding, is 0 where no cancellation is made, and None in more than
+    one coordinate.
     """
     x = rows[:, 0]
     k, dim = x.shape
@@ -369,15 +416,18 @@ def _gradient(f, rows, inside):
     f_up = np.where(up_ok, near_up, f[:, :1])
     f_down = np.where(down_ok, near_down, f[:, :1])
     span = np.where(up_ok, at_up, x) - np.where(down_ok, at_down, x)
-    grad = np.divide(f_up - f_down, span, out=np.zeros_like(x), where=span > 0.0)
+    grad = np.divide(f_up - f_down, span, out=np.zeros(x.shape), where=span > 0.0)
 
     fourth = inside & finite.all(axis=1)
-    far_diff = np.subtract(far_up, far_down, out=np.zeros_like(x), where=fourth)
+    far_diff = np.subtract(far_up, far_down, out=np.zeros(x.shape), where=fourth)
     far_grad = np.divide(
-        far_diff, at_far_up - at_far_down, out=np.zeros_like(x), where=fourth
+        far_diff, at_far_up - at_far_down, out=np.zeros(x.shape), where=fourth
     )
     r2 = (_CURVE_STEP / _STEP) ** 2
-    return np.where(fourth, (r2 * grad - far_grad) / (r2 - 1.0), grad)
+    richardson = np.where(fourth, (r2 * grad - far_grad) / (r2 - 1.0), grad)
+    if dim > 1:
+        return richardson, None
+    return richardson, np.subtract(far_grad, grad, out=np.zeros(x.shape), where=fourth)
 
 
 def _curvature(d, df) -> np.ndarray:
@@ -397,7 +447,7 @@ def _curvature(d, df) -> np.ndarray:
     kept = s > s[:, :1] * (np.finfo(float).eps * max(design.shape[1:]))
     proj = np.einsum("kni,kn->ki", u, np.where(ok, df, 0.0))
     coef = np.einsum(
-        "kij,ki->kj", vt, np.divide(proj, s, out=np.zeros_like(s), where=kept)
+        "kij,ki->kj", vt, np.divide(proj, s, out=np.zeros(s.shape), where=kept)
     )
     hess = np.zeros((len(d), dim, dim))
     hess[:, i, j] = coef
@@ -416,18 +466,27 @@ def _line_searches(x, rows, f, lo, hi, offsets):
     descent stops where no entry of the projected gradient exceeds _GTOL
     or no curvature is left.  Steps are in box-width units; a coordinate
     on a face whose gradient points out of the box is held.  The Newton
-    step floors each curvature eigenvalue's magnitude at _EIG_FLOOR of the
-    largest, the steepest-descent step goes to the minimum of the same
-    quadratic model, and neither moves a coordinate more than _MAX_STEP.
+    step s floors each curvature eigenvalue's magnitude at _EIG_FLOOR of
+    the largest.  In one coordinate, where both axis pairs scored a rate
+    and the far pair is unclipped, it takes the third derivative t along
+    the axis, 6 (D(H) - D(h)) / (H^2 - h^2) from the two central
+    differences (see :func:`_gradient`), and Chebyshev's step
+    -H^-1 (g + t s^2 / 2) in the same eigenbasis.  The steepest-descent
+    step goes to the minimum of the quadratic model, and neither step
+    moves a coordinate more than _MAX_STEP.
     """
     dim = x.shape[1]
     width = hi - lo
     inside = (x - _CURVE_STEP * width >= lo) & (x + _CURVE_STEP * width <= hi)
-    grad = _gradient(f, rows, inside)
-    go = np.max(np.abs(x - np.clip(x - grad, lo, hi)), axis=1) > _GTOL
+    grad, spread = _gradient(f, rows, inside)
+    go = np.max(np.abs(x - _clip(x - grad, lo, hi)), axis=1) > _GTOL
     if not go.any():
         return go, None, None
     x, rows, f, grad = x[go], rows[go], f[go], grad[go]
+    # in one coordinate, the third derivative along it in box-width units
+    third = None if spread is None else (
+        6.0 * (spread[go] * width) / (_CURVE_STEP**2 - _STEP**2)
+    )
     # in box-width units from here on
     g, d = grad * width, (rows[:, 1 + 2 * dim :] - x[:, None]) / width
     df = f[:, 1 + 2 * dim :] - f[:, :1] - np.einsum("knd,kd->kn", d, g)
@@ -445,100 +504,107 @@ def _line_searches(x, rows, f, lo, hi, offsets):
         x, grad, g, free, lam, vec, top = (
             a[curved] for a in (x, grad, g, free, lam, vec, top)
         )
+        if third is not None:
+            third = third[curved]
     lam = np.maximum(lam, _EIG_FLOOR * top)
     proj = np.einsum("kij,ki->kj", vec, g)
     newton = -np.einsum("kij,kj->ki", vec, proj / lam)
+    if third is not None:
+        # Chebyshev's correction, toward a root of g + H s + t s^2 / 2
+        cubic = np.einsum("kij,ki->kj", vec, 0.5 * third * newton**2)
+        newton = -np.einsum("kij,kj->ki", vec, (proj + cubic) / lam)
     curve = np.einsum("kj,kj->k", proj**2, lam)[:, None]
     cauchy = -g * np.einsum("ki,ki->k", g, g)[:, None] / curve
     steps = np.where(free[:, None], np.stack([newton, cauchy], axis=1), 0.0)
     steps *= np.minimum(1.0, _MAX_STEP / np.abs(steps).max(axis=2, keepdims=True))
-    trials = np.clip(x[:, None, None] + _HALVINGS * (steps * width)[:, :, None], lo, hi)
-    ahead = np.clip(trials[:, :, :1] + offsets, lo, hi)
+    trials = _clip(x[:, None, None] + _HALVINGS * (steps * width)[:, :, None], lo, hi)
+    ahead = _clip(trials[:, :, :1] + offsets, lo, hi)
     return go, grad, np.concatenate([trials, ahead[:, :, 1:]], axis=2)
 
 
 def _refine(starts, lo, hi):
     """Bounded Newton descents from each row of ``starts``, in lockstep, as
-    a generator of the blocks they score.
+    a generator of the rows they score.
 
-    Each round it yields a dict from descent index to the next block of
-    every unfinished descent and is sent a dict of their objective values,
-    +inf where a point has no rate; it returns (x, points scored, origin),
-    one entry per descent.  x is always a row the descent scored: its
-    origin is None where x is the start, else (round, row), the row of the
-    block yielded in that round (counted from 0) that x was scored as.
-    One vectorised pass over a round's values advances every descent,
-    using only elementwise operations, einsum and stacked linear algebra,
-    so a descent's bits do not depend on the others.  A descent first
-    scores the stencil at its start; then each line search
-    (see :func:`_line_searches`) keeps its longest halving with a
-    sufficient decrease, else tries the steepest-descent block, else
-    returns x.  A full step that wins brings its stencil to the next
-    iteration; a shorter winner has its stencil scored in a block of its
-    own.
+    Each round it yields the next block of every unfinished descent,
+    stacked as one (rows, dim) array with each descent's block contiguous
+    (pending stencils first, then line searches), and the descent each row
+    belongs to, and is sent one objective value per row, +inf where a
+    point has no rate.  It returns x (K, dim), the points each descent
+    scored (K,) and origin (K, 2).  x is always a row the descent scored:
+    its origin is (-1, -1) where x is the start, else (round, row), the
+    row of the stack yielded in that round (counted from 0) that x was
+    scored as.  One vectorised pass over a round's values advances every
+    descent, using only elementwise operations, einsum and stacked linear
+    algebra, so a descent's bits do not depend on the others.  A descent first scores the stencil at its start; then
+    each line search (see :func:`_line_searches`) keeps its longest
+    halving with a sufficient decrease, else tries the steepest-descent
+    block, else returns x.  A full step that wins brings its stencil to
+    the next iteration; a shorter winner has its stencil scored in a block
+    of its own.
     """
     count, dim = starts.shape
-    width = hi - lo
-    small, far = np.diag(_STEP * width), _CURVE_STEP * width
-    # the stencil of a point, as offsets from it: the point itself, the
-    # near pair on each axis, then the curvature stencil
-    offsets = np.vstack([np.zeros(dim), small, -small, _stencil(dim) * far])
+    unit, ahead = _stencil(dim)
+    offsets = unit * (hi - lo)
     size = len(offsets)
-    # the rows of a search block that form the stencil at its full step
-    ahead = np.r_[0, _TRIALS : _TRIALS + size - 1]
+    length = _TRIALS + size - 1
     x, grad, f_x = starts.copy(), np.zeros_like(starts), np.zeros(count)
-    # each descent's Newton and steepest-descent search blocks
-    searches = np.zeros((count, 2, _TRIALS + size - 1, dim))
-    # what each descent's pending block is: 0 its stencil, 1 or 2 a search
-    stage, iters, n_eval = [0] * count, [0] * count, [0] * count
-    origin = [None] * count
-    blocks = {k: np.clip(x[k] + offsets, lo, hi) for k in range(count)}
-    rounds = 0
-    while blocks:
-        sent, values = blocks, (yield blocks)
-        rounds += 1
-        blocks = {}
-        for k in sent:
-            n_eval[k] += len(values[k])
-        at = [k for k in sent if stage[k] == 0]
-        rows, f = [sent[k] for k in at], [values[k] for k in at]
-        searched = [k for k in sent if stage[k]]
-        if searched:
-            block = np.array([sent[k] for k in searched])
-            f_block = np.array([values[k] for k in searched])
-            trials, f_trial = block[:, :_TRIALS], f_block[:, :_TRIALS]
-            slope = np.einsum("ktd,kd->kt", trials - x[searched, None], grad[searched])
-            f_0 = f_x[searched, None]
+    # each descent's next search block, and its steepest-descent one
+    queued, steepest = np.zeros((2, count, length, dim))
+    iters, origin = np.zeros(count, dtype=int), np.full((count, 2), -1)
+    # the descents whose stencil is pending, and those whose search is:
+    # first those whose Newton block is queued, then the rest
+    pending, searching, newton = np.arange(count), np.arange(0), 0
+    # the descent of each row, one array per round
+    owners = []
+    while pending.size or searching.size:
+        stencils = _clip(x[pending, None] + offsets, lo, hi)
+        blocks = queued[searching]
+        owners.append(
+            np.concatenate([np.repeat(pending, size), np.repeat(searching, length)])
+        )
+        values = yield (
+            np.concatenate([stencils.reshape(-1, dim), blocks.reshape(-1, dim)]),
+            owners[-1],
+        )
+        split = pending.size * size
+        # the descents that take a line search from a scored stencil
+        at, rows, f = pending, stencils, values[:split].reshape(-1, size)
+        pending = retry = searching[:0]
+        if searching.size:
+            f_block = values[split:].reshape(-1, length)
+            trials, f_trial = blocks[:, :_TRIALS], f_block[:, :_TRIALS]
+            slope = np.einsum("ktd,kd->kt", trials - x[searching, None], grad[searching])
+            f_0 = f_x[searching, None]
             ok = (f_trial < f_0) & (f_trial <= f_0 + _ARMIJO * slope)
-            won, hit = np.argmax(ok, axis=1).tolist(), ok.any(axis=1).tolist()
-            for i, k in enumerate(searched):
-                if not hit[i]:
-                    # no decrease: the steepest-descent search next, or x is kept
-                    if stage[k] == 1:
-                        stage[k], blocks[k] = 2, searches[k, 1]
-                    continue
-                x[k] = trials[i, won[i]]
-                origin[k] = (rounds - 1, won[i])
-                if iters[k] == _MAX_ITER:  # that was its last iteration
-                    continue
-                # a full step brings its stencil; a shorter winner is scored anew
-                if won[i]:
-                    stage[k], blocks[k] = 0, np.clip(x[k] + offsets, lo, hi)
-                else:
-                    at.append(k)
-                    rows.append(block[i, ahead])
-                    f.append(f_block[i, ahead])
-        if at:
-            f = np.array(f)
-            go, g, found = _line_searches(x[at], np.array(rows), f, lo, hi, offsets)
-            for k in at:
-                iters[k] += 1
-            at = [k for k, on in zip(at, go.tolist()) if on]
-            if at:
-                grad[at], f_x[at], searches[at] = g, f[go, 0], found
-                for k in at:
-                    stage[k], blocks[k] = 1, searches[k, 0]
-    return x, n_eval, origin
+            won, hit = np.argmax(ok, axis=1), ok.any(axis=1)
+            # no decrease: the steepest-descent search next, or x is kept
+            retry = searching[:newton][~hit[:newton]]
+            (hit,) = np.nonzero(hit)
+            won, winners = won[hit], searching[hit]
+            x[winners] = trials[hit, won]
+            origin[winners, 0] = len(owners) - 1
+            origin[winners, 1] = split + hit * length + won
+            # a winner on its last iteration stops there; otherwise a full
+            # step brings its stencil and a shorter winner is scored anew
+            live = iters[winners] < _MAX_ITER
+            full, pending = hit[live & (won == 0)], winners[live & (won > 0)]
+            if full.size:
+                at = np.concatenate([at, searching[full]])
+                rows = np.concatenate([rows, blocks[full][:, ahead]])
+                f = np.concatenate([f, f_block[full][:, ahead]])
+            if retry.size:
+                queued[retry] = steepest[retry]
+        searching, newton = retry, 0
+        if at.size:
+            go, g, found = _line_searches(x[at], rows, f, lo, hi, offsets)
+            iters[at] += 1
+            if found is not None:
+                on = at[go]
+                grad[on], f_x[on] = g, f[go, 0]
+                queued[on], steepest[on] = found[:, 0], found[:, 1]
+                searching, newton = np.concatenate([on, retry]), on.size
+    return x, np.bincount(np.concatenate(owners), minlength=count), origin
 
 
 def _shared_or_each(values: list):
@@ -550,10 +616,10 @@ def _shared_or_each(values: list):
     return values[0] if len(set(values)) == 1 else np.array(values, dtype=float)
 
 
-def _chunks(size: int):
+def _chunks(size: int, cap: int):
     """(start, stop) of the fewest even chunks of ``size`` rows that hold
-    at most _MAX_ROWS rows each."""
-    count = -(-size // _MAX_ROWS)
+    at most ``cap`` rows each."""
+    count = -(-size // cap)
     edges = [size * i // count for i in range(count + 1)]
     return zip(edges, edges[1:])
 
@@ -568,12 +634,12 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     coarse grid has no positive rate.  Every pair's grid is scored
     together; then each round of one batched descent (see :func:`_refine`)
     stacks the next block of every unfinished descent and advances them
-    all in one vectorised step.  Each stack is one kernel call, or one per
-    even chunk where it holds more than _MAX_ROWS rows, which bounds a
-    call's memory.  Each optimum is reported from the kernel row that
-    scored it, with Q and P formed for those rows alone.  Since a kernel
-    row and a descent's step depend on that row or descent alone, each
-    outcome equals the one its pair gets alone.
+    all in one vectorised step.  The grid and each stack are one kernel
+    call, or one per even part where they hold more than _MAX_CALL_ROWS
+    rows, which bounds a call's memory.  Each optimum is reported from the
+    kernel row that scored it, with Q and P formed for those rows alone.
+    Since a kernel row and a descent's step depend on that row or descent
+    alone, each outcome equals the one its pair gets alone.
     """
     fk = problems[0][1]
     lo, hi, shape, decode = _search_space(bounds, sys)
@@ -581,81 +647,70 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     xi = _shared_or_each([ch.xi for ch, _ in problems])
     n = None if fk is None else _shared_or_each([f.n for _, f in problems])
 
-    def score(blocks: dict, owner):
-        """Rates and records of each block of rows; block k belongs to
-        problem owner[k]."""
-        sizes = [len(rows) for rows in blocks.values()]
-        rows = decode(np.concatenate(list(blocks.values())))
-        of = np.repeat(owner[list(blocks)], sizes)
-        parts = [
-            _kernel(rows[a:b], eta[of[a:b]], _at_rows(xi, of[a:b]),
-                    _at_rows(n, of[a:b]), sys, fk, ec_mode, bounds)
-            for a, b in _chunks(len(rows))
-        ]
-        rates = np.concatenate([r for r, _ in parts])
-        record = np.concatenate([r for _, r in parts])
-        ends = list(accumulate(sizes))
-        starts = [0] + ends[:-1]
-        return {k: (rates[a:b], record[a:b]) for k, a, b in zip(blocks, starts, ends)}
+    def score(rows, owner):
+        """Rates and records of decision rows; row i belongs to problem owner[i]."""
+        rows = decode(rows)
+        rates, record = np.empty(len(rows)), np.empty((len(rows), 8))
+        for a, b in _chunks(len(rows), _MAX_CALL_ROWS):
+            of = owner[a:b]
+            rates[a:b], record[a:b] = _kernel(
+                rows[a:b], eta[of], _at_rows(xi, of), _at_rows(n, of),
+                sys, fk, ec_mode, bounds,
+            )
+        return rates, record
 
-    points = _grid_points([np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)])
-    outcomes = [None] * len(problems)
-    # the grid best of each feasible problem, as (point, rate, record)
-    grid_best = {}
-    everyone = np.arange(len(problems))
-    grids = score(dict.fromkeys(everyone.tolist(), points), everyone)
-    for k, (rates, record) in grids.items():
-        # argmax takes the first maximum in axis order: ties go to the
-        # smaller m or photon number
-        best = np.argmax(rates)
-        if rates[best] > 0.0:
-            grid_best[k] = points[best], float(rates[best]), record[best]
-            continue
-        _, _, _, v_0, sigma, *_ = record[best]
-        vector = np.append(decode(points[best][None])[0], v_0 / sigma)
+    points = _grid_points(tuple(lo.tolist()), tuple(hi.tolist()), shape)
+    count, size = len(problems), len(points)
+    rates, records = score(
+        np.tile(points, (count, 1)), np.repeat(np.arange(count), size)
+    )
+    rates, records = rates.reshape(count, size), records.reshape(count, size, 8)
+    # argmax takes the first maximum in axis order: ties go to the smaller
+    # m or photon number
+    best = np.argmax(rates, axis=1)
+    best_rate = rates[np.arange(count), best]
+    feasible = np.flatnonzero(best_rate > 0.0)
+    outcomes = [None] * count
+    for k in np.flatnonzero(~(best_rate > 0.0)).tolist():
+        _, _, _, v_0, sigma, *_ = records[k, best[k]]
+        vector = np.append(decode(points[best[k]][None])[0], v_0 / sigma)
         ch = problems[k][0]
         outcomes[k] = InfeasibleError(
-            f"no positive rate on the {rates.size}-point coarse grid at "
+            f"no positive rate on the {size}-point coarse grid at "
             f"loss={ch.loss_db} dB, xi={ch.xi}",
             diagnostics={
-                "best_rate": float(rates[best]),
+                "best_rate": float(best_rate[k]),
                 "best_point": tuple(float(v) for v in vector),
-                "grid_points": rates.size,
+                "grid_points": size,
             },
         )
-    if not grid_best:
+    if not feasible.size:
         return outcomes
 
-    # descent i refines problem done[i], in units of its grid best
-    done = np.array(list(grid_best))
-    descent = _refine(np.array([start for start, _, _ in grid_best.values()]), lo, hi)
-    blocks = next(descent)
-    # every round's scored blocks, by descent, to report each optimum from
+    # descent i refines problem feasible[i], in units of its grid best
+    start_rate = best_rate[feasible]
+    descent = _refine(points[best[feasible]], lo, hi)
+    rows, index = next(descent)
+    # every round's scored rows, to report each optimum from
     history = []
     try:
         while True:
-            history.append(score(blocks, done))
-            values = {
-                i: -rates / grid_best[done[i]][1]
-                for i, (rates, _) in history[-1].items()
-            }
-            blocks = descent.send(values)
+            history.append(score(rows, feasible[index]))
+            rows, index = descent.send(-history[-1][0] / start_rate[index])
     except StopIteration as stop:
         _, n_eval, origin = stop.value
 
     # each optimum's rate and record, from the row that scored it
-    found = []
-    for i, k in enumerate(done.tolist()):
-        if origin[i] is None:
-            found.append(grid_best[k][1:])
-        else:
-            r, row = origin[i]
-            rates, record = history[r][i]
-            found.append((float(rates[row]), record[row]))
-    records = np.array([record for _, record in found])
-    mu_0, beta_A, delta, v_0, sigma, plus, minus, chi = records.T
+    found = [
+        (best_rate[k], records[k, best[k]]) if r < 0
+        else (history[r][0][row], history[r][1][row])
+        for k, (r, row) in zip(feasible.tolist(), origin.tolist())
+    ]
+    mu_0, beta_A, delta, v_0, sigma, plus, minus, chi = np.array(
+        [record for _, record in found]
+    ).T
     E, P = decision_masses(v_0, plus, minus, sigma)
-    for i, k in enumerate(done.tolist()):
+    for i, k in enumerate(feasible.tolist()):
         # plain floats: an np.float64 would print as np.float64(...) in reports
         accepted = P[i] >= P_FLOOR
         outcomes[k] = OptimumPoint(
@@ -663,11 +718,11 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
                 mu_0=float(mu_0[i]), beta_A=float(beta_A[i]), delta=float(delta[i]),
                 v_0=float(v_0[i]), k_sample=fk.k_sample if fk is not None else 0,
             ),
-            rate=found[i][0],
+            rate=float(found[i][0]),
             Q=float(E[i]) / float(P[i]) if accepted else None,
             P=float(P[i]) if accepted else None,
             chi=float(chi[i]),
-            evaluations=points.shape[0] + n_eval[i],
+            evaluations=size + int(n_eval[i]),
         )
     return outcomes
 
@@ -730,7 +785,7 @@ def _alone(ch: ChannelModel, fk, sys, ec_mode: str, bounds: Bounds):
 
 def thread_count(n_tasks: int) -> int:
     """Processes a sweep runs in: always 1, since a sweep scores all its
-    points together, one kernel call (per chunk of rows) per round."""
+    points together, one kernel call per round (per _MAX_CALL_ROWS rows)."""
     # kept only for perfbench/worker.py, which imports it and reports it
     # as the sweep worker count
     return 1
@@ -741,8 +796,9 @@ def sweep(spec: SweepSpec, sys: SystemParams) -> list[KeyRateReport]:
 
     Every point of the sweep is optimized in one lockstep search (see
     :func:`_optimize_group`), in one process: each round scores a block
-    for every unfinished point, in one kernel call per chunk of at most
-    _MAX_ROWS rows, and each row equals its own :func:`optimize_point`.
+    for every unfinished point, in one kernel call per even part of at
+    most _MAX_CALL_ROWS rows, and each row equals its own
+    :func:`optimize_point`.
     When a shared call raises, the points are optimized again one at a
     time, so only the point at fault records the error.  The output order
     follows the grid index (noise level outermost, loss innermost), and

@@ -43,3 +43,14 @@ def test_compare_matches_records_by_ec_mode(tmp_path, capsys):
     assert "oracle" not in out
     assert _compare(tmp_path, [block], [pointwise]) == 1
     assert "point sets differ: 2 points in one record only" in capsys.readouterr().out
+
+
+def test_compare_prints_each_group_range(tmp_path, capsys):
+    # the rate-change range of each (S, ec_mode) group, so an unchanged
+    # group shows as such beside a moved one; the exit rule is unchanged
+    s1, s3 = _record(1.0), _record(2.0, S=3)
+    moved = dict(s1, rate=1.0 + 4e-13)
+    assert _compare(tmp_path, [s1, s3], [moved, s3]) == 0
+    out = capsys.readouterr().out
+    assert "  S=1 pointwise, 1 ok points: +4.00e-13 ... +4.00e-13\n" in out
+    assert "  S=3 pointwise, 1 ok points: +0.00e+00 ... +0.00e+00 (every record identical)" in out

@@ -1,6 +1,7 @@
 """Optimizer and sweep tests."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -133,9 +134,7 @@ def test_grid_means_are_ordered_and_antisymmetric(S):
     # calibration makes the means antisymmetric, so e(0) = 1/2 to rounding
     sys_s = SystemParams(S=S)
     lo, hi, shape, decode = search._search_space(Bounds(), sys_s)
-    rows = decode(search._grid_points(
-        [np.linspace(a, b, size) for a, b, size in zip(lo, hi, shape)]
-    ))
+    rows = decode(search._grid_points(tuple(lo), tuple(hi), shape))
     delta = [calibrate_delta(float(beta), sys_s) for beta in rows[:, 1]]
     for loss_db in (0.5, 3.0, 6.0, 9.0, 10.0):
         for xi in (0.0, 0.1, 0.2):
@@ -458,24 +457,35 @@ def _counted(fn):
 
 def _descend(starts, objectives, lo, hi):
     """Run one ``_refine`` generator over descents from each of ``starts``,
-    scoring each descent's blocks with its own objective; returns (x,
-    points scored), one entry per descent, after checking that each x is
-    the row its returned origin names: the start, or a row it scored."""
+    scoring each descent's rows of a round, one block in the round's
+    stack, with its own objective; returns (x, points scored), one entry
+    per descent, after checking that each x is the row its returned origin
+    names: the start, or a row of a stack it scored."""
     descent = search._refine(np.array(starts), lo, hi)
-    blocks = next(descent)
+    rows, owner = next(descent)
     rounds = []
     while True:
-        # copies: a yielded block may be a view the generator later reuses
-        rounds.append({k: rows.copy() for k, rows in blocks.items()})
-        values = {k: objectives[k](rows) for k, rows in blocks.items()}
+        rounds.append((rows.copy(), owner.copy()))
+        values = np.full(len(rows), np.nan)
+        for k, objective in enumerate(objectives):
+            (mine,) = np.nonzero(owner == k)
+            if mine.size:
+                assert np.array_equal(mine, np.arange(mine[0], mine[-1] + 1)), k
+                values[mine] = objective(rows[mine])
+        assert not np.isnan(values).any()
         try:
-            blocks = descent.send(values)
+            rows, owner = descent.send(values)
         except StopIteration as stop:
             xs, n_evals, origins = stop.value
             break
     for k, (x, origin) in enumerate(zip(xs, origins)):
-        row = starts[k] if origin is None else rounds[origin[0]][k][origin[1]]
-        assert np.array_equal(x, row), k
+        r, row = origin
+        if r < 0:
+            assert np.array_equal(x, starts[k]), k
+        else:
+            stack, owners = rounds[r]
+            assert owners[row] == k
+            assert np.array_equal(x, stack[row]), k
     return xs, n_evals
 
 
@@ -577,6 +587,103 @@ def test_refine_round_mixes_phases_without_crosstalk():
     # holds a line search (face) and stencils after a halving (log_cosh, edge)
     third = [sizes[2] for _, sizes in counted if len(sizes) > 2]
     assert sorted(third) == [11, 11, 18]
+
+
+def _stencil_values(fn, x, lo, hi):
+    """(rows, values) of the refinement stencils of the points ``x`` (K, dim)."""
+    unit, _ = search._stencil(x.shape[1])
+    offsets = unit * (hi - lo)
+    rows = search._clip(x[:, None] + offsets, lo, hi)
+    return rows, fn(rows), offsets
+
+
+def _plain_newton(x, rows, f, lo, hi):
+    """The full Newton trials of :func:`search._line_searches` with no third
+    derivative, from the same gradient, curvature and floored eigenvalues,
+    for points whose coordinates are all free and whose step stays in the
+    box and under _MAX_STEP."""
+    dim, width = x.shape[1], hi - lo
+    inside = (x - search._CURVE_STEP * width >= lo) & (x + search._CURVE_STEP * width <= hi)
+    grad, _ = search._gradient(f, rows, inside)
+    g, d = grad * width, (rows[:, 1 + 2 * dim :] - x[:, None]) / width
+    df = f[:, 1 + 2 * dim :] - f[:, :1] - np.einsum("knd,kd->kn", d, g)
+    lam, vec = np.linalg.eigh(search._curvature(d, df))
+    lam = np.abs(lam)
+    lam = np.maximum(lam, search._EIG_FLOOR * lam.max(axis=1, keepdims=True))
+    newton = -np.einsum("kij,kj->ki", vec, np.einsum("kij,ki->kj", vec, g) / lam)
+    return x + newton * width
+
+
+def test_line_search_takes_a_third_order_step_in_one_coordinate():
+    # a cubic g w + h w^2/2 + t w^3/6 about x (w = x' - x), written so
+    # that its values near x are small and round finely: the 5-point
+    # stencil measures t, up to the rounding of its points' coordinates,
+    # and the full step is Chebyshev's, -(g + t s^2/2)/h with s = -g/h the
+    # Newton step, here in a box 5 wide
+    lo, hi, x0 = np.array([-2.0]), np.array([3.0]), 0.7
+    g, h, t = 0.87, 3.8, 6.0
+
+    def fn(rows):
+        w = rows[..., 0] - x0
+        return g * w + h / 2 * w**2 + t / 6 * w**3
+
+    x = np.array([[x0]])
+    rows, f, offsets = _stencil_values(fn, x, lo, hi)
+    go, _, found = search._line_searches(x, rows, f, lo, hi, offsets)
+    assert go.tolist() == [True]
+    s = -g / h
+    chebyshev = x0 - (g + t / 2 * s**2) / h
+    assert abs(found[0, 0, 0, 0] - chebyshev) < 1e-10
+    # plain Newton lands 0.04 away, more than twice as far from the
+    # cubic's stationary point
+    newton = _plain_newton(x, rows, f, lo, hi)[0, 0]
+    assert abs(newton - (x0 + s)) < 1e-10
+    assert abs(newton - chebyshev) > 0.04
+    stationary = x0 + (math.sqrt(h * h - 2 * t * g) - h) / t
+    assert abs(chebyshev - stationary) < 0.5 * abs(newton - stationary)
+
+
+def test_line_search_uses_no_third_derivative_without_both_pairs():
+    # one row whose near point scored no rate, one whose far point did
+    # not, one whose far pair is clipped at the face, and a plain row: the
+    # first three take the Newton step bit for bit, with no warning, and
+    # do not move the fourth
+    lo, hi = np.array([0.0]), np.array([1.0])
+
+    def fn(rows):
+        u = rows[..., 0] - 0.9
+        return u**2 + u**3
+
+    x = np.array([[0.8], [0.82], [1.0 - 0.5 * search._CURVE_STEP], [0.85]])
+    rows, f, offsets = _stencil_values(fn, x, lo, hi)
+    f[0, 1] = np.inf
+    f[1, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        go, _, found = search._line_searches(x, rows, f, lo, hi, offsets)
+        assert go.all()
+        plain = _plain_newton(x, rows, f, lo, hi)
+    assert np.array_equal(found[:3, 0, 0], plain[:3])
+    assert abs(found[3, 0, 0, 0] - plain[3, 0]) > 1e-3
+    alone, _, _ = _stencil_values(fn, x[3:], lo, hi)
+    assert np.array_equal(search._line_searches(x[3:], alone, f[3:], lo, hi, offsets)[2], found[3:])
+
+
+def test_line_search_takes_the_newton_step_in_two_coordinates():
+    # the 11-point stencil does not fix the mixed cubic terms, so in two
+    # coordinates the full step stays Newton's, bit for bit
+    lo, hi = np.zeros(2), np.ones(2)
+
+    def fn(rows):
+        u, v = rows[..., 0] - 0.4, rows[..., 1] - 0.5
+        return u**2 + u**3 + 0.5 * v**2 + u * v**2
+
+    x = np.array([[0.6, 0.55], [0.45, 0.3]])
+    rows, f, offsets = _stencil_values(fn, x, lo, hi)
+    assert search._gradient(f, rows, np.ones_like(x, dtype=bool))[1] is None
+    go, _, found = search._line_searches(x, rows, f, lo, hi, offsets)
+    assert go.all()
+    assert np.array_equal(found[:, 0, 0], _plain_newton(x, rows, f, lo, hi))
 
 
 def _calibrated(mu_0: float, beta_A: float, v_0: float) -> TunableParams:
@@ -761,20 +868,33 @@ def _grid_rows(spec):
     ]
 
 
+def _refine_calls(log):
+    """The number of kernel calls after the last refinement start in the log."""
+    return log[::-1].index("refine")
+
+
 def test_sweep_scores_one_grid_per_point(monkeypatch):
     # the threshold, and so the grid's rates, depend on the block size:
     # the sweep scores a 64-point grid for every (xi, n, loss) point, all
-    # in one stage, in output order, in even calls of at most _MAX_ROWS
+    # in one kernel call, in output order; then each refinement round is
+    # one call, so there are as many as the longest descent has rounds
     spec = _SWEEPS["finite-pointwise"]
     log = _log_kernel_calls(monkeypatch)
     reports = sweep(spec, SYS)
     assert len(reports) == 12 and all(r.status == "ok" for r in reports)
     (grid,) = _grid_calls(log)
     rows = _grid_rows(spec)
-    calls = -(-len(rows) // search._MAX_ROWS)
-    assert [len(call) for call in grid] == [len(rows) // calls] * calls
+    assert len(rows) <= search._MAX_CALL_ROWS
+    assert [len(call) for call in grid] == [len(rows)]
     assert _rows_of(grid) == rows
     assert [(r.loss_db, r.xi, r.n) for r in reports] == rows[::64]
+    rounds = _refine_calls(log)
+    alone = []
+    for r in reports:
+        log.clear()
+        optimize_point(ChannelModel(loss_db=r.loss_db, xi=r.xi), SYS, FiniteKeyParams(n=r.n))
+        alone.append(_refine_calls(log))
+    assert rounds == max(alone) <= 3
 
 
 def test_sweep_grid_failure_marks_every_block_size(monkeypatch):
@@ -830,26 +950,66 @@ def test_sweep_infeasibility_stays_per_block_size(monkeypatch):
 
 
 def test_sweep_kernel_calls_stay_under_the_row_cap(monkeypatch):
-    # a stack of more than _MAX_ROWS rows is scored in even chunks, so no
-    # kernel block of a sweep, however many points it has, exceeds the cap;
-    # the rows still equal their own uncapped optimize_point
+    # a stack of more than _MAX_CALL_ROWS rows is scored in even calls, and
+    # each call's node stage in even blocks of at most _MAX_ROWS rows, so
+    # neither grows with the sweep, however many points it has; the rows
+    # still equal their own uncapped optimize_point
     spec = SweepSpec(
         loss_grid=(2.0, 4.0), noise_levels=(0.0, 0.1), n_values=(10**8, 10**10)
     )
     expected = _pointwise_reports(spec)
+    monkeypatch.setattr(search, "_MAX_CALL_ROWS", 200)
     monkeypatch.setattr(search, "_MAX_ROWS", 50)
-    sizes = []
+    calls, blocks = [], []
 
-    def counted(mu_0, *args):
-        sizes.append(len(mu_0))
+    def counted_symbols(mu_0, *args):
+        calls.append(len(mu_0))
         return symbol_block(mu_0, *args)
 
-    monkeypatch.setattr(search, "symbol_block", counted)
+    def counted_rates(block, *args, **kwargs):
+        blocks.append(len(block.v_0))
+        return finite_rates(block, *args, **kwargs)
+
+    monkeypatch.setattr(search, "symbol_block", counted_symbols)
+    monkeypatch.setattr(search, "finite_rates", counted_rates)
     assert sweep(spec, SYS) == expected
-    # the 8 points' 512 grid rows as 11 chunks of 46 or 47 rows, then the
-    # refinement's stacks, all within the cap
-    assert sum(sizes[:11]) == 512 and set(sizes[:11]) == {46, 47}
-    assert max(sizes) <= 50
+    # the 8 points' 512 grid rows as 3 calls of 170 or 171 rows, each in 4
+    # node blocks of 42 or 43, then the refinement's stacks, all within
+    # the caps
+    assert calls[:3] == [170, 171, 171]
+    assert sum(blocks[:12]) == 512 and set(blocks[:12]) == {42, 43}
+    assert max(calls) <= 200 and max(blocks) <= 50
+    assert sum(calls) == sum(blocks)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("mode", ["asymptotic", "pointwise", "block"])
+def test_kernel_rows_keep_their_bits_across_node_blocks(S, mode, monkeypatch):
+    # one call whose node stage spans several blocks, with a transmittance,
+    # excess noise and block size per row, gives every row the bits of
+    # that row scored alone
+    sys = SystemParams(S=S)
+    lo, hi, _, decode = search._search_space(Bounds(), sys)
+    rng = np.random.default_rng(S)
+    count = 11
+    points = decode(lo + (hi - lo) * rng.uniform(0.3, 0.8, (count, lo.size)))
+    eta = np.array([ChannelModel(loss_db=v).eta for v in rng.uniform(0.5, 6.0, count)])
+    xi = rng.choice([0.0, 0.1, 0.2], count)
+    fk, n, ec_mode = None, None, "pointwise"
+    if mode != "asymptotic":
+        fk, ec_mode = FiniteKeyParams(n=10**10), mode
+        n = rng.choice([1e8, 1e10, 1e12], count)
+    monkeypatch.setattr(search, "_MAX_ROWS", 4)
+    rates, record = search._kernel(points, eta, xi, n, sys, fk, ec_mode, Bounds())
+    assert (rates > 0.0).sum() >= 4
+    for i in range(count):
+        one = slice(i, i + 1)
+        alone = search._kernel(
+            points[one], eta[one], xi[one], None if n is None else n[one],
+            sys, fk, ec_mode, Bounds(),
+        )
+        assert rates[i] == alone[0][0], i
+        assert np.array_equal(record[i], alone[1][0], equal_nan=True), i
 
 
 def test_sweep_finite_grid():

@@ -287,12 +287,11 @@ def test_rate_kernel_converged_in_order(S, monkeypatch):
     nodes_96 = leggauss(96)
     sys_s = SystemParams(S=S)
     bounds = search.Bounds()
-    box = zip(
+    points = search._grid_points(
         (math.log10(bounds.mu_0[0]), bounds.beta_A[0], bounds.v_0_sigmas[0]),
         (math.log10(bounds.mu_0[1]), bounds.beta_A[1], bounds.v_0_sigmas[1]),
         (*search._GRID_SHAPE, 9),
     )
-    points = search._grid_points([np.linspace(lo, hi, size) for lo, hi, size in box])
     compared = 0
     for loss_db in (0.5, 3.0, 6.0, 8.5, 9.5):
         for xi in (0.0, 0.1, 0.2):

@@ -29,7 +29,9 @@ refinement block), and the optimum's Q, P, chi and parameters
 (mu_0, beta_A, delta, v_0).
 
 ``compare`` prints the status changes from A to B, the range of the
-relative rate change over points that are ``ok`` in both, and the totals
+relative rate change over points that are ``ok`` in both, overall and
+per (S, ``ec_mode``) group (a group whose records are equal in every
+field says so), and the totals
 of kernel points and kernel calls (the coarse grid's one call included),
 per optimum for each S.  It exits 1 when a status changed or a rate moved
 by more than ``RTOL`` relative, else 0.  For information only it also
@@ -208,6 +210,12 @@ def compare(a_path: str, b_path: str) -> int:
         print(f"relative rate change over {len(both)} ok points: "
               f"{min(rel):+.2e} ... {max(rel):+.2e} (largest at {_name(worst)})")
         bad += sum(abs(r) > RTOL for r in rel)
+        for S, ec_mode in sorted({(k[0], k[4]) for k in both}):
+            group = [k for k in both if (k[0], k[4]) == (S, ec_mode)]
+            moves = [(b[k]["rate"] - a[k]["rate"]) / a[k]["rate"] for k in group]
+            same = " (every record identical)" if all(a[k] == b[k] for k in group) else ""
+            print(f"  S={S} {ec_mode}, {len(group)} ok points: "
+                  f"{min(moves):+.2e} ... {max(moves):+.2e}{same}")
 
     for field in ("Q", "P", "chi"):
         moves = [abs(b[k][field] - a[k][field]) / abs(a[k][field]) for k in both
