@@ -52,8 +52,8 @@ class FiniteKeyParams:
             raise DomainError(
                 f"verification hash length must be a positive int, got {self.check_EC!r}"
             )
-        if not self.f_EC >= 1.0:
-            raise DomainError(f"f_EC must be >= 1, got {self.f_EC}")
+        if not (math.isfinite(self.f_EC) and self.f_EC >= 1.0):
+            raise DomainError(f"f_EC must be finite and >= 1, got {self.f_EC}")
         if not 0.0 <= self.dQ < 0.5:
             raise DomainError(f"dQ must be in [0, 1/2), got {self.dQ}")
         if not 0 <= self.k_sample < self.n:
@@ -91,6 +91,8 @@ class Bounds:
     def __post_init__(self):
         for name in ("mu_0", "beta_A", "v_0_sigmas"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"bounds for {name} must be finite, got ({lo}, {hi})")
             if not lo < hi:
                 raise DomainError(f"bounds for {name} must be ordered, got ({lo}, {hi})")
         if self.mu_0[0] <= 0.0:

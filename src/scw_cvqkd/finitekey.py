@@ -23,7 +23,7 @@ idealized efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .security import (
     RateBlock,
     SymbolBlock,
     _LN2,
-    _at_rows,
     _entropy_bits,
     binary_entropy,
     binary_entropy_inverse,
@@ -128,23 +127,23 @@ def finite_key_length(fk: FiniteKeyParams, chi: float) -> FiniteKeyLength:
     return FiniteKeyLength(l=l, abort=False)
 
 
-def _fixed_charge(chi, fk: FiniteKeyParams, k_sample, n):
-    """The per-bit charges that do not depend on the readout: chi and the
-    overheads of block size ``n`` (one, or one per point) shared by both
-    error-correction charges."""
-    # sqrt is correctly rounded in numpy as in math, so a per-point n gets
-    # the bits of the scalar call
-    root_n = np.sqrt(n) if isinstance(n, np.ndarray) else math.sqrt(n)
+def _fixed_charge(chi, fk: FiniteKeyParams, n):
+    """The per-bit charges that do not depend on the readout, shared by both
+    error-correction charges: each point's chi and the overheads of its
+    block size ``n`` and of ``fk``'s sample count.
+
+    ``n`` is ``fk.n`` (an int) or a float array of block sizes: sqrt and
+    division are correctly rounded in numpy as in Python, so a point's
+    charge has the same bits either way.
+    """
     return (
         chi
-        + smoothing_correction(fk.eps_s) / root_n
-        + (k_sample + fk.check_EC + fk.loss_PA) / n
+        + smoothing_correction(fk.eps_s) / np.sqrt(n)
+        + (fk.k_sample + fk.check_EC + fk.loss_PA) / n
     )
 
 
-def pointwise_threshold(
-    symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None, fixed=None
-):
+def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
     """The pointwise finite rate's best thresholds in [v_lo, v_hi].
 
     The per-bit fraction 1 - c_n - f_EC h(min(e(v) + dQ, 1/2)), with c_n
@@ -153,12 +152,11 @@ def pointwise_threshold(
     :func:`security.threshold_at_error`); when e* <= 0 it is negative at
     every v and the threshold is v_hi.  Block mode's flat charge moves
     with v through Q, so it has a rule of its own
-    (:func:`block_threshold`), which starts from this one.  The bounds and
-    the block size ``n`` (default ``fk.n``) are one for all points or one
-    per point; ``fixed`` is c_n where the caller has formed it already.
+    (:func:`block_threshold`), which starts from this one.  The bounds
+    broadcast against the points; ``n`` holds the points' block sizes
+    (None: ``fk.n`` at every point).
     """
-    if fixed is None:
-        fixed = _fixed_charge(symbols.chi, fk, fk.k_sample, fk.n if n is None else n)
+    fixed = _fixed_charge(symbols.chi, fk, fk.n if n is None else n)
     e_star = binary_entropy_inverse((1.0 - fixed) / fk.f_EC) - fk.dQ
     return threshold_at_error(symbols, e_star, v_lo, v_hi)
 
@@ -202,9 +200,7 @@ def _increasing_root(fn, lo, hi, x):
     return x
 
 
-def block_threshold(
-    symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None, fixed=None
-):
+def block_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
     """The block rate's best thresholds in [v_lo, v_hi].
 
     Block mode charges each accepted bit k/n, k = ceil(n f_EC h(q)),
@@ -229,21 +225,19 @@ def block_threshold(
     the relaxation and differs from v_k's rate to second order in the
     step.
 
-    ``v_lo``, ``v_hi`` and the block size ``n`` (default ``fk.n``) are
-    one for all points or one per point; ``fixed`` is c_n where the
-    caller has formed it already.  A row's threshold depends on that row
-    alone.
+    ``v_lo`` and ``v_hi`` broadcast against the points; ``n`` holds the
+    points' block sizes (None: ``fk.n`` at every point).  A row's
+    threshold depends on that row alone.
     """
     n = fk.n if n is None else n
-    if fixed is None:
-        fixed = _fixed_charge(symbols.chi, fk, fk.k_sample, n)
+    fixed = _fixed_charge(symbols.chi, fk, n)
     f_EC, dQ = fk.f_EC, fk.dQ
 
     def profile(v, rows):
         """Q above thresholds ``v`` of rows ``rows``, the error fraction e
         at v, and their slopes dQ/dv and de/dv."""
         plus, minus = symbols.mean_plus[rows], symbols.mean_minus[rows]
-        sigma = _at_rows(symbols.sigma, rows)
+        sigma = symbols.sigma[rows]
         E, P = decision_masses(v, plus, minus, sigma)
         # the four tail edges of decision_masses: -d/dv of each tail is the
         # normal density g at its edge over sigma, and dg/dv = g z / sigma
@@ -263,14 +257,14 @@ def block_threshold(
         # h'(q) and h''(q), in bits; both vanish past q = 1/2, where h is 1
         h1 = np.log2((1.0 - q) / q)
         h2 = np.where(q < 0.5, -1.0 / (q * (1.0 - q) * _LN2), 0.0)
-        value = 1.0 - _at_rows(fixed, rows) - f_EC * (_entropy_bits(q) + h1 * (e - Q))
+        value = 1.0 - fixed[rows] - f_EC * (_entropy_bits(q) + h1 * (e - Q))
         return value, -f_EC * (h2 * slope_Q * (e - Q) + h1 * slope_e)
 
     every = np.arange(symbols.chi.size)
     # rows that abort, or lack ordered means, give infinities and NaNs here
     # and keep v*; the kernel scores the latter -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = pointwise_threshold(symbols, fk, v_lo, v_hi, fixed=fixed)
+        start = pointwise_threshold(symbols, fk, v_lo, v_hi, n)
         v_star = _increasing_root(phi, v_lo, v_hi, start)
         Q, _, slope_Q, _ = profile(v_star, every)
         q = np.minimum(Q + dQ, 0.5)
@@ -288,28 +282,18 @@ def block_threshold(
 
 
 def finite_rates(
-    block: RateBlock,
-    fk: FiniteKeyParams,
-    ec_mode: str = "pointwise",
-    k_sample=None,
-    n=None,
-    fixed=None,
+    block: RateBlock, fk: FiniteKeyParams, ec_mode: str = "pointwise", n=None
 ) -> np.ndarray:
     """Finite-block rates of a kernel block in bits per second; 0 where aborted.
 
-    ``ec_mode`` is one of ``_EC_MODES``; ``k_sample`` and the block size
-    ``n`` (each a scalar or one per point) default to ``fk.k_sample`` and
-    ``fk.n``, and ``fixed`` is their :func:`_fixed_charge` where the
-    caller has formed it already.  Only block mode forms the block's E
-    and P.
+    ``ec_mode`` is one of ``_EC_MODES``; ``n`` holds the points' block
+    sizes (None: ``fk.n`` at every point), and ``fk`` sets every other
+    finite-key setting.  Only block mode forms the block's E and P.
     """
     if ec_mode not in _EC_MODES:
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
-    if k_sample is None:
-        k_sample = fk.k_sample
     n = fk.n if n is None else n
-    if fixed is None:
-        fixed = _fixed_charge(block.chi, fk, k_sample, n)
+    fixed = _fixed_charge(block.chi, fk, n)
     abort = block.empty
     if ec_mode == "block":
         Q = np.divide(block.E, block.P, out=np.zeros_like(block.P), where=~abort)
@@ -336,15 +320,14 @@ def finite_key_rate(
     The per-bit budget 1 - chi - delta/sqrt(n) - (k + check_EC + loss_PA)/n
     minus the error-correction charge is integrated over the accepted
     region with the same folding and clamping conventions as the
-    asymptotic rate.  ``fk.k_sample`` overrides ``tun.k_sample`` when the
-    latter is zero.
+    asymptotic rate.  k is ``tun.k_sample`` where that is positive, else
+    ``fk.k_sample``; a k of at least ``fk.n`` raises :class:`DomainError`.
     """
-    k_sample = tun.k_sample if tun.k_sample > 0 else fk.k_sample
-    if k_sample >= fk.n:
-        raise DomainError(f"k_sample {k_sample} must be below block size {fk.n}")
+    if tun.k_sample > 0:
+        fk = replace(fk, k_sample=tun.k_sample)
     block = point_block(tun, sys, ch)
     stats, quantities = block.point(0)
-    rate = float(finite_rates(block, fk, ec_mode, k_sample)[0])
+    rate = float(finite_rates(block, fk, ec_mode)[0])
     return FiniteKeyResult(
         rate=rate, abort=not rate > 0.0, chi=quantities.chi_dr, stats=stats, n=fk.n
     )

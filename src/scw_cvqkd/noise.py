@@ -93,11 +93,11 @@ def _distinct(values: np.ndarray):
 
 
 def _per_value(f, values):
-    """``f`` at each entry of ``values`` (a scalar or an array), called once
-    per distinct value, so every entry has the bits of the scalar call.  An
-    ``f`` of several outputs gives one array per output."""
-    if not isinstance(values, np.ndarray):
-        return f(values)
+    """``f`` at each entry of an array ``values``, called once per distinct
+    value, so every entry has the bits of the scalar call (numpy's log may
+    round differently from math's).  An ``f`` of several outputs gives one
+    array per output, each of the shape of ``values``."""
+    values = np.asarray(values)
     distinct, inverse = _distinct(values.ravel())
     table = np.array([f(value) for value in distinct.tolist()])
     if table.ndim == 1:
@@ -129,7 +129,6 @@ def erasure_error_profiles(v, mean_plus, mean_minus, xi):
     broadcast against it.
     """
     v = np.asarray(v, dtype=float)
-    # math.log per distinct xi: np.log may round differently
     log_peak = _per_value(_log_peak, xi)
     lp_plus = log_peak - 2.0 * (v - mean_plus) ** 2 / (1.0 + xi)
     lp_minus = log_peak - 2.0 * (v - mean_minus) ** 2 / (1.0 + xi)

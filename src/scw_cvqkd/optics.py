@@ -56,14 +56,20 @@ class SystemParams:
     symmetric_doubling: bool = True
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise DomainError(f"window duration must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise DomainError(
+                f"window duration must be finite and positive, got {self.T}"
+            )
         if not 0.0 <= self.theta_carrier <= 1.0:
             raise DomainError(
                 f"carrier attenuation must be in [0, 1], got {self.theta_carrier}"
             )
         if not (isinstance(self.S, int) and self.S >= 1):
             raise DomainError(f"sideband-pair count must be a positive int, got {self.S}")
+        if not (math.isfinite(self.s) and self.s > 0.0):
+            raise DomainError(
+                f"detector sensitivity must be finite and positive, got {self.s}"
+            )
 
 
 @dataclass(frozen=True)

@@ -45,19 +45,21 @@ projected gradient is at most 1e-7.
 
 Kernel calls, not points, set the search's time, so a sweep optimizes
 all its (noise level, block size, loss) points in lockstep, in one
-process: the kernel takes each row's transmittance, excess noise and
-block size, so one kernel call scores every point's coarse grid, then
-each round stacks every unfinished descent's next block into one array,
-scores it in one call and advances every descent in one vectorised step.
-A descent ends on a row it has scored, so each optimum is reported from
-that row's record: its rate and parameters as scored, with Q and P (the
-only tail masses the asymptotic and pointwise searches form) computed
-for the reported rows alone.  A call forms its (rows, 48) node arrays in
-blocks of at most _MAX_ROWS rows, and a stack of more than
-_MAX_CALL_ROWS rows is scored in even calls, which bounds a call's memory
-whatever the sweep's size.  A kernel row and a descent's step depend on
-that row or descent alone, to the last bit, so every sweep row equals
-what :func:`optimize_point`, the one-point case, returns for it.
+process.  The kernel takes each row's transmittance, excess noise and
+block size as arrays, one entry per row, even where every row shares a
+value, so a one-point search and a sweep pass the same form.  One kernel
+call scores every point's coarse grid; then each round stacks every
+unfinished descent's next block into one array, scores it in one call
+and advances every descent in one vectorised step.  A descent ends on a
+row it has scored, so each optimum is reported from that row's record:
+its rate and parameters as scored, with Q and P (the only tail masses
+the asymptotic and pointwise searches form) computed for the reported
+rows alone.  A call forms its (rows, 48) node arrays in blocks of at
+most _MAX_ROWS rows, and a stack of more than _MAX_CALL_ROWS rows is
+scored in even calls, which bounds a call's memory whatever the sweep's
+size.  A kernel row and a descent's step depend on that row or descent
+alone, to the last bit, so every sweep row equals what
+:func:`optimize_point`, the one-point case, returns for it.
 """
 
 from __future__ import annotations
@@ -70,21 +72,10 @@ import numpy as np
 
 from .config import _EC_MODES, Bounds, FiniteKeyParams
 from .errors import DomainError, InfeasibleError, ScwError
-from .finitekey import (
-    _fixed_charge,
-    block_threshold,
-    finite_rates,
-    pointwise_threshold,
-)
+from .finitekey import block_threshold, finite_rates, pointwise_threshold
 from .noise import P_FLOOR, ChannelModel, _distinct, decision_masses
 from .optics import SystemParams, TunableParams, calibrate_delta
-from .security import (
-    SymbolBlock,
-    _at_rows,
-    asymptotic_rates,
-    asymptotic_threshold,
-    symbol_block,
-)
+from .security import SymbolBlock, asymptotic_rates, asymptotic_threshold, symbol_block
 
 # coarse-grid resolution per axis over (log10 mu_0, beta_A)
 _GRID_SHAPE = (12, 8)
@@ -145,10 +136,10 @@ class OptimumPoint:
     two coordinates), 12 or 18 per line search (8 halvings and the stencil
     at the full step) and another stencil for each step that wins shorter
     than full: about 93 in all at S=1, where most optima take two line
-    searches, and 205 at S=3 (the optimum gate's points).  The rate, parameters and chi are those of the
-    kernel row that scored the optimum, and Q and P are formed from that
-    row's threshold and symbol means; the one-point rate functions at
-    ``params`` reproduce them.
+    searches, and 205 at S=3 (the optimum gate's points).  The rate,
+    parameters and chi are those of the kernel row that scored the
+    optimum, and Q and P are formed from that row's threshold and symbol
+    means; the one-point rate functions at ``params`` reproduce them.
     """
 
     params: TunableParams
@@ -205,32 +196,31 @@ class KeyRateReport:
     status: str
 
 
-def _threshold(symbols: SymbolBlock, fk, ec_mode, n, fixed, bounds: Bounds):
+def _threshold(symbols: SymbolBlock, fk, ec_mode, n, bounds: Bounds):
     """The best thresholds of a symbol block in the box: asymptotic, or
-    finite in ``ec_mode`` with the rows' block sizes ``n`` and fixed
-    charges ``fixed`` (see :func:`finitekey._fixed_charge`)."""
+    finite in ``ec_mode`` with the rows' block sizes ``n``."""
     v_lo, v_hi = (b * symbols.sigma for b in bounds.v_0_sigmas)
     if fk is None:
         return asymptotic_threshold(symbols, v_lo, v_hi)
     if ec_mode == "block":
-        return block_threshold(symbols, fk, v_lo, v_hi, n=n, fixed=fixed)
-    return pointwise_threshold(symbols, fk, v_lo, v_hi, fixed=fixed)
+        return block_threshold(symbols, fk, v_lo, v_hi, n)
+    return pointwise_threshold(symbols, fk, v_lo, v_hi, n)
 
 
 def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     """Rates of decision vectors, in one kernel call, and a record of each row.
 
     Rows are (log10 mu_0, beta_A), and the kernel sets each row's
-    threshold (see :func:`_threshold`); ``eta``, ``xi`` and ``n`` hold
-    each row's transmittance, excess noise and block size, the last two as
-    an array or as one value for all rows (``fk`` sets every other
-    finite-key setting; ``n`` is None when ``fk`` is).  Returns the rates
-    and a record of each row, an (N, 8) array of its working point,
-    threshold and what its report is formed from: mu_0, beta_A, delta, v_0,
-    sigma, m+, m- and chi.  A row's values do not depend on the other rows.
-    Each distinct angle is calibrated once, and the symbol means, chi,
-    thresholds and fixed charges are formed once for every row; only the
-    node stage and the rates run in even blocks of at most _MAX_ROWS rows.  A row scores -inf, with a NaN record,
+    threshold (see :func:`_threshold`); ``eta``, ``xi`` and ``n`` are
+    (N,) arrays of each row's transmittance, excess noise and block size
+    (``fk`` sets every other finite-key setting; ``n`` is None when ``fk``
+    is).  Returns the rates and a record of each row, an (N, 8) array of
+    its working point, threshold and what its report is formed from:
+    mu_0, beta_A, delta, v_0, sigma, m+, m- and chi.  A row's values do
+    not depend on the other rows.  Each distinct angle is calibrated once,
+    and the symbol means, chi and thresholds are formed once for every
+    row; only the node stage and the rates run in even blocks of at most
+    _MAX_ROWS rows.  A row scores -inf, with a NaN record,
     where its angle has no calibration root; it scores -inf where its
     symbol means are degenerate, and where they are not ordered
     (m+ <= m-), since the threshold rules rest on m+ > m-.
@@ -249,33 +239,26 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     if not ok.any():
         return rates, record
     if not ok.all():
-        points, delta, eta, xi, n = (
-            points[ok], delta[ok], eta[ok], _at_rows(xi, ok), _at_rows(n, ok)
-        )
+        points, delta, eta, xi = points[ok], delta[ok], eta[ok], xi[ok]
+        n = None if n is None else n[ok]
     mu_0 = 10.0 ** points[:, 0]
     symbols = symbol_block(mu_0, points[:, 1], delta, eta, xi, sys)
-    # formed once for the threshold and the rates alike
-    fixed = None if fk is None else _fixed_charge(symbols.chi, fk, fk.k_sample, n)
-    v_0 = _threshold(symbols, fk, ec_mode, n, fixed, bounds)
+    v_0 = _threshold(symbols, fk, ec_mode, n, bounds)
     scored = np.empty(v_0.shape)
     for a, b in _chunks(v_0.size, _MAX_ROWS):
         rows = slice(a, b)
-        part = symbols if b - a == v_0.size else SymbolBlock(
-            **{name: _at_rows(value, rows) for name, value in vars(symbols).items()}
-        )
-        block = part.at(v_0[rows])
+        block = SymbolBlock(
+            **{name: value[rows] for name, value in vars(symbols).items()}
+        ).at(v_0[rows])
         if fk is None:
             scored[rows] = asymptotic_rates(block)
         else:
-            scored[rows] = finite_rates(
-                block, fk, ec_mode, n=_at_rows(n, rows), fixed=fixed[rows]
-            )
+            scored[rows] = finite_rates(block, fk, ec_mode, n[rows])
     plus, minus = symbols.mean_plus, symbols.mean_minus
     invalid = symbols.degenerate | ~(plus > minus)
     rates[ok] = np.where(invalid, -math.inf, scored)
     record[ok] = np.column_stack([
-        mu_0, points[:, 1], delta, v_0, np.broadcast_to(symbols.sigma, v_0.shape),
-        plus, minus, symbols.chi,
+        mu_0, points[:, 1], delta, v_0, symbols.sigma, plus, minus, symbols.chi,
     ])
     return rates, record
 
@@ -536,12 +519,12 @@ def _refine(starts, lo, hi):
     row of the stack yielded in that round (counted from 0) that x was
     scored as.  One vectorised pass over a round's values advances every
     descent, using only elementwise operations, einsum and stacked linear
-    algebra, so a descent's bits do not depend on the others.  A descent first scores the stencil at its start; then
-    each line search (see :func:`_line_searches`) keeps its longest
-    halving with a sufficient decrease, else tries the steepest-descent
-    block, else returns x.  A full step that wins brings its stencil to
-    the next iteration; a shorter winner has its stencil scored in a block
-    of its own.
+    algebra, so a descent's bits do not depend on the others.  A descent
+    first scores the stencil at its start; then each line search (see
+    :func:`_line_searches`) keeps its longest halving with a sufficient
+    decrease, else tries the steepest-descent block, else returns x.  A
+    full step that wins brings its stencil to the next iteration; a
+    shorter winner has its stencil scored in a block of its own.
     """
     count, dim = starts.shape
     unit, ahead = _stencil(dim)
@@ -607,15 +590,6 @@ def _refine(starts, lo, hi):
     return x, np.bincount(np.concatenate(owners), minlength=count), origin
 
 
-def _shared_or_each(values: list):
-    """The one value every problem shares, else an array of one each.
-
-    A shared value stays a scalar, so a one-point search, and a sweep of
-    one noise level or block size, does no per-row work for it.
-    """
-    return values[0] if len(set(values)) == 1 else np.array(values, dtype=float)
-
-
 def _chunks(size: int, cap: int):
     """(start, stop) of the fewest even chunks of ``size`` rows that hold
     at most ``cap`` rows each."""
@@ -644,8 +618,8 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     fk = problems[0][1]
     lo, hi, shape, decode = _search_space(bounds, sys)
     eta = np.array([ch.eta for ch, _ in problems])
-    xi = _shared_or_each([ch.xi for ch, _ in problems])
-    n = None if fk is None else _shared_or_each([f.n for _, f in problems])
+    xi = np.array([ch.xi for ch, _ in problems])
+    n = None if fk is None else np.array([f.n for _, f in problems], dtype=float)
 
     def score(rows, owner):
         """Rates and records of decision rows; row i belongs to problem owner[i]."""
@@ -654,7 +628,7 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
         for a, b in _chunks(len(rows), _MAX_CALL_ROWS):
             of = owner[a:b]
             rates[a:b], record[a:b] = _kernel(
-                rows[a:b], eta[of], _at_rows(xi, of), _at_rows(n, of),
+                rows[a:b], eta[of], xi[of], None if n is None else n[of],
                 sys, fk, ec_mode, bounds,
             )
         return rates, record

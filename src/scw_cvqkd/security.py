@@ -239,17 +239,6 @@ def holevo_dr(mu_0: float, beta_A: float, S: int) -> float:
     return security_quantities(mu_0, beta_A, S).chi_dr
 
 
-def _at_rows(value, rows):
-    """A per-row array at ``rows``; one value shared by every row (or None)
-    as it is."""
-    return value[rows] if isinstance(value, np.ndarray) else value
-
-
-def _column(value):
-    """A per-row array as a column against the nodes; one shared value as it is."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
-
-
 def _node_profiles(centre, half, mean_plus, mean_minus, xi, log_peak):
     """(1 - g, e, s/(1 + s), s, a) at the nodes v = centre + half x.
 
@@ -283,7 +272,7 @@ def _node_profiles(centre, half, mean_plus, mean_minus, xi, log_peak):
     s = np.exp(a)
     one_plus_s = 1.0 + s
     # before s/(1 + s): one node array fewer alive here, 10% faster at 288 rows
-    one_minus_g = np.exp(_column(log_peak - _LN2) - u * u) * one_plus_s
+    one_minus_g = np.exp((log_peak - _LN2)[:, None] - u * u) * one_plus_s
     minor = s / one_plus_s
     e = np.where(d > 0.0, 1.0 / one_plus_s, minor) if flip else minor
     return one_minus_g, e, minor, s, a
@@ -293,22 +282,24 @@ def _node_profiles(centre, half, mean_plus, mean_minus, xi, log_peak):
 class SymbolBlock:
     """The threshold-free part of N rate points.
 
-    Every array is over the N points; ``xi`` is one excess noise for all
-    of them or an array of one each, ``sigma`` its readout standard
-    deviation and ``log_peak`` the log of the readout density's peak
-    (:func:`noise.readout_scales`).  ``degenerate`` marks symbol means the
-    model leaves undefined.
+    Every field is an (N,) array, one entry per point: ``xi`` is its
+    excess noise, ``sigma`` its readout standard deviation and
+    ``log_peak`` the log of its readout density's peak
+    (:func:`noise.readout_scales`), ``scale`` the factor that turns its
+    integral into bits per second, and ``degenerate`` marks symbol means
+    the model leaves undefined.  The block of some of the points is every
+    field taken at their rows.
     """
 
-    xi: float | np.ndarray
-    sigma: float | np.ndarray
-    log_peak: float | np.ndarray
+    xi: np.ndarray
+    sigma: np.ndarray
+    log_peak: np.ndarray
     mean_plus: np.ndarray
     mean_minus: np.ndarray
     overlap: np.ndarray
     chi: np.ndarray
     degenerate: np.ndarray
-    scale: float
+    scale: np.ndarray
 
     def at(self, v_0) -> RateBlock:
         """The rate block of these points at thresholds ``v_0`` (one per point).
@@ -330,7 +321,7 @@ class SymbolBlock:
         far = (np.maximum(plus, minus) - v_0) / self.sigma < -_FAR_SIGMAS
         if far.any():
             _, P = decision_masses(
-                v_0[far], plus[far], minus[far], _at_rows(self.sigma, far)
+                v_0[far], plus[far], minus[far], self.sigma[far]
             )
             empty[far] = P < P_FLOOR
         shared = {f.name: getattr(self, f.name) for f in fields(SymbolBlock)}
@@ -401,7 +392,7 @@ class RateBlock(SymbolBlock):
             v_0=float(self.v_0[i]),
             mean_plus=float(self.mean_plus[i]),
             mean_minus=float(self.mean_minus[i]),
-            xi=float(self.xi[i] if isinstance(self.xi, np.ndarray) else self.xi),
+            xi=float(self.xi[i]),
         )
         return stats, quantities
 
@@ -412,20 +403,19 @@ def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock
     ``mu_0``, ``beta_A`` and ``delta`` are equal-length arrays of values
     already validated as :class:`TunableParams` validates them; ``eta``
     and ``xi`` hold each point's channel transmittance and excess noise,
-    or one for all.  Every output row depends on its own point alone.  The
-    system's symmetric_doubling flag folds in the mirrored negative readout
-    branch.
+    or one value that every point takes.  Every output row depends on its
+    own point alone.  The system's symmetric_doubling flag folds in the
+    mirrored negative readout branch.
     """
     mu_0 = np.asarray(mu_0, dtype=float)
     beta_A = np.asarray(beta_A, dtype=float)
-    if not isinstance(xi, float):
-        xi = np.asarray(xi, dtype=float)
-        xi = float(xi) if xi.ndim == 0 else xi
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), mu_0.shape)
     mean_plus, mean_minus, degenerate = matched_means_array(
         mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
     overlap, chi = _overlap_chi(mu_0, beta_A, sys.S)
     sigma, log_peak = _per_value(readout_scales, xi)
+    scale = (2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T)
     return SymbolBlock(
         xi=xi,
         sigma=sigma,
@@ -435,7 +425,7 @@ def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock
         overlap=overlap,
         chi=chi,
         degenerate=degenerate,
-        scale=(2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T),
+        scale=np.full(mu_0.shape, scale),
     )
 
 

@@ -118,6 +118,21 @@ def test_unknown_key_exit_1(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+def test_invalid_system_setting_exit_1(tmp_path, capsys):
+    # a zero detector sensitivity is a configuration error, not "no key"
+    code = main(["keyrate", "--config", write(tmp_path, "[system]\ns = 0\n")])
+    assert code == 1
+    assert "error: invalid configuration" in capsys.readouterr().err
+
+
+def test_tunables_k_sample_past_block_exit_1(tmp_path, capsys):
+    # [tunables] k_sample is charged in place of [finitekey] k_sample, so
+    # one of at least the block size is a configuration error
+    cfg = write(tmp_path, POINT_CFG + "k_sample = 1000\n")
+    assert main(["keyrate", "--config", cfg, "--n", "1000"]) == 1
+    assert "k_sample" in capsys.readouterr().err
+
+
 def test_missing_config_exit_1(tmp_path, capsys):
     code = main(["keyrate", "--config", str(tmp_path / "nope.ini")])
     assert code == 1

@@ -172,6 +172,28 @@ def test_invariants_revalidated_on_load(tmp_path):
         load_config(write(tmp_path, "[bounds]\nbeta_A_deg = 80, 10\n"))
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("system", "s", "nan"),
+        ("system", "s", "0"),
+        ("system", "s", "-1"),
+        ("system", "s", "inf"),
+        ("system", "T", "inf"),
+        ("system", "T", "nan"),
+        ("bounds", "mu_0", "0.001 inf"),
+        ("bounds", "mu_0", "0.001 1e400"),
+        ("bounds", "beta_A_deg", "-inf 80"),
+        ("bounds", "v_0_sigmas", "0 inf"),
+        ("finitekey", "f_EC", "inf"),
+    ],
+)
+def test_non_finite_or_non_positive_settings_rejected(section, key, value, tmp_path):
+    # each of these once loaded and made keyrate report "infeasible"
+    with pytest.raises(ConfigError, match="invalid configuration"):
+        load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+
 def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "absent.ini"))

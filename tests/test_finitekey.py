@@ -203,6 +203,30 @@ def test_rate_parameter_estimation_cost():
     assert paid.rate < free.rate
 
 
+@pytest.mark.parametrize("ec_mode", ["pointwise", "block"])
+def test_rate_charges_tunable_k_sample(ec_mode):
+    # a positive TunableParams.k_sample is charged in place of the
+    # FiniteKeyParams one, to the last bit
+    k, n = 10**6, 10**8
+    with_tun = finite_key_rate(
+        replace(tun_fk(), k_sample=k), SYS, CH, FiniteKeyParams(n=n), ec_mode
+    )
+    with_fk = finite_key_rate(
+        tun_fk(), SYS, CH, FiniteKeyParams(n=n, k_sample=k), ec_mode
+    )
+    free = finite_key_rate(tun_fk(), SYS, CH, FiniteKeyParams(n=n), ec_mode)
+    assert with_tun == with_fk
+    assert 0.0 < with_tun.rate < free.rate
+
+
+@pytest.mark.parametrize("k", [10**8, 10**8 + 1])
+def test_rate_rejects_tunable_k_sample_past_block(k):
+    with pytest.raises(DomainError, match="k_sample"):
+        finite_key_rate(
+            replace(tun_fk(), k_sample=k), SYS, CH, FiniteKeyParams(n=10**8)
+        )
+
+
 def test_rate_rejects_bad_mode():
     with pytest.raises(DomainError):
         finite_key_rate(tun(), SYS, CH, FiniteKeyParams(n=10**8), ec_mode="magic")

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "optimum_gate.py"
 spec = importlib.util.spec_from_file_location("optimum_gate", TOOL)
@@ -54,3 +57,29 @@ def test_compare_prints_each_group_range(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  S=1 pointwise, 1 ok points: +4.00e-13 ... +4.00e-13\n" in out
     assert "  S=3 pointwise, 1 ok points: +0.00e+00 ... +0.00e+00 (every record identical)" in out
+
+
+def test_compare_runs_the_oracle_on_a_moved_finite_rate(tmp_path, capsys):
+    # a finite pointwise rate that moved by more than RTOL is recomputed by
+    # the 30-digit oracle at both records' parameters, which charges
+    # finitekey._fixed_charge: the record of a real optimum lies on its own
+    # 48-node rule to rounding, so it is the closer one
+    from scw_cvqkd.finitekey import FiniteKeyParams
+    from scw_cvqkd.noise import ChannelModel
+    from scw_cvqkd.optics import SystemParams
+    from scw_cvqkd.search import optimize_point
+
+    opt = optimize_point(
+        ChannelModel(loss_db=3.0, xi=0.1), SystemParams(), FiniteKeyParams(n=10**8)
+    )
+    t = opt.params
+    a = _record(opt.rate, params=[t.mu_0, t.beta_A, t.delta, t.v_0])
+    b = dict(a, rate=opt.rate * (1.0 + 1e-9))
+    assert _compare(tmp_path, [a], [b]) == 1
+    out = capsys.readouterr().out
+    assert "oracle at S=1 3.0 dB xi=0.1 n=1e+08, relative error" in out
+    rule = re.search(r"against the 48-node rule: A (\S+), B (\S+); A is closer", out)
+    assert rule is not None, out
+    assert abs(float(rule[1])) < 1e-13
+    assert float(rule[2]) == pytest.approx(1e-9, rel=1e-3)
+    assert "against the integral:" in out

@@ -815,8 +815,8 @@ def _log_kernel_calls(monkeypatch, fail=None):
         size = len(points)
         labels = list(zip(
             [loss_of[e] for e in eta.tolist()],
-            np.broadcast_to(xi, size).tolist(),
-            [None] * size if n is None else [int(v) for v in np.broadcast_to(n, size)],
+            xi.tolist(),
+            [None] * size if n is None else [int(v) for v in n.tolist()],
         ))
         stage = next(e for e in reversed(log) if isinstance(e, str))
         log.append(labels)

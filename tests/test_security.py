@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -434,22 +434,30 @@ def _straddling_points():
 
 def _take(symbols, rows):
     """The symbol block of ``rows`` alone."""
-    return replace(symbols, **{
-        name: value[rows] for name, value in vars(symbols).items()
-        if isinstance(value, np.ndarray)
-    })
+    return replace(symbols, **{name: value[rows] for name, value in vars(symbols).items()})
 
 
 def _assert_matches_reference(block):
-    xi = np.broadcast_to(block.xi, block.v_0.shape)
     one_minus_g, e = erasure_error_profiles(
-        _nodes(block), block.mean_plus[:, None], block.mean_minus[:, None], xi[:, None]
+        _nodes(block), block.mean_plus[:, None], block.mean_minus[:, None],
+        block.xi[:, None],
     )
     np.testing.assert_allclose(block.one_minus_g, one_minus_g, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(block.e, e, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
         block.entropy(), security._entropy_bits(e), rtol=0.0, atol=1e-13
     )
+
+
+def test_symbol_block_fields_are_per_point():
+    # one form whatever the input: a channel given as one transmittance and
+    # one excess noise still gives every field one entry per point
+    beta_A = np.full(3, 1.2)
+    delta = np.full(3, calibrate_delta(1.2, SYS))
+    symbols = symbol_block(np.array([0.1, 0.3, 1.0]), beta_A, delta, 0.5, 0.1, SYS)
+    assert {name: np.shape(value) for name, value in vars(symbols).items()} == {
+        f.name: (3,) for f in fields(security.SymbolBlock)
+    }
 
 
 def test_node_profiles_match_reference():
@@ -546,13 +554,13 @@ def _reference_rates(t, ch, fk=None, ec_mode="pointwise"):
     if fk is None:
         fraction = 1.0 - security._entropy_bits(e) - chi[:, None]
     elif ec_mode == "block":
-        fixed = _fixed_charge(chi, fk, fk.k_sample, fk.n)
+        fixed = _fixed_charge(chi, fk, fk.n)
         Q = np.divide(E, P, out=np.zeros_like(P), where=~abort)
         abort = abort | (Q + fk.dQ >= 0.5)
         code_ec = _syndrome_bits(fk.n, np.where(abort, 0.0, Q) + fk.dQ, fk.f_EC)
         fraction = (1.0 - fixed - code_ec / fk.n)[:, None]
     else:
-        fixed = _fixed_charge(chi, fk, fk.k_sample, fk.n)
+        fixed = _fixed_charge(chi, fk, fk.n)
         charge = fk.f_EC * binary_entropy(np.minimum(e + fk.dQ, 0.5))
         fraction = 1.0 - fixed[:, None] - charge
     weighted = np.einsum("ij,j->i", one_minus_g * fraction, w)

@@ -157,7 +157,7 @@ def _oracle_rates(record):
     plus, minus = matched_means(tun, sys_p, ch.eta)
     chi = holevo_dr(mu_0, beta_A, sys_p.S)
     fk = None if record["n"] is None else FiniteKeyParams(n=record["n"])
-    fixed = mp.mpf(chi if fk is None else _fixed_charge(chi, fk, fk.k_sample, fk.n))
+    fixed = mp.mpf(chi if fk is None else _fixed_charge(chi, fk, fk.n))
     var = (1 + mp.mpf(ch.xi)) / 4
     peak = 1 / mp.sqrt(2 * mp.pi * var)
 
