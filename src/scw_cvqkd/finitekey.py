@@ -132,9 +132,9 @@ def _fixed_charge(chi, fk: FiniteKeyParams, n):
     error-correction charges: each point's chi and the overheads of its
     block size ``n`` and of ``fk``'s sample count.
 
-    ``n`` is ``fk.n`` (an int) or a float array of block sizes: sqrt and
-    division are correctly rounded in numpy as in Python, so a point's
-    charge has the same bits either way.
+    ``n`` is a float array of block sizes, or an int such as ``fk.n``:
+    sqrt and division are correctly rounded in numpy as in Python, so a
+    point's charge has the same bits either way.
     """
     return (
         chi
@@ -143,7 +143,7 @@ def _fixed_charge(chi, fk: FiniteKeyParams, n):
     )
 
 
-def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
+def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n):
     """The pointwise finite rate's best thresholds in [v_lo, v_hi].
 
     The per-bit fraction 1 - c_n - f_EC h(min(e(v) + dQ, 1/2)), with c_n
@@ -153,10 +153,9 @@ def pointwise_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n
     every v and the threshold is v_hi.  Block mode's flat charge moves
     with v through Q, so it has a rule of its own
     (:func:`block_threshold`), which starts from this one.  The bounds
-    broadcast against the points; ``n`` holds the points' block sizes
-    (None: ``fk.n`` at every point).
+    broadcast against the points; ``n`` holds the points' block sizes.
     """
-    fixed = _fixed_charge(symbols.chi, fk, fk.n if n is None else n)
+    fixed = _fixed_charge(symbols.chi, fk, n)
     e_star = binary_entropy_inverse((1.0 - fixed) / fk.f_EC) - fk.dQ
     return threshold_at_error(symbols, e_star, v_lo, v_hi)
 
@@ -200,7 +199,7 @@ def _increasing_root(fn, lo, hi, x):
     return x
 
 
-def block_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=None):
+def block_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n):
     """The block rate's best thresholds in [v_lo, v_hi].
 
     Block mode charges each accepted bit k/n, k = ceil(n f_EC h(q)),
@@ -226,10 +225,8 @@ def block_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=Non
     step.
 
     ``v_lo`` and ``v_hi`` broadcast against the points; ``n`` holds the
-    points' block sizes (None: ``fk.n`` at every point).  A row's
-    threshold depends on that row alone.
+    points' block sizes.  A row's threshold depends on that row alone.
     """
-    n = fk.n if n is None else n
     fixed = _fixed_charge(symbols.chi, fk, n)
     f_EC, dQ = fk.f_EC, fk.dQ
 
@@ -281,18 +278,15 @@ def block_threshold(symbols: SymbolBlock, fk: FiniteKeyParams, v_lo, v_hi, n=Non
     return np.where(kept, v, v_star)
 
 
-def finite_rates(
-    block: RateBlock, fk: FiniteKeyParams, ec_mode: str = "pointwise", n=None
-) -> np.ndarray:
+def finite_rates(block: RateBlock, fk: FiniteKeyParams, ec_mode: str, n) -> np.ndarray:
     """Finite-block rates of a kernel block in bits per second; 0 where aborted.
 
     ``ec_mode`` is one of ``_EC_MODES``; ``n`` holds the points' block
-    sizes (None: ``fk.n`` at every point), and ``fk`` sets every other
-    finite-key setting.  Only block mode forms the block's E and P.
+    sizes, and ``fk`` sets every other finite-key setting.  Only block
+    mode forms the block's E and P.
     """
     if ec_mode not in _EC_MODES:
         raise DomainError(f"ec_mode must be one of {_EC_MODES}, got {ec_mode!r}")
-    n = fk.n if n is None else n
     fixed = _fixed_charge(block.chi, fk, n)
     abort = block.empty
     if ec_mode == "block":
@@ -327,7 +321,7 @@ def finite_key_rate(
         fk = replace(fk, k_sample=tun.k_sample)
     block = point_block(tun, sys, ch)
     stats, quantities = block.point(0)
-    rate = float(finite_rates(block, fk, ec_mode)[0])
+    rate = float(finite_rates(block, fk, ec_mode, np.full(1, float(fk.n)))[0])
     return FiniteKeyResult(
         rate=rate, abort=not rate > 0.0, chi=quantities.chi_dr, stats=stats, n=fk.n
     )

@@ -50,11 +50,13 @@ block size as arrays, one entry per row, even where every row shares a
 value, so a one-point search and a sweep pass the same form.  One kernel
 call scores every point's coarse grid; then each round stacks every
 unfinished descent's next block into one array, scores it in one call
-and advances every descent in one vectorised step.  A descent ends on a
-row it has scored, so each optimum is reported from that row's record:
-its rate and parameters as scored, with Q and P (the only tail masses
-the asymptotic and pointwise searches form) computed for the reported
-rows alone.  A call forms its (rows, 48) node arrays in blocks of at
+and advances every descent in one vectorised step.  Each descent keeps
+the rate and record of the row its point was scored as: the first row
+of each stencil it scores, which is the point itself, or the trial that
+won.  So each optimum is reported from the record its descent kept: its
+rate and parameters as scored, with Q and P (the only tail masses the
+asymptotic and pointwise searches form) computed for the reported rows
+alone.  A call forms its (rows, 48) node arrays in blocks of at
 most _MAX_ROWS rows, and a stack of more than _MAX_CALL_ROWS rows is
 scored in even calls, which bounds a call's memory whatever the sweep's
 size.  A kernel row and a descent's step depend on that row or descent
@@ -505,22 +507,21 @@ def _line_searches(x, rows, f, lo, hi, offsets):
     return go, grad, np.concatenate([trials, ahead[:, :, 1:]], axis=2)
 
 
-def _refine(starts, lo, hi):
-    """Bounded Newton descents from each row of ``starts``, in lockstep, as
-    a generator of the rows they score.
+def _refine(starts, lo, hi, objective):
+    """Bounded Newton descents from each row of ``starts``, in lockstep.
 
-    Each round it yields the next block of every unfinished descent,
-    stacked as one (rows, dim) array with each descent's block contiguous
-    (pending stencils first, then line searches), and the descent each row
-    belongs to, and is sent one objective value per row, +inf where a
-    point has no rate.  It returns x (K, dim), the points each descent
-    scored (K,) and origin (K, 2).  x is always a row the descent scored:
-    its origin is (-1, -1) where x is the start, else (round, row), the
-    row of the stack yielded in that round (counted from 0) that x was
-    scored as.  One vectorised pass over a round's values advances every
-    descent, using only elementwise operations, einsum and stacked linear
-    algebra, so a descent's bits do not depend on the others.  A descent
-    first scores the stencil at its start; then each line search (see
+    Each round stacks the next block of every unfinished descent as one
+    (rows, dim) array, each descent's block contiguous (pending stencils
+    first, then line searches), and calls ``objective(rows, owner)`` once,
+    ``owner`` naming the descent of each row; the call gives one value per
+    row, +inf where a point has no rate, and one record per row.  Returns
+    x (K, dim), the points each descent scored (K,) and the record of
+    each x (K, ...): a descent keeps the record of the first row of every
+    stencil it scores, which is x itself, and of every trial that wins.
+    One vectorised pass over a round's values advances every descent,
+    using only elementwise operations, einsum and stacked linear algebra,
+    so a descent's bits do not depend on the others.  A descent first
+    scores the stencil at its start; then each line search (see
     :func:`_line_searches`) keeps its longest halving with a sufficient
     decrease, else tries the steepest-descent block, else returns x.  A
     full step that wins brings its stencil to the next iteration; a
@@ -534,23 +535,24 @@ def _refine(starts, lo, hi):
     x, grad, f_x = starts.copy(), np.zeros_like(starts), np.zeros(count)
     # each descent's next search block, and its steepest-descent one
     queued, steepest = np.zeros((2, count, length, dim))
-    iters, origin = np.zeros(count, dtype=int), np.full((count, 2), -1)
+    iters, n_eval = np.zeros((2, count), dtype=int)
+    # the record of each descent's x, once the first round has scored it
+    kept = None
     # the descents whose stencil is pending, and those whose search is:
     # first those whose Newton block is queued, then the rest
     pending, searching, newton = np.arange(count), np.arange(0), 0
-    # the descent of each row, one array per round
-    owners = []
     while pending.size or searching.size:
         stencils = _clip(x[pending, None] + offsets, lo, hi)
         blocks = queued[searching]
-        owners.append(
-            np.concatenate([np.repeat(pending, size), np.repeat(searching, length)])
+        owner = np.concatenate([np.repeat(pending, size), np.repeat(searching, length)])
+        values, records = objective(
+            np.concatenate([stencils.reshape(-1, dim), blocks.reshape(-1, dim)]), owner
         )
-        values = yield (
-            np.concatenate([stencils.reshape(-1, dim), blocks.reshape(-1, dim)]),
-            owners[-1],
-        )
+        n_eval += np.bincount(owner, minlength=count)
         split = pending.size * size
+        if kept is None:
+            kept = np.empty((count, *records.shape[1:]))
+        kept[pending] = records[:split:size]
         # the descents that take a line search from a scored stencil
         at, rows, f = pending, stencils, values[:split].reshape(-1, size)
         pending = retry = searching[:0]
@@ -566,8 +568,7 @@ def _refine(starts, lo, hi):
             (hit,) = np.nonzero(hit)
             won, winners = won[hit], searching[hit]
             x[winners] = trials[hit, won]
-            origin[winners, 0] = len(owners) - 1
-            origin[winners, 1] = split + hit * length + won
+            kept[winners] = records[split + hit * length + won]
             # a winner on its last iteration stops there; otherwise a full
             # step brings its stencil and a shorter winner is scored anew
             live = iters[winners] < _MAX_ITER
@@ -587,7 +588,7 @@ def _refine(starts, lo, hi):
                 grad[on], f_x[on] = g, f[go, 0]
                 queued[on], steepest[on] = found[:, 0], found[:, 1]
                 searching, newton = np.concatenate([on, retry]), on.size
-    return x, np.bincount(np.concatenate(owners), minlength=count), origin
+    return x, n_eval, kept
 
 
 def _chunks(size: int, cap: int):
@@ -607,11 +608,14 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
     :class:`OptimumPoint`, or the :class:`InfeasibleError` of a pair whose
     coarse grid has no positive rate.  Every pair's grid is scored
     together; then each round of one batched descent (see :func:`_refine`)
-    stacks the next block of every unfinished descent and advances them
-    all in one vectorised step.  The grid and each stack are one kernel
-    call, or one per even part where they hold more than _MAX_CALL_ROWS
-    rows, which bounds a call's memory.  Each optimum is reported from the
-    kernel row that scored it, with Q and P formed for those rows alone.
+    stacks the next block of every unfinished descent, calls the objective
+    on it once and advances them all in one vectorised step.  The grid
+    and each stack are one kernel call, or one per even part where they
+    hold more than _MAX_CALL_ROWS rows, which bounds a call's memory.  The
+    objective returns each row's rate over its grid best and, as the
+    row's record, its rate and kernel record; each optimum is reported
+    from the record its descent kept, the kernel row that scored its
+    point, with Q and P formed for those rows alone.
     Since a kernel row and a descent's step depend on that row or descent
     alone, each outcome equals the one its pair gets alone.
     """
@@ -663,26 +667,15 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
 
     # descent i refines problem feasible[i], in units of its grid best
     start_rate = best_rate[feasible]
-    descent = _refine(points[best[feasible]], lo, hi)
-    rows, index = next(descent)
-    # every round's scored rows, to report each optimum from
-    history = []
-    try:
-        while True:
-            history.append(score(rows, feasible[index]))
-            rows, index = descent.send(-history[-1][0] / start_rate[index])
-    except StopIteration as stop:
-        _, n_eval, origin = stop.value
 
-    # each optimum's rate and record, from the row that scored it
-    found = [
-        (best_rate[k], records[k, best[k]]) if r < 0
-        else (history[r][0][row], history[r][1][row])
-        for k, (r, row) in zip(feasible.tolist(), origin.tolist())
-    ]
-    mu_0, beta_A, delta, v_0, sigma, plus, minus, chi = np.array(
-        [record for _, record in found]
-    ).T
+    def objective(rows, owner):
+        """Values of the descents' rows in units of their grid best, and
+        each row's rate and record."""
+        rates, record = score(rows, feasible[owner])
+        return -rates / start_rate[owner], np.column_stack([rates, record])
+
+    _, n_eval, kept = _refine(points[best[feasible]], lo, hi, objective)
+    rate, mu_0, beta_A, delta, v_0, sigma, plus, minus, chi = kept.T
     E, P = decision_masses(v_0, plus, minus, sigma)
     for i, k in enumerate(feasible.tolist()):
         # plain floats: an np.float64 would print as np.float64(...) in reports
@@ -692,7 +685,7 @@ def _optimize_group(problems, sys, ec_mode: str, bounds: Bounds) -> list:
                 mu_0=float(mu_0[i]), beta_A=float(beta_A[i]), delta=float(delta[i]),
                 v_0=float(v_0[i]), k_sample=fk.k_sample if fk is not None else 0,
             ),
-            rate=float(found[i][0]),
+            rate=float(rate[i]),
             Q=float(E[i]) / float(P[i]) if accepted else None,
             P=float(P[i]) if accepted else None,
             chi=float(chi[i]),
@@ -719,8 +712,11 @@ def optimize_point(
     kernel block: the halvings of the step and the gradient and curvature
     stencil at the full step, with central differences that turn one-sided
     where a pair meets a face or a point without a calibration root.
-    Deterministic: no randomness enters at any stage.  This is the
-    one-channel case of a sweep's lockstep search (:func:`_optimize_group`).
+    The rate, parameters and chi are those of the record the descent
+    kept: the kernel row that scored its final point, its start where it
+    never moved.  Deterministic: no randomness enters at any stage.  This
+    is the one-channel case of a sweep's lockstep search
+    (:func:`_optimize_group`).
 
     Raises :class:`InfeasibleError` when no coarse-grid point has a
     positive rate, carrying the best grid diagnostics.

@@ -124,3 +124,26 @@ def test_main_rejects_a_directory_without_the_benchmark(tmp_path, capsys):
         "--pairs", "1", "--seed-base", "0", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2 and "no perfbench/run.py" in capsys.readouterr().err
+
+
+def test_main_records_a_hung_run_and_goes_on(tmp_path, monkeypatch):
+    # the parent's run.py never ends: each of its runs is stopped after
+    # run_seconds plus the grace and recorded as timed out, and the
+    # change's runs and the rest of the session still happen
+    parent = fake_checkout(tmp_path / "parent", 1.0, 80.0)
+    (parent / "perfbench" / "run.py").write_text("import time\ntime.sleep(60)\n")
+    change = fake_checkout(tmp_path / "change", 2.0, 40.0)
+    monkeypatch.setattr(bench_pairs, "GRACE_S", 0)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--workload", "w",
+        "--pairs", "1", "--seed-base", "3", "--out", str(out),
+    ])
+    assert code == 0
+    w = json.loads(out.read_text())["workloads"]["w"]
+    hung = {"exit": None, "error": ["timed out after 1 s"]}
+    assert w["pairs"][0]["parent"] == hung and w["traced"]["parent"] == hung
+    assert w["pairs"][0]["change"]["metrics"]["ops_per_s"] == 6.0
+    assert w["traced"]["change"]["correct"] is True
+    assert w["runs_correct"] == {"parent": 0, "change": 1}
+    assert w["summary"] == {}

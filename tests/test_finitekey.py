@@ -233,7 +233,7 @@ def test_rate_rejects_bad_mode():
     # the kernel's rates check the mode too, rather than charging pointwise
     block = point_block(tun(), SYS, CH)
     with pytest.raises(DomainError, match="ec_mode"):
-        finite_rates(block, FiniteKeyParams(n=10**8), "blok")
+        finite_rates(block, FiniteKeyParams(n=10**8), "blok", np.full(1, 1e8))
 
 
 def test_increasing_root_brackets_and_faces():
@@ -271,8 +271,9 @@ def test_block_threshold_opens_its_syndrome_step():
     fk = FiniteKeyParams(n=10**8)
     symbols = _ridge_symbols()
     sigma = CH.sigma
-    v = block_threshold(symbols, fk, 0.0, 6.0 * sigma)
-    rates = finite_rates(symbols.at(v), fk, "block")
+    n = np.full(symbols.chi.size, float(fk.n))
+    v = block_threshold(symbols, fk, 0.0, 6.0 * sigma, n)
+    rates = finite_rates(symbols.at(v), fk, "block", n)
     assert np.count_nonzero(rates > 0.0) >= 12
 
     def syndrome(at):
@@ -282,7 +283,7 @@ def test_block_threshold_opens_its_syndrome_step():
     live = rates > 0.0
     assert np.all(syndrome(v - 1e-10 * sigma)[live] == syndrome(v)[live] + 1.0)
     for offset in np.linspace(-1e-4, 1e-4, 41) * sigma:
-        scan = finite_rates(symbols.at(v + offset), fk, "block")
+        scan = finite_rates(symbols.at(v + offset), fk, "block", n)
         assert np.all(scan[live] <= rates[live] * (1.0 + 1e-12))
 
 
@@ -294,7 +295,8 @@ def test_block_threshold_checks_the_step_it_lands_on(monkeypatch):
     symbols = _ridge_symbols()
     v_hi = 6.0 * CH.sigma
     monkeypatch.setattr(finitekey, "_STEP_NEWTON", 0)
-    peak = block_threshold(symbols, fk, 0.0, v_hi)
+    n = np.full(symbols.chi.size, float(fk.n))
+    peak = block_threshold(symbols, fk, 0.0, v_hi, n)
     monkeypatch.setattr(finitekey, "_STEP_NEWTON", 2)
     monkeypatch.setattr(finitekey, "_STEP_MARGIN", -1e-9)
-    assert np.array_equal(block_threshold(symbols, fk, 0.0, v_hi), peak)
+    assert np.array_equal(block_threshold(symbols, fk, 0.0, v_hi, n), peak)

@@ -210,7 +210,7 @@ def test_solved_threshold_beats_dense_scan(loss_db, xi, S, n, ec_mode, on_face):
     if fk is None:
         rates = asymptotic_rates(block)
     else:
-        rates = finite_rates(block, fk, ec_mode)
+        rates = finite_rates(block, fk, ec_mode, np.full(v_0.size, float(fk.n)))
     assert rates.max() <= opt.rate * (1.0 + 1e-12)
 
 
@@ -456,36 +456,25 @@ def _counted(fn):
 
 
 def _descend(starts, objectives, lo, hi):
-    """Run one ``_refine`` generator over descents from each of ``starts``,
-    scoring each descent's rows of a round, one block in the round's
-    stack, with its own objective; returns (x, points scored), one entry
-    per descent, after checking that each x is the row its returned origin
-    names: the start, or a row of a stack it scored."""
-    descent = search._refine(np.array(starts), lo, hi)
-    rows, owner = next(descent)
-    rounds = []
-    while True:
-        rounds.append((rows.copy(), owner.copy()))
+    """Run one ``_refine`` over descents from each of ``starts``, scoring
+    each descent's rows of a round, one block in the round's stack, with
+    its own objective, and recording each row as itself and its descent;
+    returns (x, points scored), one entry per descent, after checking that
+    each x equals its kept record: a row its own descent scored."""
+
+    def objective(rows, owner):
         values = np.full(len(rows), np.nan)
-        for k, objective in enumerate(objectives):
+        for k, fn in enumerate(objectives):
             (mine,) = np.nonzero(owner == k)
             if mine.size:
                 assert np.array_equal(mine, np.arange(mine[0], mine[-1] + 1)), k
-                values[mine] = objective(rows[mine])
+                values[mine] = fn(rows[mine])
         assert not np.isnan(values).any()
-        try:
-            rows, owner = descent.send(values)
-        except StopIteration as stop:
-            xs, n_evals, origins = stop.value
-            break
-    for k, (x, origin) in enumerate(zip(xs, origins)):
-        r, row = origin
-        if r < 0:
-            assert np.array_equal(x, starts[k]), k
-        else:
-            stack, owners = rounds[r]
-            assert owners[row] == k
-            assert np.array_equal(x, stack[row]), k
+        return values, np.column_stack([rows, owner])
+
+    xs, n_evals, kept = search._refine(np.array(starts), lo, hi, objective)
+    for k, (x, record) in enumerate(zip(xs, kept)):
+        assert np.array_equal(x, record[:-1]) and record[-1] == k, k
     return xs, n_evals
 
 
@@ -587,6 +576,33 @@ def test_refine_round_mixes_phases_without_crosstalk():
     # holds a line search (face) and stencils after a halving (log_cosh, edge)
     third = [sizes[2] for _, sizes in counted if len(sizes) > 2]
     assert sorted(third) == [11, 11, 18]
+
+
+def test_refine_stops_at_its_iteration_cap(monkeypatch):
+    # one iteration allowed: log cosh's first full step overshoots, so a
+    # halving wins and the descent stops on it, with no stencil of its own
+    monkeypatch.setattr(search, "_MAX_ITER", 1)
+    start, fn = _DESCENTS["log_cosh"]
+    blocks = []
+
+    def objective(rows):
+        blocks.append(rows.copy())
+        return fn(rows)
+
+    (x,), (n_eval,) = _descend([start], [objective], _UNIT_LO, _UNIT_HI)
+    assert [len(block) for block in blocks] == [11, 18] and n_eval == 29
+    assert any(np.array_equal(x, row) for row in blocks[1][1 : search._TRIALS])
+    assert fn(x[None]) < fn(np.array([start]))
+    assert np.max(np.abs(x - [0.5, 0.5])) > 1e-3
+
+
+def test_refine_stops_where_no_curvature_is_left():
+    # a linear objective has a gradient but no curvature: the descent stops
+    # after its first stencil and keeps its start and the start's record
+    objective, sizes = _counted(lambda rows: rows[:, 0])
+    (x,), (n_eval,) = _descend([[0.5, 0.5]], [objective], _UNIT_LO, _UNIT_HI)
+    assert sizes == [11] and n_eval == 11
+    assert np.array_equal(x, [0.5, 0.5])
 
 
 def _stencil_values(fn, x, lo, hi):
@@ -1010,6 +1026,40 @@ def test_kernel_rows_keep_their_bits_across_node_blocks(S, mode, monkeypatch):
         )
         assert rates[i] == alone[0][0], i
         assert np.array_equal(record[i], alone[1][0], equal_nan=True), i
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("n", [None, 10**10])
+def test_descent_that_never_moves_reports_its_grid_row(S, n, monkeypatch):
+    # every descent stops after the stencil at its start: the optimum is
+    # reported from the record the stencil's first row kept, which has the
+    # bits of the grid's best row scored alone
+    sys, bounds = SystemParams(S=S), Bounds()
+    fk = None if n is None else FiniteKeyParams(n=n)
+    lo, hi, shape, decode = search._search_space(bounds, sys)
+    grid = decode(search._grid_points(tuple(lo), tuple(hi), shape))
+
+    def scored(points):
+        rows = len(points)
+        eta, xi = np.full(rows, CH3.eta), np.full(rows, CH3.xi)
+        n_rows = None if fk is None else np.full(rows, float(n))
+        return search._kernel(points, eta, xi, n_rows, sys, fk, "pointwise", bounds)
+
+    best = np.argmax(scored(grid)[0])
+    (rate,), (record,) = scored(grid[best : best + 1])
+
+    def stop_at_once(x, *rest):
+        return np.zeros(len(x), dtype=bool), None, None
+
+    monkeypatch.setattr(search, "_line_searches", stop_at_once)
+    opt = optimize_point(CH3, sys, fk, bounds=bounds)
+    mu_0, beta_A, delta, v_0, _, _, _, chi = record
+    assert opt.rate == rate and opt.chi == chi
+    assert opt.params == TunableParams(
+        mu_0=mu_0, beta_A=beta_A, delta=delta, v_0=v_0,
+        k_sample=0 if fk is None else fk.k_sample,
+    )
+    assert opt.evaluations == len(grid) + len(search._stencil(lo.size)[0])
 
 
 def test_sweep_finite_grid():

@@ -272,7 +272,9 @@ def _fixed_threshold_rates(points, ch, sys_s, fk):
     block = rate_block(
         10.0 ** rows[:, 0], rows[:, 1], delta, rows[:, 2] * ch.sigma, sys_s, ch
     )
-    return asymptotic_rates(block) if fk is None else finite_rates(block, fk)
+    if fk is None:
+        return asymptotic_rates(block)
+    return finite_rates(block, fk, "pointwise", np.full(len(rows), float(fk.n)))
 
 
 @pytest.mark.parametrize("S", [1, 3])
@@ -332,10 +334,11 @@ def test_rate_block_equals_single_points():
     mu_0 = 10.0 ** rng.uniform(-3.0, 1.0, 40)
     v_0 = rng.uniform(0.0, 6.0, 40) * ch.sigma
     block = rate_block(mu_0, np.full(40, beta_A), np.full(40, delta), v_0, SYS, ch)
+    n = np.full(40, float(ORACLE_FK.n))
     rates = {
         "asymptotic": asymptotic_rates(block),
-        "pointwise": finite_rates(block, ORACLE_FK, "pointwise"),
-        "block": finite_rates(block, ORACLE_FK, "block"),
+        "pointwise": finite_rates(block, ORACLE_FK, "pointwise", n),
+        "block": finite_rates(block, ORACLE_FK, "block", n),
     }
     assert 0 < np.count_nonzero(rates["asymptotic"]) < 40
     for i in range(40):
@@ -631,9 +634,8 @@ def test_empty_rows_are_found_without_their_masses():
         assert rates[i] == alone.rate
         assert (alone.stats is None) == block.empty[i]
         for mode in ("pointwise", "block"):
-            assert finite_rates(block, fk, mode)[i] == finite_key_rate(
-                t, SYS, ch, fk, mode
-            ).rate
+            rate = finite_rates(block, fk, mode, np.full(6, float(fk.n)))[i]
+            assert rate == finite_key_rate(t, SYS, ch, fk, mode).rate
 
 
 def test_rate_doubling_toggle():

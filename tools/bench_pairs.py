@@ -13,7 +13,9 @@ per-layer metrics.  Each run is the checkout's own copy of
 ``perfbench/run.py``, started with this interpreter from the checkout's
 root; nothing under ``perfbench/`` is edited.  ``--workload`` may be given
 more than once; the pairs of one workload finish before the next
-workload starts.
+workload starts.  A run still going ``GRACE_S`` (300) seconds after its
+``T`` is stopped and recorded with ``"exit": null`` and a timeout error,
+and the session goes on.
 
 ``FILE`` is rewritten after every pair, so an interrupted session keeps
 the pairs it finished.  It holds, per workload, every run's metrics and
@@ -41,6 +43,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# seconds a run may take beyond its --seconds before it is stopped and
+# recorded as timed out
+GRACE_S = 300
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -89,11 +94,19 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
-    """One ``perfbench/run.py`` run from ``root``; its verdict and metrics."""
+    """One ``perfbench/run.py`` run from ``root``; its verdict and metrics.
+
+    A run still going GRACE_S seconds past ``seconds`` is stopped and
+    recorded with no exit code and a timeout error, so the session goes on.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
-                          timeout=seconds + 300)
+    limit = seconds + GRACE_S
+    try:
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                              timeout=limit)
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "error": [f"timed out after {limit} s"]}
     lines = proc.stdout.strip().splitlines()
     result = {"exit": proc.returncode}
     try:
