@@ -8,13 +8,11 @@ modes.  The amplitude weights form one row of the spin-S rotation matrix,
     d^1_{0,0}(beta)  =  cos(beta)
     d^1_{0,-1}(beta) = -sin(beta)/sqrt(2)
 
-Two evaluation routes are provided and cross-checked by the test suite:
-
-* an explicit factorial sum, exact and cheap for small spin (used for
-  ``S <= _SUM_CUTOFF``);
-* an order-by-order normalized-Legendre degree recurrence that stays
-  stable for large spin, where the factorial sum would overflow or lose
-  precision.
+One route evaluates the row at every spin: an order-by-order
+normalized-Legendre degree recurrence whose intermediates stay bounded
+by 1, so it neither overflows nor loses precision at large spin.  The
+test suite checks it against a 50-digit factorial-sum oracle and the
+S=1 closed form.
 
 The k = 0 element equals the Legendre polynomial P_S(cos beta) and extends
 to any real angle (:func:`carrier_weight`, :func:`legendre_p`); the security
@@ -30,8 +28,6 @@ import numpy as np
 
 from .errors import DomainError, InternalError
 
-# Switch from the factorial sum to the degree recurrence above this spin.
-_SUM_CUTOFF = 10
 # Unitarity drift beyond this signals an unstable evaluation.
 _UNITARITY_TOL = 1e-9
 # Slack when validating angles against [0, pi].
@@ -68,25 +64,8 @@ def _validate_spin(S: int) -> int:
     return int(S)
 
 
-def _row_by_sum(S: int, beta: float) -> np.ndarray:
-    """Factorial-sum evaluation; every k computed independently."""
-    c = math.cos(0.5 * beta)
-    s = math.sin(0.5 * beta)
-    fact = math.factorial
-    values = np.empty(2 * S + 1)
-    for k in range(-S, S + 1):
-        pref = math.sqrt(float(fact(S) ** 2 * fact(S + k) * fact(S - k)))
-        acc = 0.0
-        for t in range(max(0, k), min(S, S + k) + 1):
-            denom = fact(S + k - t) * fact(t) * fact(t - k) * fact(S - t)
-            term = c ** (2 * S + k - 2 * t) * s ** (2 * t - k) / denom
-            acc += -term if (t - k) % 2 else term
-        values[k + S] = pref * acc
-    return values
-
-
 def _row_by_recurrence(S: int, beta: float) -> np.ndarray:
-    """Degree recurrence per sideband order; stable for large spin.
+    """Degree recurrence per sideband order; stable at any spin.
 
     For each order k the quantity f_l = sqrt((l-k)!/(l+k)!) P_l^k(cos beta)
     is carried up in degree l from its sectoral seed.  All intermediates are
@@ -128,8 +107,6 @@ def wigner_d_row(S: int, beta: float) -> DRow:
     if beta == 0.0 or beta == math.pi:
         values = np.zeros(2 * S + 1)
         values[S] = 1.0 if beta == 0.0 else (-1.0) ** S
-    elif S <= _SUM_CUTOFF:
-        values = _row_by_sum(S, beta)
     else:
         values = _row_by_recurrence(S, beta)
 

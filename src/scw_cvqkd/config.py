@@ -2,8 +2,8 @@
 
 One file drives every command: system constants, channel point, sweep
 grids, search bounds, finite-key overheads, and run bookkeeping.  Keys
-are grouped in sections, every key is optional (defaults mirror the
-dataclass defaults), and unknown sections or keys are rejected with
+are grouped in sections, every key is optional (a missing key keeps the
+dataclass default), and unknown sections or keys are rejected with
 their location.  Angles are written in degrees in the file and
 converted to radians on load.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError, ScwError
@@ -339,7 +339,7 @@ def load_config(path: str | None) -> RunConfig:
     try:
         system = SystemParams(**system_kw)
         bounds = Bounds(**bounds_kw)
-        fk = FiniteKeyParams(**{"n": 10**10, **fk_kw})
+        fk = replace(RunConfig.fk, **fk_kw)
         tunables = None
         if tun_kw:
             for required in ("mu_0", "beta_A", "v_0"):
@@ -356,17 +356,6 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"invalid configuration in {path}: {exc}")
 
     return RunConfig(
-        system=system,
-        bounds=bounds,
-        fk=fk,
-        loss_db=channel.get("loss_db", 3.0),
-        xi=channel.get("xi", 0.1),
-        tunables=tunables,
-        loss_grid=sweep_kw.get("loss_grid"),
-        noise_levels=sweep_kw.get("noise_levels"),
-        n_values=sweep_kw.get("n_values"),
-        ec_mode=sweep_kw.get("ec_mode", "pointwise"),
-        mode=run_kw.get("mode", "asymptotic"),
-        seed=run_kw.get("seed", 0),
-        out=run_kw.get("out"),
+        system=system, bounds=bounds, fk=fk, tunables=tunables,
+        **channel, **sweep_kw, **run_kw,
     )

@@ -78,44 +78,17 @@ def quadrature_pdf(v, mean_v: float, xi: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _distinct(values: np.ndarray):
-    """The distinct entries of a 1-D array, ascending, and the index of each
-    entry among them, from one sort (the first np.unique in a process
-    imports numpy.ma)."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.empty(ordered.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    inverse = np.empty(ordered.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
-def _per_value(f, values):
-    """``f`` at each entry of an array ``values``, called once per distinct
-    value, so every entry has the bits of the scalar call (numpy's log may
-    round differently from math's).  An ``f`` of several outputs gives one
-    array per output, each of the shape of ``values``."""
-    values = np.asarray(values)
-    distinct, inverse = _distinct(values.ravel())
-    table = np.array([f(value) for value in distinct.tolist()])
-    if table.ndim == 1:
-        return table[inverse].reshape(values.shape)
-    return tuple(column[inverse].reshape(values.shape) for column in table.T)
-
-
-def _log_peak(xi: float) -> float:
-    """Log of the readout density's peak, 0.5 log(2 / (pi (1 + xi)))."""
-    if xi < 0.0:
-        raise DomainError(f"xi must be >= 0, got {xi}")
-    return 0.5 * math.log(2.0 / (math.pi * (1.0 + xi)))
-
-
-def readout_scales(xi: float) -> tuple[float, float]:
+def readout_scales(xi):
     """The readout's standard deviation and the log of its density's peak,
-    (:func:`noise_sigma`, 0.5 log(2 / (pi (1 + xi))))."""
-    return noise_sigma(xi), _log_peak(xi)
+    (:func:`noise_sigma`, 0.5 log(2 / (pi (1 + xi)))), elementwise over a
+    scalar or an array ``xi``.  The standard deviation has the bits of
+    :func:`noise_sigma`; numpy's log may round the peak one unit apart
+    from ``math.log``, but an entry's bits do not depend on the array
+    around it."""
+    if np.any(xi < 0.0):
+        raise DomainError(f"xi must be >= 0, got {xi}")
+    one_plus_xi = 1.0 + xi
+    return np.sqrt(V_VAC * one_plus_xi), 0.5 * np.log(2.0 / (math.pi * one_plus_xi))
 
 
 def erasure_error_profiles(v, mean_plus, mean_minus, xi):
@@ -129,7 +102,7 @@ def erasure_error_profiles(v, mean_plus, mean_minus, xi):
     broadcast against it.
     """
     v = np.asarray(v, dtype=float)
-    log_peak = _per_value(_log_peak, xi)
+    _, log_peak = readout_scales(xi)
     lp_plus = log_peak - 2.0 * (v - mean_plus) ** 2 / (1.0 + xi)
     lp_minus = log_peak - 2.0 * (v - mean_minus) ** 2 / (1.0 + xi)
     one_minus_g = 0.5 * (np.exp(lp_plus) + np.exp(lp_minus))

@@ -73,9 +73,9 @@ from functools import lru_cache
 import numpy as np
 
 from .config import _EC_MODES, Bounds, FiniteKeyParams
-from .errors import DomainError, InfeasibleError, ScwError
+from .errors import DomainError, InfeasibleError, NoRootError
 from .finitekey import block_threshold, finite_rates, pointwise_threshold
-from .noise import P_FLOOR, ChannelModel, _distinct, decision_masses
+from .noise import P_FLOOR, ChannelModel, decision_masses
 from .optics import SystemParams, TunableParams, calibrate_delta
 from .security import SymbolBlock, asymptotic_rates, asymptotic_threshold, symbol_block
 
@@ -209,6 +209,20 @@ def _threshold(symbols: SymbolBlock, fk, ec_mode, n, bounds: Bounds):
     return pointwise_threshold(symbols, fk, v_lo, v_hi, n)
 
 
+def _distinct(values: np.ndarray):
+    """The distinct entries of a 1-D array, ascending, and the index of each
+    entry among them, from one sort (the first np.unique in a process
+    imports numpy.ma)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     """Rates of decision vectors, in one kernel call, and a record of each row.
 
@@ -232,7 +246,7 @@ def _kernel(points, eta, xi, n, sys, fk, ec_mode, bounds):
     for i, beta in enumerate(angles.tolist()):
         try:
             roots[i] = calibrate_delta(beta, sys)
-        except ScwError:
+        except NoRootError:
             pass
     delta = roots[inverse]
     ok = ~np.isnan(delta)
@@ -285,7 +299,7 @@ def _grid_points(lo: tuple, hi: tuple, shape: tuple) -> np.ndarray:
 def _has_root(beta_A: float, sys: SystemParams) -> bool:
     try:
         calibrate_delta(beta_A, sys)
-    except ScwError:
+    except NoRootError:
         return False
     return True
 

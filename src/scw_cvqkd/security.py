@@ -52,7 +52,6 @@ from .noise import (
     ChannelModel,
     DecisionStats,
     decision_masses,
-    _per_value,
     integration_ceiling,
     readout_scales,
 )
@@ -284,11 +283,11 @@ class SymbolBlock:
 
     Every field is an (N,) array, one entry per point: ``xi`` is its
     excess noise, ``sigma`` its readout standard deviation and
-    ``log_peak`` the log of its readout density's peak
-    (:func:`noise.readout_scales`), ``scale`` the factor that turns its
-    integral into bits per second, and ``degenerate`` marks symbol means
-    the model leaves undefined.  The block of some of the points is every
-    field taken at their rows.
+    ``log_peak`` the log of its readout density's peak (both from one
+    elementwise :func:`noise.readout_scales` call over ``xi``), ``scale``
+    the factor that turns its integral into bits per second, and
+    ``degenerate`` marks symbol means the model leaves undefined.  The
+    block of some of the points is every field taken at their rows.
     """
 
     xi: np.ndarray
@@ -414,7 +413,7 @@ def symbol_block(mu_0, beta_A, delta, eta, xi, sys: SystemParams) -> SymbolBlock
         mu_0, beta_A, np.asarray(delta, dtype=float), sys, np.asarray(eta, dtype=float)
     )
     overlap, chi = _overlap_chi(mu_0, beta_A, sys.S)
-    sigma, log_peak = _per_value(readout_scales, xi)
+    sigma, log_peak = readout_scales(xi)
     scale = (2.0 if sys.symmetric_doubling else 1.0) / (N_BASES * sys.T)
     return SymbolBlock(
         xi=xi,

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from scw_cvqkd.angular import (
     DRow,
-    _row_by_recurrence,
-    _row_by_sum,
     carrier_weight,
     first_sideband_weight,
     legendre_p,
@@ -95,21 +93,12 @@ def test_matches_oracle_small_spin():
 
 
 def test_matches_oracle_large_spin():
-    # recurrence route; the oracle sum is exact at any precision
+    # the oracle sum is exact at any precision
     rng = np.random.default_rng(13)
     for S in (11, 15, 20, 25, 40):
         for beta in rng.uniform(1e-3, math.pi - 1e-3, 6):
             got = wigner_d_row(S, beta).values
             np.testing.assert_allclose(got, oracle_row(S, beta), atol=1e-12)
-
-
-def test_sum_and_recurrence_agree():
-    rng = np.random.default_rng(17)
-    for S in range(1, 11):
-        for beta in rng.uniform(1e-3, math.pi - 1e-3, 8):
-            np.testing.assert_allclose(
-                _row_by_sum(S, beta), _row_by_recurrence(S, beta), atol=1e-12
-            )
 
 
 def test_endpoint_rows_are_exact():

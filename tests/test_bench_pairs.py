@@ -77,6 +77,20 @@ def fake_checkout(root, ops, rss):
     return root
 
 
+def test_checkout_counts_source_lines(tmp_path):
+    # the wc -l total of src/**/*.py: a last line without a newline is
+    # not counted, and no other file is
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\nw = 4")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("1\n2\n")
+    (tmp_path / "c.py").write_text("outside = True\n")
+    record = bench_pairs.checkout(tmp_path)
+    assert record == {"dir": tmp_path.name, "src_lines": 4,
+                      "git_sha": None, "dirty": None}
+    assert bench_pairs.checkout(tmp_path / "src" / "pkg")["src_lines"] == 0
+
+
 def test_main_writes_paired_record(tmp_path):
     parent = fake_checkout(tmp_path / "parent", 1.0, 80.0)
     change = fake_checkout(tmp_path / "change", 2.0, 40.0)
@@ -88,6 +102,7 @@ def test_main_writes_paired_record(tmp_path):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["parent"]["git_sha"] is None and record["host"]["nproc"] >= 1
+    assert record["parent"]["src_lines"] == 0
     assert record["seconds"] == 1
     w = record["workloads"]["w"]
     assert [p["seed"] for p in w["pairs"]] == [10, 11, 12]

@@ -324,6 +324,17 @@ def test_error_exit_codes(exc, code, capsys, monkeypatch):
     assert f"error: {exc}" in capsys.readouterr().err
 
 
+def test_keyrate_calibration_self_check_failure_exit_3(capsys, monkeypatch):
+    import scw_cvqkd.search as search
+
+    def failing(beta_A, sys):
+        raise InternalError(f"calibration residual at {beta_A}")
+
+    monkeypatch.setattr(search, "calibrate_delta", failing)
+    assert main(["keyrate", "--loss-db", "3", "--xi", "0.1"]) == 3
+    assert "calibration residual" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, cfg_text",
     [

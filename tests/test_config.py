@@ -5,7 +5,7 @@ import math
 import pytest
 
 from scw_cvqkd.cli import main
-from scw_cvqkd.config import RunConfig, TunableSpec, load_config
+from scw_cvqkd.config import _SCHEMA, RunConfig, TunableSpec, load_config
 from scw_cvqkd.errors import ConfigError
 from scw_cvqkd.optics import SystemParams, calibrate_delta
 
@@ -61,6 +61,12 @@ def test_defaults_without_file():
     assert cfg.mode == "asymptotic"
     assert cfg.loss_db == 3.0 and cfg.xi == 0.1
     assert cfg.tunables is None and cfg.loss_grid is None
+
+
+def test_empty_sections_load_as_defaults(tmp_path):
+    # every section present, no key set: the file adds nothing to RunConfig()
+    sections = "".join(f"[{name}]\n" for name in _SCHEMA)
+    assert load_config(write(tmp_path, sections)) == RunConfig()
 
 
 def test_full_file_round_trip(tmp_path):

@@ -19,6 +19,7 @@ from scw_cvqkd.noise import (
     erasure_error_profiles,
     noise_sigma,
     quadrature_pdf,
+    readout_scales,
 )
 
 
@@ -232,6 +233,24 @@ def test_decision_stats_domain():
         decision_stats(0.1, 0.5, -0.5, 0.0, method="mystery")
     with pytest.raises(DomainError):
         noise_sigma(-1.0)
+
+
+def test_readout_scales_sigma_has_the_bits_of_noise_sigma():
+    drawn = np.random.default_rng(3).uniform(0.0, 2.0, 500)
+    xi = np.concatenate([[0.0, 0.1, 0.2, 0.2282], drawn])
+    sigma, log_peak = readout_scales(xi)
+    assert sigma.tolist() == [noise_sigma(x) for x in xi.tolist()]
+    expect = [0.5 * math.log(2.0 / (math.pi * (1.0 + x))) for x in xi.tolist()]
+    np.testing.assert_allclose(log_peak, expect, rtol=4e-16, atol=0.0)
+    # a scalar gives the same bits as its entry of an array
+    assert readout_scales(0.1) == (sigma[1], log_peak[1])
+
+
+def test_readout_scales_reject_a_negative_entry():
+    with pytest.raises(DomainError):
+        readout_scales(np.array([0.1, 0.0, -1e-12, 0.2]))
+    with pytest.raises(DomainError):
+        readout_scales(-0.5)
 
 
 @settings(max_examples=60, deadline=None)

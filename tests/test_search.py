@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scw_cvqkd import search
-from scw_cvqkd.errors import DomainError, InfeasibleError, NoRootError
+from scw_cvqkd.errors import DomainError, InfeasibleError, InternalError, NoRootError
 from scw_cvqkd.finitekey import FiniteKeyParams, finite_key_rate, finite_rates
 from scw_cvqkd.noise import ChannelModel, noise_sigma
 from scw_cvqkd.optics import SystemParams, TunableParams, calibrate_delta
@@ -442,6 +442,18 @@ def test_refinement_survives_angles_without_root(no_root, monkeypatch, opt3):
     assert opt.params.beta_A < 1.3 and not no_root(opt.params.beta_A)
     assert math.isfinite(opt.rate)
     assert opt.rate >= (1.0 - 1e-12) * opt3.rate
+
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_calibration_self_check_failure_is_raised(S, monkeypatch):
+    # only a missing root scores -inf; a failed residual self-check is a
+    # fault of the package and leaves the search
+    def failing(beta_A, sys):
+        raise InternalError(f"calibration residual at {beta_A}")
+
+    monkeypatch.setattr(search, "calibrate_delta", failing)
+    with pytest.raises(InternalError):
+        optimize_point(CH3, SystemParams(S=S))
 
 
 def _counted(fn):
@@ -1003,14 +1015,21 @@ def test_sweep_kernel_calls_stay_under_the_row_cap(monkeypatch):
 def test_kernel_rows_keep_their_bits_across_node_blocks(S, mode, monkeypatch):
     # one call whose node stage spans several blocks, with a transmittance,
     # excess noise and block size per row, gives every row the bits of
-    # that row scored alone
+    # that row scored alone; the noise levels are the sweep's and a
+    # continuous draw, with 0.2282, whose log peak numpy's log rounds
+    # differently from math.log on a machine with AVX-512
     sys = SystemParams(S=S)
     lo, hi, _, decode = search._search_space(Bounds(), sys)
     rng = np.random.default_rng(S)
     count = 11
     points = decode(lo + (hi - lo) * rng.uniform(0.3, 0.8, (count, lo.size)))
     eta = np.array([ChannelModel(loss_db=v).eta for v in rng.uniform(0.5, 6.0, count)])
-    xi = rng.choice([0.0, 0.1, 0.2], count)
+    xi = np.where(
+        rng.random(count) < 0.5,
+        rng.choice([0.0, 0.1, 0.2], count),
+        rng.uniform(0.0, 0.3, count),
+    )
+    xi[0] = 0.2282
     fk, n, ec_mode = None, None, "pointwise"
     if mode != "asymptotic":
         fk, ec_mode = FiniteKeyParams(n=10**10), mode

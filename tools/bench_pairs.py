@@ -25,8 +25,9 @@ quartile, median and third quartile, the number of pairs in which the
 change is better, and the median per-pair ratio change / parent; and
 each side's traced run, with its verdict and per-layer metrics.  It also
 records both checkouts' git shas (and whether their trees differ from
-them), the source digest each run reports, and the Python and numpy
-versions and CPU count of the machine.
+them), the line count of each checkout's ``src/**/*.py`` (``src_lines``,
+as ``wc -l`` totals it), the source digest each run reports, and the
+Python and numpy versions and CPU count of the machine.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
 
 
 def checkout(root: Path) -> dict:
+    """Where ``root`` is in git and the ``wc -l`` total of its
+    ``src/**/*.py``."""
     def git(*args):
         try:
             return subprocess.run(["git", *args], cwd=root, capture_output=True,
@@ -132,10 +135,13 @@ def checkout(root: Path) -> dict:
         except (OSError, subprocess.SubprocessError):
             return ""
 
+    src_lines = sum(path.read_bytes().count(b"\n")
+                    for path in (root / "src").rglob("*.py"))
+    record = {"dir": root.name, "src_lines": src_lines}
     # only the checkout's own repository, never one git finds further up
     if not (root / ".git").exists():
-        return {"dir": root.name, "git_sha": None, "dirty": None}
-    return {"dir": root.name, "git_sha": git("rev-parse", "HEAD") or None,
+        return {**record, "git_sha": None, "dirty": None}
+    return {**record, "git_sha": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
